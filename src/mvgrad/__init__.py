@@ -20,9 +20,7 @@ from .errors import (ConfigError, GridMismatch, HeuristicRegime,
                      MVGradError, NonFinite, ScheduleMismatch, SingularDiffusion,
                      SizeCap, UnequalSupport, UnknownFamily, UnsupportedScenario)
 from .measure import (EmpiricalMeasure, TransportPlan, dual_exponent, lk_norm,
-                      load_points_csv,
-                      moments, pushforward, sample_initial, save_points_csv,
-                      wasserstein)
+                      pushforward, sample_initial, wasserstein)
 from .model import (BismutSchedule, CylindricalDrift, Diffusion, EllipticityReport,
                     ModelSpec, Observable, PerturbationField, SingularDrift,
                     drift_eval, linear_schedule, lions_derivative,
@@ -35,8 +33,7 @@ from .oracle import (MomentReport, StabilityReport, TVScalingReport,
                      tv_sign_reference)
 from .scenarios import (Scenario, all_scenarios, build_family, get_scenario,
                         scenario_names)
-from .simulate import (FrozenFlow, ParticlePaths, TimeGrid, brownian_increments,
-                       load_states, particle_increments, save_moment_flow_csv,
-                       save_paths, simulate_decoupled, simulate_particles)
-from .tangent import (TangentPaths, coupling_direct, cylindrical_coupling,
-                      frozen_tangent, meanfield_tangent)
+from .simulate import (ParticlePaths, TimeGrid, brownian_increments,
+                       particle_increments, simulate_particles)
+from .tangent import (TangentPaths, cylindrical_coupling, frozen_tangent,
+                      meanfield_tangent)

@@ -17,7 +17,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -62,24 +61,6 @@ class Estimate:
     def __post_init__(self):
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value, "stderr": self.stderr, "N": self.N,
-            "n_steps": self.n_steps, "dt": self.dt, "seed": self.seed,
-            "mode": self.mode, "scenario": self.scenario,
-            "term1": self.term1, "term2": self.term2,
-            "notes": list(self.notes),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Estimate":
-        raw = json.loads(text)
-        raw["notes"] = tuple(raw.get("notes", ()))
-        return cls(**raw)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a declared check failed, 2 configuration error,
 3 numerical failure.  The environment variable MVGRAD_MEMORY_BUDGET_MB
-caps retained path storage.
+caps retained path storage; a value that is not a finite positive number
+is a configuration error.
 """
 
 from __future__ import annotations
@@ -56,15 +57,16 @@ def _cmd_run(args) -> int:
             overrides["seed"] = args.seed
         if args.parallel is not None:
             overrides["parallel"] = args.parallel
+        if args.out is not None:
+            overrides["out_dir"] = args.out
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
             cfg.validate()
-        out_dir = args.out if args.out is not None else cfg.out_dir
-        resolve_bundle(cfg)  # surfaces scenario/horizon problems before running
+        resolve_bundle(cfg)  # surfaces name, horizon and budget problems before running
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
-    result = run_experiment(cfg, text, out_dir)
+    result = run_experiment(cfg, text, cfg.out_dir)
     n = len(result.rows)
     print(f"wrote {result.csv_path} ({n} rows), exit {result.exit_code}")
     if result.errors:

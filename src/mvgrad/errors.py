@@ -30,7 +30,7 @@ class UnknownFamily(MVGradError):
 
 
 class GridMismatch(MVGradError):
-    """A frozen moment flow or terminal time does not match the time grid."""
+    """A terminal time does not match the time grid."""
 
 
 class ScheduleMismatch(MVGradError):

@@ -1,4 +1,4 @@
-"""Empirical-measure arithmetic: sampling, pushforwards, moments, transport.
+"""Empirical-measure arithmetic: sampling, pushforwards, norms, transport.
 
 Measures are equal-weight point clouds of identical size N; unequal sizes
 are rejected rather than approximated so the exact assignment solver stays
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -152,11 +151,6 @@ def lk_norm(phi, mu: EmpiricalMeasure, k: float) -> float:
     return float(np.mean(norms ** k) ** (1.0 / k))
 
 
-def moments(mu: EmpiricalMeasure, h: Sequence) -> Array:
-    """Vector of empirical moments (mu(h_1), ..., mu(h_n))."""
-    return np.array([float(np.mean(np.asarray(hl(mu.points), dtype=float))) for hl in h])
-
-
 def _rng_for_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), _INIT_STREAM_TAG]))
 
@@ -214,14 +208,4 @@ def sample_initial(dist_spec: dict, N: int, seed: int) -> EmpiricalMeasure:
     if N < 1:
         raise ValueError("N must be >= 1")
     pts = _sample_family(dict(dist_spec), N, _rng_for_seed(seed))
-    return EmpiricalMeasure(pts)
-
-
-def save_points_csv(mu: EmpiricalMeasure, path) -> None:
-    """Write one row per sample, d headerless columns, %.17g formatting."""
-    np.savetxt(path, mu.points, fmt="%.17g", delimiter=",")
-
-
-def load_points_csv(path) -> EmpiricalMeasure:
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
     return EmpiricalMeasure(pts)

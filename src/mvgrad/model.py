@@ -127,7 +127,6 @@ class Observable:
     f: Callable[[Array], Array]
     bounded_flag: bool = False
     bound: Optional[float] = None
-    grad_f: Optional[Callable[[Array], Array]] = None
     name: str = ""
 
     def __call__(self, x: Array) -> Array:

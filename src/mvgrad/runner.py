@@ -25,7 +25,7 @@ from .bismut import (beta_invariance_check, dual_norm_lower_bound,
 from .config import ExperimentConfig
 from .errors import (ConfigError, HeuristicRegime, MVGradError, NonFinite)
 from .measure import EmpiricalMeasure, pushforward, sample_initial
-from .model import ModelSpec, schedule_by_name
+from .model import SCHEDULE_FACTORIES, ModelSpec, schedule_by_name
 from .oracle import (fit_loglog_slope, finite_difference_intrinsic,
                      gaussian_quadrature_reference, moment_report,
                      richardson_intrinsic, stability_report,
@@ -33,7 +33,7 @@ from .oracle import (fit_loglog_slope, finite_difference_intrinsic,
 from .scenarios import (build_family, default_observables,
                         default_perturbations, dual_dictionary, get_scenario,
                         sign_observable)
-from .simulate import TimeGrid, simulate_particles
+from .simulate import TimeGrid, memory_budget_bytes, simulate_particles
 from .tangent import meanfield_tangent
 
 CSV_HEADER = ("scenario", "quantity", "label", "value", "stderr", "status",
@@ -140,9 +140,20 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
         name, scen_params = scen.name, scen.params
     if cfg.t > model.horizon + 1e-12:
         raise ConfigError(f"t={cfg.t} exceeds the scenario horizon {model.horizon}")
+    observables = default_observables(model.d)
+    perturbations = default_perturbations(model.d)
+    for kind, names, known in (("check", checks, CHECKS),
+                               ("schedule", (cfg.schedule,) + cfg.schedules,
+                                SCHEDULE_FACTORIES),
+                               ("observable", cfg.observables, observables),
+                               ("perturbation", cfg.perturbations, perturbations)):
+        unknown = [n for n in names if n not in known]
+        if unknown:
+            raise ConfigError(f"unknown {kind} {unknown[0]!r} for scenario {name}; "
+                              f"have {sorted(known)}")
+    memory_budget_bytes()  # an invalid MVGRAD_MEMORY_BUDGET_MB raises ConfigError here
     return RunBundle(cfg=cfg, scenario_name=name, model=model, initial_law=law,
-                     observables=default_observables(model.d),
-                     perturbations=default_perturbations(model.d),
+                     observables=observables, perturbations=perturbations,
                      checks=checks, scenario_params=dict(scen_params))
 
 
@@ -438,16 +449,10 @@ class RunResult:
 
 
 def _run_one_check(bundle: RunBundle, name: str):
-    fn = CHECKS.get(name)
-    if fn is None:
-        return ([ResultRow(bundle.scenario_name, "intrinsic_estimate", name,
-                           None, None, "error", _params_echo(reason="unknown-check"),
-                           bundle.cfg.seed)],
-                [{"check": name, "type": "ConfigError", "message": "unknown check"}])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", HeuristicRegime)
-            return fn(bundle), []
+            return CHECKS[name](bundle), []
     except ConfigError:
         raise
     except (NonFinite, MVGradError, FloatingPointError) as exc:

@@ -167,21 +167,12 @@ def build_family(family: str, **p) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 def coord_observable(j: int = 0) -> Observable:
-    def g(x):
-        out = np.zeros_like(x)
-        out[:, j] = 1.0
-        return out
-    return Observable(f=lambda x: x[:, j], bounded_flag=False,
-                      grad_f=g, name=f"coord{j + 1}")
+    return Observable(f=lambda x: x[:, j], bounded_flag=False, name=f"coord{j + 1}")
 
 
 def sin_observable(j: int = 0) -> Observable:
-    def g(x):
-        out = np.zeros_like(x)
-        out[:, j] = np.cos(x[:, j])
-        return out
     return Observable(f=lambda x: np.sin(x[:, j]), bounded_flag=True, bound=1.0,
-                      grad_f=g, name="sin")
+                      name="sin")
 
 
 def sign_observable(theta: float = 0.0, j: int = 0) -> Observable:

@@ -1,4 +1,4 @@
-"""Euler integration of the interacting particle system and its decoupled twin.
+"""Euler integration of the interacting particle system.
 
 Owns all path randomness.  Brownian increments come from counter-based
 streams keyed by (seed, particle index) with the step index addressing the
@@ -11,13 +11,13 @@ to disk.
 
 from __future__ import annotations
 
+import math
 import os
-import struct
 from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import GridMismatch, MemoryBudgetExceeded, NonFinite
+from .errors import ConfigError, GridMismatch, MemoryBudgetExceeded, NonFinite
 from .measure import EmpiricalMeasure
 from .model import BLOWUP_THRESHOLD, ModelSpec, validate_ellipticity
 
@@ -50,22 +50,27 @@ class TimeGrid:
     def dt(self) -> float:
         return self.t_end / self.n_steps
 
-    def times(self) -> Array:
-        return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
+def memory_budget_bytes() -> int:
+    """Budget from MVGRAD_MEMORY_BUDGET_MB (default 4096 MB).
 
-def _memory_budget_bytes() -> int:
+    Raises ConfigError unless the value is a finite positive number.
+    """
     mb = os.environ.get(MEMORY_BUDGET_ENV)
+    if not mb:
+        return int(DEFAULT_MEMORY_BUDGET_MB * 1e6)
     try:
-        budget = float(mb) if mb else float(DEFAULT_MEMORY_BUDGET_MB)
+        budget = float(mb)
     except ValueError:
-        budget = float(DEFAULT_MEMORY_BUDGET_MB)
+        budget = math.nan
+    if not (math.isfinite(budget) and budget > 0):
+        raise ConfigError(f"{MEMORY_BUDGET_ENV}={mb!r} is not a positive number of MB")
     return int(budget * 1e6)
 
 
 def _guard_memory(n_steps: int, N: int, d: int, m: int) -> None:
     need = 8 * N * ((n_steps + 1) * d + n_steps * m)
-    budget = _memory_budget_bytes()
+    budget = memory_budget_bytes()
     if need > budget:
         raise MemoryBudgetExceeded(
             f"retained paths need {need / 1e6:.0f} MB, budget is {budget / 1e6:.0f} MB "
@@ -83,17 +88,13 @@ def particle_increments(seed: int, particle: int, grid: TimeGrid, m: int) -> Arr
 def brownian_increments(grid: TimeGrid, N: int, m: int, seed: int) -> Array:
     """Gaussian(0, dt I) increment tensor of shape (n_steps, N, m).
 
-    Stream layout: particle i draws its (n_steps, m) block from the
-    counter-based generator keyed by (seed, i), so the output does not
-    depend on evaluation order and two calls with equal arguments are
-    bit-identical.
+    Column i is :func:`particle_increments` of particle i, so the output
+    does not depend on evaluation order and two calls with equal arguments
+    are bit-identical.
     """
     out = np.empty((grid.n_steps, N, m))
-    root = np.sqrt(grid.dt)
     for i in range(N):
-        gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, i]))
-        u = gen.random((grid.n_steps, m))
-        out[:, i, :] = ndtri(np.maximum(u, _U_FLOOR)) * root
+        out[:, i, :] = particle_increments(seed, i, grid, m)
     return out
 
 
@@ -127,9 +128,6 @@ class ParticlePaths:
     def terminal(self) -> Array:
         return self.states[-1]
 
-    def initial_measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states[0])
-
     def terminal_measure(self) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.states[-1])
 
@@ -144,57 +142,11 @@ class ParticlePaths:
                 raise AssertionError(f"moment flow row {s} does not match its state slice")
 
 
-@dataclass(frozen=True)
-class FrozenFlow:
-    """Recorded moment flow (mu_s(h_l))_s standing in for a measure flow."""
-
-    moment_flow: Array
-    grid: TimeGrid
-
-    @classmethod
-    def from_paths(cls, paths: ParticlePaths) -> "FrozenFlow":
-        return cls(moment_flow=np.array(paths.moment_flow, copy=True), grid=paths.grid)
-
-
 def _step_guard(X: Array, step: int) -> None:
     if not np.all(np.isfinite(X)):
         raise NonFinite(f"non-finite state at step {step}", step=step)
     if np.max(np.abs(X)) > BLOWUP_THRESHOLD:
         raise NonFinite(f"blow-up guard tripped at step {step}", step=step)
-
-
-def _integrate(model: ModelSpec, X0: Array, grid: TimeGrid, seed: int,
-               moment_source) -> ParticlePaths:
-    """Shared Euler loop; ``moment_source(s, X)`` supplies the drift moments."""
-    N, d = X0.shape
-    n = grid.n_steps
-    dt = grid.dt
-    _guard_memory(n, N, d, model.m)
-
-    dW = brownian_increments(grid, N, model.m, seed)
-    states = np.empty((n + 1, N, d))
-    states[0] = X0
-    drift = model.meanfield_drift
-    flow = np.empty((n + 1, drift.n))
-
-    X = np.array(X0, copy=True)
-    for s in range(n):
-        t = s * dt
-        z = moment_source(s, X)
-        flow[s] = z
-        b = np.asarray(drift.F(t, X, z), dtype=float)
-        if model.singular_drift is not None:
-            b = b + model.singular_drift(t, X)
-        sig = model.diffusion(t, X if not model.diffusion.constant_in_x else X[:1])
-        if sig.shape[0] == 1 and N > 1:
-            incr = dW[s] @ sig[0].T
-        else:
-            incr = np.einsum("idm,im->id", sig, dW[s])
-        X = X + b * dt + incr
-        _step_guard(X, s + 1)
-        states[s + 1] = X
-    flow[n] = moment_source(n, X)
-    return ParticlePaths(states=states, noise=dW, grid=grid, seed=seed, moment_flow=flow)
 
 
 def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
@@ -213,74 +165,32 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     if check_ellipticity:
         probes = mu0.points[:: max(1, mu0.N // 64)]
         validate_ellipticity(model.diffusion, probes, times=(0.0,), raise_on_fail=True)
+    N, d = mu0.points.shape
+    n = grid.n_steps
+    dt = grid.dt
+    _guard_memory(n, N, d, model.m)
+
+    dW = brownian_increments(grid, N, model.m, seed)
+    states = np.empty((n + 1, N, d))
+    states[0] = mu0.points
     drift = model.meanfield_drift
-    return _integrate(model, np.array(mu0.points, copy=True), grid, seed,
-                      moment_source=lambda s, X: drift.moment_vector(X))
+    flow = np.empty((n + 1, drift.n))
 
-
-def simulate_decoupled(model: ModelSpec, flow: FrozenFlow, x0s: EmpiricalMeasure,
-                       grid: TimeGrid, seed: int, check_ellipticity: bool = True) -> ParticlePaths:
-    """Integrate independent copies against a frozen moment flow.
-
-    Identical recursion to :func:`simulate_particles` except the drift sees
-    ``flow.moment_flow[s]`` instead of the live empirical moments, which
-    decouples the particles entirely.  The returned ``moment_flow`` is the
-    recomputed live moments of the decoupled states (they track the frozen
-    flow only up to sampling error).
-    """
-    if flow.grid != grid or flow.moment_flow.shape[0] != grid.n_steps + 1:
-        raise GridMismatch("frozen flow does not match the requested grid")
-    if check_ellipticity:
-        probes = x0s.points[:: max(1, x0s.N // 64)]
-        validate_ellipticity(model.diffusion, probes, times=(0.0,), raise_on_fail=True)
-    drift = model.meanfield_drift
-    frozen = flow.moment_flow
-
-    def source(s, X):
-        del X
-        return frozen[s]
-
-    paths = _integrate(model, np.array(x0s.points, copy=True), grid, seed, moment_source=source)
-    # store live moments so the ParticlePaths invariant stays recomputable
-    live = np.empty_like(paths.moment_flow)
-    for s in range(grid.n_steps + 1):
-        live[s] = drift.moment_vector(paths.states[s])
-    return ParticlePaths(states=paths.states, noise=paths.noise, grid=grid,
-                         seed=seed, moment_flow=live)
-
-
-# ---------------------------------------------------------------------------
-# On-disk layout
-# ---------------------------------------------------------------------------
-
-def write_gridded_array(values: Array, d: int, m: int, N: int, grid: TimeGrid,
-                        path) -> None:
-    """Shared binary layout: little-endian int64 header (d, m, N, n_steps),
-    float64 dt, then the (n_steps+1, N, d) array row-major float64."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<qqqq", d, m, N, grid.n_steps))
-        fh.write(struct.pack("<d", grid.dt))
-        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-
-
-def save_paths(paths: ParticlePaths, path) -> None:
-    """Binary dump of the state array in the shared gridded layout."""
-    write_gridded_array(paths.states, paths.d, paths.m, paths.N, paths.grid, path)
-
-
-def load_states(path) -> tuple[Array, dict]:
-    """Read back a binary dump; returns (states, header dict)."""
-    with open(path, "rb") as fh:
-        d, m, N, n_steps = struct.unpack("<qqqq", fh.read(32))
-        (dt,) = struct.unpack("<d", fh.read(8))
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    states = flat.reshape(n_steps + 1, N, d).astype(float)
-    return states, {"d": d, "m": m, "N": N, "n_steps": n_steps, "dt": dt}
-
-
-def save_moment_flow_csv(paths: ParticlePaths, path) -> None:
-    """CSV summary of the moment flow: time column plus one column per h_l."""
-    times = paths.grid.times()[:, None]
-    table = np.hstack([times, paths.moment_flow])
-    header = ",".join(["t"] + [f"h{i}" for i in range(paths.moment_flow.shape[1])])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    X = np.array(mu0.points, copy=True)
+    for s in range(n):
+        t = s * dt
+        z = drift.moment_vector(X)
+        flow[s] = z
+        b = np.asarray(drift.F(t, X, z), dtype=float)
+        if model.singular_drift is not None:
+            b = b + model.singular_drift(t, X)
+        sig = model.diffusion(t, X if not model.diffusion.constant_in_x else X[:1])
+        if sig.shape[0] == 1 and N > 1:
+            incr = dW[s] @ sig[0].T
+        else:
+            incr = np.einsum("idm,im->id", sig, dW[s])
+        X = X + b * dt + incr
+        _step_guard(X, s + 1)
+        states[s + 1] = X
+    flow[n] = drift.moment_vector(X)
+    return ParticlePaths(states=states, noise=dW, grid=grid, seed=seed, moment_flow=flow)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import HeuristicRegime, MissingGradSigma, NonFinite
 from .model import CylindricalDrift, ModelSpec
-from .simulate import ParticlePaths, write_gridded_array
+from .simulate import ParticlePaths
 
 Array = np.ndarray
 
@@ -56,11 +56,6 @@ class TangentPaths:
 
     def terminal(self) -> Array:
         return self.values[-1]
-
-    def save(self, path) -> None:
-        """Binary dump in the same gridded layout as particle paths."""
-        src = self.source
-        write_gridded_array(self.values, src.d, src.m, src.N, src.grid, path)
 
 
 def _singular_grad_fd(model: ModelSpec, t: float, X: Array) -> Array:
@@ -116,6 +111,38 @@ def _require_smooth_or_flag(model: ModelSpec, allow_heuristic: bool) -> bool:
     return True
 
 
+def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
+                      heuristic: bool, coupled: bool) -> tuple[Array, Optional[Array]]:
+    """The tangent recursion along stored paths, from V_0 = V0.
+
+    Each step adds (grad_x b) V dt and (grad sigma . V) dW; with ``coupled``
+    the measure-derivative term psi joins the drift part and is recorded
+    per step.  Returns the (n_steps+1, N, d) values and psi (None unless
+    coupled).
+    """
+    drift = model.meanfield_drift
+    n = paths.grid.n_steps
+    dt = paths.grid.dt
+    values = np.empty_like(paths.states)
+    values[0] = V0
+    psi = np.empty((n, paths.N, paths.d)) if coupled else None
+    V = np.array(V0, copy=True)
+    for s in range(n):
+        t = s * dt
+        X = paths.states[s]
+        z = paths.moment_flow[s]
+        G = _drift_state_grad(model, t, X, z, heuristic)
+        drift_term = np.einsum("aij,aj->ai", G, V)
+        if coupled:
+            psi[s] = cylindrical_coupling(drift, t, X, z, V)
+            drift_term = drift_term + psi[s]
+        V = V + drift_term * dt + _diffusion_terms(model, t, X, V, paths.noise[s])
+        if not np.all(np.isfinite(V)):
+            raise NonFinite(f"tangent blow-up at step {s + 1}", step=s + 1)
+        values[s + 1] = V
+    return values, psi
+
+
 def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array,
                    allow_heuristic: bool = False) -> TangentPaths:
     """Derivative of the decoupled flow in its starting point, along v0.
@@ -128,20 +155,7 @@ def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array,
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (paths.N, paths.d):
         raise ValueError(f"v0 must have shape {(paths.N, paths.d)}, got {v0.shape}")
-    n = paths.grid.n_steps
-    dt = paths.grid.dt
-    values = np.empty_like(paths.states)
-    values[0] = v0
-    V = np.array(v0, copy=True)
-    for s in range(n):
-        t = s * dt
-        X = paths.states[s]
-        G = _drift_state_grad(model, t, X, paths.moment_flow[s], heuristic)
-        V = V + np.einsum("aij,aj->ai", G, V) * dt \
-              + _diffusion_terms(model, t, X, V, paths.noise[s])
-        if not np.all(np.isfinite(V)):
-            raise NonFinite(f"tangent blow-up at step {s + 1}", step=s + 1)
-        values[s + 1] = V
+    values, _ = _variational_flow(paths, model, v0, heuristic, coupled=False)
     return TangentPaths(values=values, kind="frozen", source=paths, heuristic=heuristic)
 
 
@@ -163,26 +177,6 @@ def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
     return gz @ g
 
 
-def coupling_direct(drift: CylindricalDrift, t: float, X: Array, z: Array,
-                    V: Array) -> Array:
-    """O(N^2) reference for :func:`cylindrical_coupling` (small N only).
-
-    Builds every pairwise measure-derivative matrix explicitly; used to
-    cross-check the fast contraction, never in production paths.
-    """
-    N, d = X.shape
-    gz = np.asarray(drift.grad_z_F(t, X, z), dtype=float)           # (N, d, n)
-    gh = np.stack([np.asarray(gl(X), dtype=float) for gl in drift.grad_h], axis=0)  # (n, N, d)
-    out = np.zeros_like(V)
-    for i in range(N):
-        acc = np.zeros(d)
-        for j in range(N):
-            M = gz[i] @ gh[:, j, :]                                  # (d, d)
-            acc += M @ V[j]
-        out[i] = acc / N
-    return out
-
-
 def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi,
                       allow_heuristic: bool = False) -> TangentPaths:
     """Derivative of the particle flow along an initial-law perturbation phi.
@@ -193,27 +187,9 @@ def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi,
     introduces an O(N^{-1/2}) bias absorbed into downstream tolerances.
     """
     heuristic = _require_smooth_or_flag(model, allow_heuristic)
-    drift = model.meanfield_drift
-    n = paths.grid.n_steps
-    dt = paths.grid.dt
-    V = np.asarray(phi(paths.states[0]), dtype=float)
-    if V.shape != (paths.N, paths.d):
+    V0 = np.asarray(phi(paths.states[0]), dtype=float)
+    if V0.shape != (paths.N, paths.d):
         raise ValueError("phi must map (N, d) states to (N, d) directions")
-    values = np.empty_like(paths.states)
-    values[0] = V
-    psi = np.empty((n, paths.N, paths.d))
-    V = np.array(V, copy=True)
-    for s in range(n):
-        t = s * dt
-        X = paths.states[s]
-        z = paths.moment_flow[s]
-        G = _drift_state_grad(model, t, X, z, heuristic)
-        psi_s = cylindrical_coupling(drift, t, X, z, V)
-        psi[s] = psi_s
-        V = V + (np.einsum("aij,aj->ai", G, V) + psi_s) * dt \
-              + _diffusion_terms(model, t, X, V, paths.noise[s])
-        if not np.all(np.isfinite(V)):
-            raise NonFinite(f"tangent blow-up at step {s + 1}", step=s + 1)
-        values[s + 1] = V
+    values, psi = _variational_flow(paths, model, V0, heuristic, coupled=True)
     return TangentPaths(values=values, kind="meanfield", source=paths,
                         heuristic=heuristic, psi=psi)

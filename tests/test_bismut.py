@@ -303,13 +303,6 @@ class TestBetaInvariance:
 
 
 class TestEstimateType:
-    def test_json_round_trip(self):
-        est = Estimate(value=1.5, stderr=0.1, N=100, n_steps=10, dt=0.1,
-                       seed=7, mode="certified", scenario="brownian",
-                       term1=1.0, term2=0.5, notes=("a", "b"))
-        back = Estimate.from_json(est.to_json())
-        assert back == est
-
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError):
             Estimate(value=0.0, stderr=-1.0, N=1, n_steps=1, dt=0.1, seed=0)

@@ -111,6 +111,7 @@ class TestRun:
         assert manifest["resolved_config"]["scenario"] == "brownian"
         assert manifest["summary"]["fail"] == 0
         assert manifest["version"]
+        assert manifest["resolved_config"]["out_dir"] == str(out)
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # explosive custom drift trips the blow-up guard mid-run
@@ -163,6 +164,40 @@ sigma = 1.0
         cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+# (config edit, MVGRAD_MEMORY_BUDGET_MB value)
+BAD_INPUTS = {
+    "unknown-check": (("checks = intrinsic_vs_fd,", "checks = intrinsic_vs_fdd,"), None),
+    "unknown-schedule": (("[estimator]\n", "[estimator]\nschedule = cubic\n"), None),
+    "unknown-observable": (("observables = coord1", "observables = nosuch"), None),
+    "unknown-perturbation": (("perturbations = const_e1", "perturbations = nosuch"), None),
+    "budget-not-a-number": (None, "banana"),
+    "budget-negative": (None, "-5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_config_error(case, tmp_path, monkeypatch, capsys):
+    edit, budget = BAD_INPUTS[case]
+    text = SMALL_CONFIG.replace(*edit) if edit else SMALL_CONFIG
+    assert text != SMALL_CONFIG or budget is not None
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    if budget is not None:
+        monkeypatch.setenv("MVGRAD_MEMORY_BUDGET_MB", budget)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    for line in capsys.readouterr().err.strip().splitlines():
+        assert json.loads(line)["error"] == "config"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvgrad.cli", "run", "--config", str(cfg),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 class TestOtherCommands:

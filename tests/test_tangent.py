@@ -5,16 +5,30 @@ import pytest
 
 from mvgrad.errors import HeuristicRegime, MissingGradSigma
 from mvgrad.measure import EmpiricalMeasure, pushforward
-from mvgrad.model import Diffusion, PerturbationField
+from mvgrad.model import CylindricalDrift, Diffusion, PerturbationField
 from mvgrad.scenarios import (build_family, identity_field, sine_coupling_drift,
                               sine_field)
 from mvgrad.simulate import TimeGrid, simulate_particles
-from mvgrad.tangent import (coupling_direct, cylindrical_coupling,
-                            frozen_tangent, meanfield_tangent)
+from mvgrad.tangent import cylindrical_coupling, frozen_tangent, meanfield_tangent
 
 from conftest import brownian_model, gaussian_cloud, mfou_model, ou_model
 
 const_field = PerturbationField(phi=lambda x: np.ones_like(x), name="ones")
+
+
+def coupling_direct(drift: CylindricalDrift, t, X, z, V):
+    """O(N^2) reference for cylindrical_coupling: every pairwise matrix built."""
+    N, d = X.shape
+    gz = np.asarray(drift.grad_z_F(t, X, z), dtype=float)           # (N, d, n)
+    gh = np.stack([np.asarray(gl(X), dtype=float) for gl in drift.grad_h], axis=0)  # (n, N, d)
+    out = np.zeros_like(V)
+    for i in range(N):
+        acc = np.zeros(d)
+        for j in range(N):
+            M = gz[i] @ gh[:, j, :]                                  # (d, d)
+            acc += M @ V[j]
+        out[i] = acc / N
+    return out
 
 
 class TestFrozenTangent:
@@ -169,18 +183,6 @@ class TestMeanfieldTangent:
             errs.append(np.max(np.mean(np.abs(quot - tang.values), axis=(1, 2))))
         orders = [math.log(errs[i] / errs[i + 1]) / math.log(2.0) for i in range(2)]
         assert min(orders) >= 0.8
-
-    def test_binary_export_round_trip(self, tmp_path):
-        from mvgrad.simulate import load_states
-        model = mfou_model()
-        mu0 = gaussian_cloud(12, seed=20)
-        paths = simulate_particles(model, mu0, TimeGrid(0.25, 8), 21)
-        tang = meanfield_tangent(paths, model, const_field)
-        file = tmp_path / "tangent.bin"
-        tang.save(file)
-        values, header = load_states(file)
-        assert header["N"] == 12 and header["n_steps"] == 8
-        assert np.array_equal(values, tang.values)
 
     def test_psi_recorded_left_point(self):
         model = mfou_model()
