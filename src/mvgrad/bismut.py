@@ -17,6 +17,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -99,11 +100,33 @@ def _check_schedule(paths: ParticlePaths, sched: BismutSchedule) -> None:
         )
 
 
+def _ito_weight(paths: ParticlePaths, directions: Array, model: ModelSpec,
+                sched: Optional[BismutSchedule]) -> WeightVector:
+    """Left-point Ito sum  w_i = sum_s beta'(t_s) <zeta(t_s, X_si) D_si, dW_si>.
+
+    With a schedule the same loop accumulates the quadratic variation
+    <w>_i = sum_s beta'(t_s)^2 |zeta(t_s, X_si) D_si|^2 dt; without one,
+    beta' = 1 (exact in floating point) and no quadratic variation is kept.
+    """
+    n = paths.grid.n_steps
+    dt = paths.grid.dt
+    w = np.zeros(paths.N)
+    qv = None if sched is None else np.zeros(paths.N)
+    for s in range(n):
+        t = s * dt
+        bp = 1.0 if sched is None else float(sched.beta_prime(np.array(t)))
+        zv = _zeta_apply(model, t, paths.states[s], directions[s])
+        w += bp * np.sum(zv * paths.noise[s], axis=1)
+        if qv is not None:
+            qv += (bp * bp * dt) * np.sum(zv * zv, axis=1)
+    return WeightVector(values=w, quadratic_variation=qv)
+
+
 def weight_frozen(paths: ParticlePaths, tang: TangentPaths,
                   sched: BismutSchedule, model: ModelSpec) -> WeightVector:
     """Left-point Ito sum  w_i = sum_s beta'(t_s) <zeta(t_s, X_si) V_si, dW_si>.
 
-    The same loop accumulates the quadratic variation
+    Also returns the quadratic variation
     <w>_i = sum_s beta'(t_s)^2 |zeta(t_s, X_si) V_si|^2 dt, so that
     w^2 - <w> is a mean-zero martingale usable as a control variate (see
     :func:`estimate_classical`).
@@ -111,17 +134,7 @@ def weight_frozen(paths: ParticlePaths, tang: TangentPaths,
     if tang.kind != "frozen":
         raise ValueError("weight_frozen needs a frozen-kind tangent")
     _check_schedule(paths, sched)
-    n = paths.grid.n_steps
-    dt = paths.grid.dt
-    w = np.zeros(paths.N)
-    qv = np.zeros(paths.N)
-    for s in range(n):
-        t = s * dt
-        bp = float(sched.beta_prime(np.array(t)))
-        zv = _zeta_apply(model, t, paths.states[s], tang.values[s])
-        w += bp * np.sum(zv * paths.noise[s], axis=1)
-        qv += (bp * bp * dt) * np.sum(zv * zv, axis=1)
-    return WeightVector(values=w, quadratic_variation=qv)
+    return _ito_weight(paths, tang.values, model, sched)
 
 
 def weight_meanfield(paths: ParticlePaths, tang: TangentPaths,
@@ -133,14 +146,7 @@ def weight_meanfield(paths: ParticlePaths, tang: TangentPaths,
     """
     if tang.kind != "meanfield" or tang.psi is None:
         raise ValueError("weight_meanfield needs a meanfield-kind tangent with psi")
-    n = paths.grid.n_steps
-    dt = paths.grid.dt
-    w = np.zeros(paths.N)
-    for s in range(n):
-        t = s * dt
-        zv = _zeta_apply(model, t, paths.states[s], tang.psi[s])
-        w += np.sum(zv * paths.noise[s], axis=1)
-    return WeightVector(values=w)
+    return _ito_weight(paths, tang.psi, model, None)
 
 
 def _mode_and_notes(model: ModelSpec, f: Observable) -> tuple[str, tuple]:
@@ -236,15 +242,10 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
         raise GridMismatch(f"grid ends at {grid.t_end}, requested t={t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    drift = model.meanfield_drift
-    if drift.n > 0:
-        probes = np.vstack([x, x + 1.0, x - 1.0])
-        z0 = drift.moment_vector(probes)
-        gz = np.asarray(drift.grad_z_F(0.0, probes, z0), dtype=float)
-        if np.max(np.abs(gz), initial=0.0) > 1e-12:
-            raise MeasureDependence(
-                "classical gradient requires a drift with vanishing measure derivative"
-            )
+    if not model.meanfield_drift.is_measure_free(x):
+        raise MeasureDependence(
+            "classical gradient requires a drift with vanishing measure derivative"
+        )
     mu0 = EmpiricalMeasure(np.tile(x, (n_particles, 1)))
     paths = simulate_particles(model, mu0, grid, seed)
     allow = model.has_singular_part
@@ -305,11 +306,8 @@ def dual_norm_lower_bound(model: ModelSpec, mu0: EmpiricalMeasure, f: Observable
             best, best_name = est, name
     if best is None:
         raise ValueError("all dictionary fields have zero norm under mu0")
-    tagged = Estimate(value=best.value, stderr=best.stderr, N=best.N,
-                      n_steps=best.n_steps, dt=best.dt, seed=best.seed,
-                      mode=best.mode, scenario=scenario,
-                      term1=best.term1, term2=best.term2,
-                      notes=best.notes + (f"dual-norm-lower-bound:{best_name}",))
+    tagged = dataclasses.replace(
+        best, notes=best.notes + (f"dual-norm-lower-bound:{best_name}",))
     return tagged, details
 
 
@@ -342,16 +340,13 @@ def beta_invariance_check(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturba
         raise ValueError("need at least two schedules to compare")
     means, ses, names = [], [], []
     for j, sched in enumerate(schedules):
-        vals = np.array([
-            estimate_intrinsic(model, mu0, phi, f, t, grid, sched, int(s),
-                               scenario=scenario).value
-            for s in seeds
-        ])
-        mean, se = _mean_stderr(vals)
+        ests = [estimate_intrinsic(model, mu0, phi, f, t, grid, sched, int(s),
+                                   scenario=scenario)
+                for s in seeds]
+        mean, se = _mean_stderr(np.array([e.value for e in ests]))
         if len(seeds) == 1:
             # single seed: fall back on the per-particle stderr
-            se = estimate_intrinsic(model, mu0, phi, f, t, grid, sched,
-                                    int(seeds[0]), scenario=scenario).stderr
+            se = ests[0].stderr
         means.append(mean)
         ses.append(se)
         names.append(sched.name or f"schedule{j}")

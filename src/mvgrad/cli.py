@@ -8,9 +8,10 @@ Subcommands:
 * ``validate --config FILE`` parses and validates without running.
 
 Exit codes: 0 success, 1 a declared check failed, 2 configuration error,
-3 numerical failure.  The environment variable MVGRAD_MEMORY_BUDGET_MB
-caps retained path storage; a value that is not a finite positive number
-is a configuration error.
+3 numerical failure.  ``validate`` and ``run`` check a config alike.  An
+unknown section or key, an unknown name, an unmet check need
+(``runner.CHECK_NEEDS``) or an MVGRAD_MEMORY_BUDGET_MB (the cap on retained
+path storage) that is not a finite positive number all exit 2.
 """
 
 from __future__ import annotations
@@ -49,26 +50,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _checked_config(path, **overrides):
+    """(config, text) checked as ``run`` uses it, or None after a config error."""
     try:
-        cfg, text = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.parallel is not None:
-            overrides["parallel"] = args.parallel
-        if args.out is not None:
-            overrides["out_dir"] = args.out
+        cfg, text = load_config(path)
+        overrides = {key: val for key, val in overrides.items() if val is not None}
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
             cfg.validate()
-        resolve_bundle(cfg)  # surfaces name, horizon and budget problems before running
+        resolve_bundle(cfg)  # surfaces name, needs, horizon and budget problems
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
+        return None
+    return cfg, text
+
+
+def _cmd_run(args) -> int:
+    checked = _checked_config(args.config, seed=args.seed, parallel=args.parallel,
+                              out_dir=args.out)
+    if checked is None:
         return 2
+    cfg, text = checked
     result = run_experiment(cfg, text, cfg.out_dir)
-    n = len(result.rows)
-    print(f"wrote {result.csv_path} ({n} rows), exit {result.exit_code}")
+    print(f"wrote {result.csv_path} ({len(result.rows)} rows), exit {result.exit_code}")
     if result.errors:
         print(json.dumps({"error": "numerical", "records": result.errors}),
               file=sys.stderr)
@@ -88,12 +92,10 @@ def _cmd_list_scenarios() -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg, _ = load_config(args.config)
-        resolve_bundle(cfg)
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
+    checked = _checked_config(args.config)
+    if checked is None:
         return 2
+    cfg, _ = checked
     print(f"ok: scenario={cfg.scenario} N={cfg.n_particles} n_steps={cfg.n_steps} t={cfg.t}")
     return 0
 

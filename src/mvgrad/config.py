@@ -1,9 +1,10 @@
 """Plain-text experiment configuration: key/value sections, no scripting.
 
 A config file selects a scenario, the particle/grid scale, seeds, and the
-checks to run, in INI syntax.  Everything needed to replay a run byte for
-byte lives in the parsed structure, which the runner echoes into the JSON
-manifest.
+checks to run, in INI syntax.  :data:`CONFIG_KEYS` lists every key it may
+hold; any other section or key is a :class:`ConfigError`.  Everything needed
+to replay a run byte for byte lives in the parsed structure, which the
+runner echoes into the JSON manifest.
 """
 
 from __future__ import annotations
@@ -15,19 +16,37 @@ from typing import Optional
 from .errors import ConfigError
 from .scenarios import scenario_names
 
-_KNOWN_SCENARIOS_EXTRA = ("custom",)
+
+def _list_of(convert):
+    """Converter of a comma- or space-separated list into a tuple."""
+    return lambda text: tuple(convert(tok) for tok in text.replace(",", " ").split())
 
 
-def _floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _ints(text: str) -> list:
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
-def _names(text: str) -> list:
-    return [tok for tok in text.replace(",", " ").split()]
+# Every key a config may contain outside [custom]:
+# (section, key) -> (ExperimentConfig field, converter of the raw text).
+CONFIG_KEYS = {
+    ("experiment", "scenario"): ("scenario", str),
+    ("experiment", "n_particles"): ("n_particles", int),
+    ("experiment", "n_steps"): ("n_steps", int),
+    ("experiment", "t"): ("t", float),
+    ("experiment", "seed"): ("seed", int),
+    ("experiment", "ci_seeds"): ("ci_seeds", _list_of(int)),
+    ("estimator", "schedule"): ("schedule", str),
+    ("estimator", "schedules"): ("schedules", _list_of(str)),
+    ("estimator", "observables"): ("observables", _list_of(str)),
+    ("estimator", "perturbations"): ("perturbations", _list_of(str)),
+    ("estimator", "checks"): ("checks", _list_of(str)),
+    ("oracle", "eps_ladder"): ("eps_ladder", _list_of(float)),
+    ("oracle", "t_grid"): ("t_grid", _list_of(float)),
+    ("oracle", "tv_shift"): ("tv_shift", float),
+    ("oracle", "moment_variances"): ("moment_variances", _list_of(float)),
+    ("oracle", "stability_shifts"): ("stability_shifts", _list_of(float)),
+    ("output", "directory"): ("out_dir", str),
+    ("output", "parallel"): ("parallel", int),
+}
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in CONFIG_KEYS)) + ("custom",)
+# [custom] holds a family name, an integer d and floats; build_family checks the keys.
+_CUSTOM_CONVERTERS = {"family": str, "d": int}
 
 
 @dataclass(frozen=True)
@@ -66,24 +85,21 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         problems = []
-        if self.scenario not in scenario_names() and self.scenario not in _KNOWN_SCENARIOS_EXTRA:
+        if self.scenario not in scenario_names() + ["custom"]:
             problems.append(f"unknown scenario {self.scenario!r}")
-        if self.scenario == "custom" and not self.custom:
-            problems.append("scenario 'custom' needs a [custom] section")
-        if self.n_particles < 1:
-            problems.append("n_particles must be positive")
-        if self.n_steps < 1:
-            problems.append("n_steps must be positive")
-        if not self.t > 0:
-            problems.append("t must be positive")
-        if self.parallel < 1:
-            problems.append("parallel must be >= 1")
-        if not self.ci_seeds:
-            problems.append("ci_seeds must be nonempty")
-        if any(e <= 0 for e in self.eps_ladder):
-            problems.append("eps_ladder entries must be positive")
-        if any(t <= 0 for t in self.t_grid):
-            problems.append("t_grid entries must be positive")
+        if (self.scenario == "custom") != bool(self.custom):
+            problems.append("a [custom] section goes with scenario = custom, and only there")
+        for key in ("n_particles", "n_steps", "t", "parallel", "tv_shift"):
+            if not getattr(self, key) > 0:
+                problems.append(f"{key} must be positive")
+        for key in ("ci_seeds", "observables", "perturbations"):
+            if not getattr(self, key):
+                problems.append(f"{key} must be nonempty")
+        for key in ("eps_ladder", "t_grid", "moment_variances"):
+            if not all(v > 0 for v in getattr(self, key)):
+                problems.append(f"{key} entries must be positive")
+        if 0 in self.stability_shifts:
+            problems.append("stability_shifts entries must be nonzero")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -97,61 +113,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     kw = {}
     try:
-        if parser.has_section("experiment"):
-            sec = parser["experiment"]
-            if "scenario" in sec:
-                kw["scenario"] = sec["scenario"].strip()
-            if "n_particles" in sec:
-                kw["n_particles"] = sec.getint("n_particles")
-            if "n_steps" in sec:
-                kw["n_steps"] = sec.getint("n_steps")
-            if "t" in sec:
-                kw["t"] = sec.getfloat("t")
-            if "seed" in sec:
-                kw["seed"] = sec.getint("seed")
-            if "ci_seeds" in sec:
-                kw["ci_seeds"] = tuple(_ints(sec["ci_seeds"]))
-        if parser.has_section("estimator"):
-            sec = parser["estimator"]
-            if "schedule" in sec:
-                kw["schedule"] = sec["schedule"].strip()
-            if "schedules" in sec:
-                kw["schedules"] = tuple(_names(sec["schedules"]))
-            if "observables" in sec:
-                kw["observables"] = tuple(_names(sec["observables"]))
-            if "perturbations" in sec:
-                kw["perturbations"] = tuple(_names(sec["perturbations"]))
-            if "checks" in sec:
-                kw["checks"] = tuple(_names(sec["checks"]))
-        if parser.has_section("oracle"):
-            sec = parser["oracle"]
-            if "eps_ladder" in sec:
-                kw["eps_ladder"] = tuple(_floats(sec["eps_ladder"]))
-            if "t_grid" in sec:
-                kw["t_grid"] = tuple(_floats(sec["t_grid"]))
-            if "tv_shift" in sec:
-                kw["tv_shift"] = sec.getfloat("tv_shift")
-            if "moment_variances" in sec:
-                kw["moment_variances"] = tuple(_floats(sec["moment_variances"]))
-            if "stability_shifts" in sec:
-                kw["stability_shifts"] = tuple(_floats(sec["stability_shifts"]))
-        if parser.has_section("output"):
-            sec = parser["output"]
-            if "directory" in sec:
-                kw["out_dir"] = sec["directory"].strip()
-            if "parallel" in sec:
-                kw["parallel"] = sec.getint("parallel")
-        if parser.has_section("custom"):
-            sec = parser["custom"]
-            custom = {}
-            for key, raw in sec.items():
-                if key == "family":
-                    custom["family"] = raw.strip()
-                elif key == "d":
-                    custom["d"] = int(raw)
+        for section in parser:
+            for key, raw in parser[section].items():
+                if section == "custom":
+                    kw.setdefault("custom", {})[key] = _CUSTOM_CONVERTERS.get(key, float)(raw)
+                elif (section, key) in CONFIG_KEYS:
+                    field, convert = CONFIG_KEYS[section, key]
+                    kw[field] = convert(raw)
+                elif section in _SECTIONS:
+                    raise ConfigError(f"unknown key {key!r} in [{section}]; have "
+                                      f"{[k for s, k in CONFIG_KEYS if s == section]}")
                 else:
-                    custom[key] = float(raw)
-            kw["custom"] = custom
+                    raise ConfigError(f"unknown section [{section}]; have {list(_SECTIONS)}")
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"config value error: {exc}") from exc
 

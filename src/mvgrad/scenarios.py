@@ -126,13 +126,27 @@ def regularized_singular_drift(delta: float, strength: float = 1.0) -> SingularD
                          declared_integrability=(4.0, 8.0))
 
 
+# The parameters build_family reads for each family.
+FAMILY_PARAMS = {
+    "affine": ("k", "horizon", "sigma", "d", "a", "kappa"),
+    "trig": ("k", "horizon", "sigma", "a", "c_nl", "amp"),
+    "meanfield_sine": ("k", "horizon", "sigma", "a", "kappa"),
+    "singular": ("k", "horizon", "sigma", "a", "delta", "strength"),
+}
+
+
 def build_family(family: str, **p) -> ModelSpec:
     """Construct a model from a named coefficient family.
 
-    Families: ``affine`` (d, a, kappa, sigma), ``trig`` (a, c_nl, sigma,
-    amp), ``meanfield_sine`` (a, kappa, sigma), ``singular`` (a, delta,
-    sigma, strength).
+    :data:`FAMILY_PARAMS` lists the families and the parameters each reads;
+    a missing parameter takes its default and any other is an error.
     """
+    known = FAMILY_PARAMS.get(family)
+    if known is None:
+        raise UnknownFamily(f"unknown coefficient family {family!r}")
+    unknown = [key for key in p if key not in known]
+    if unknown:
+        raise ValueError(f"family {family} reads {list(known)}, not {unknown[0]!r}")
     k = float(p.get("k", 2.0))
     horizon = float(p.get("horizon", 4.0))
     sigma0 = float(p.get("sigma", 1.0))
@@ -159,7 +173,6 @@ def build_family(family: str, **p) -> ModelSpec:
         return ModelSpec(d=1, m=1, k=k, meanfield_drift=drift,
                          diffusion=constant_diffusion(1, 1, sigma0),
                          horizon=horizon, singular_drift=sing, name=family)
-    raise UnknownFamily(f"unknown coefficient family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +261,9 @@ class Scenario:
     d: int
     initial_law: dict
     checks: tuple
-    default_t: float = 1.0
 
     def build(self) -> ModelSpec:
         return build_family(self.family, **self.params)
-
-    @property
-    def observables(self) -> dict:
-        return default_observables(self.d)
-
-    @property
-    def perturbations(self) -> dict:
-        return default_perturbations(self.d)
 
 
 _REGISTRY: dict[str, Scenario] = {}

@@ -1,11 +1,20 @@
+import csv
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvgrad.cli import main
-from mvgrad.scenarios import all_scenarios
+from mvgrad.errors import HeuristicRegime
+from mvgrad.model import SCHEDULE_FACTORIES
+from mvgrad.runner import CHECKS
+from mvgrad.scenarios import (all_scenarios, default_observables,
+                              default_perturbations, scenario_names)
 
 SMALL_CONFIG = """\
 [experiment]
@@ -166,21 +175,59 @@ sigma = 1.0
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
 
-# (config edit, MVGRAD_MEMORY_BUDGET_MB value)
+CHECKS_LINE = "checks = intrinsic_vs_fd, intrinsic_closed_form, linearity, determinism"
+
+
+def only_check(name):
+    return (CHECKS_LINE, f"checks = {name}")
+
+
+def oracle_line(line):
+    return ("[oracle]\n", f"[oracle]\n{line}\n")
+
+
+# (config edits as (old, new) replacements, MVGRAD_MEMORY_BUDGET_MB value)
 BAD_INPUTS = {
-    "unknown-check": (("checks = intrinsic_vs_fd,", "checks = intrinsic_vs_fdd,"), None),
-    "unknown-schedule": (("[estimator]\n", "[estimator]\nschedule = cubic\n"), None),
-    "unknown-observable": (("observables = coord1", "observables = nosuch"), None),
-    "unknown-perturbation": (("perturbations = const_e1", "perturbations = nosuch"), None),
-    "budget-not-a-number": (None, "banana"),
-    "budget-negative": (None, "-5"),
+    "unknown-check": ((("checks = intrinsic_vs_fd,", "checks = intrinsic_vs_fdd,"),), None),
+    "unknown-schedule": ((("[estimator]\n", "[estimator]\nschedule = cubic\n"),), None),
+    "unknown-observable": ((("observables = coord1", "observables = nosuch"),), None),
+    "unknown-perturbation": ((("perturbations = const_e1", "perturbations = nosuch"),), None),
+    "budget-not-a-number": ((), "banana"),
+    "budget-negative": ((), "-5"),
+    "unknown-key": ((("seed = 7", "seed = 7\nn_partcles = 9999"),), None),
+    "unknown-section": ((("[oracle]\n", "[plots]\nstyle = dark\n\n[oracle]\n"),), None),
+    "unknown-custom-key": ((("scenario = brownian", "scenario = custom"),
+                            ("[oracle]\n", "[custom]\nfamily = affine\nc_nl = 0.5\n\n[oracle]\n")),
+                           None),
+    "empty-observables": ((("observables = coord1", "observables ="),), None),
+    "empty-perturbations": ((("perturbations = const_e1", "perturbations ="),), None),
+    "one-schedule": ((only_check("beta_invariance"),
+                      ("[estimator]\n", "[estimator]\nschedules = linear\n")), None),
+    "empty-eps-ladder": ((("eps_ladder = 0.1, 0.05", "eps_ladder ="),), None),
+    "one-eps-for-tangent-order": ((only_check("tangent_fd_order"),
+                                   ("eps_ladder = 0.1, 0.05", "eps_ladder = 0.1")), None),
+    "one-t-for-dual-norm": ((only_check("dual_norm_scaling"), oracle_line("t_grid = 0.2")), None),
+    "one-t-for-tv": ((only_check("tv_scaling"), oracle_line("t_grid = 0.2")), None),
+    "t-beyond-horizon": ((only_check("dual_norm_scaling"), oracle_line("t_grid = 0.1, 5.0")),
+                         None),
+    "empty-stability-shifts": ((only_check("wasserstein_lipschitz"),
+                                oracle_line("stability_shifts =")), None),
+    "empty-moment-variances": ((only_check("moment_bound"),
+                                oracle_line("moment_variances =")), None),
+    "negative-moment-variance": ((oracle_line("moment_variances = -1"),), None),
+    "zero-tv-shift": ((oracle_line("tv_shift = 0"),), None),
+    "classical-on-meanfield": ((("scenario = brownian", "scenario = meanfield_ou"),
+                                only_check("classical_gradient")), None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_config_error(case, tmp_path, monkeypatch, capsys):
-    edit, budget = BAD_INPUTS[case]
-    text = SMALL_CONFIG.replace(*edit) if edit else SMALL_CONFIG
+    edits, budget = BAD_INPUTS[case]
+    text = SMALL_CONFIG
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
     assert text != SMALL_CONFIG or budget is not None
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
@@ -198,6 +245,106 @@ def test_bad_input_is_config_error(case, tmp_path, monkeypatch, capsys):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def test_classical_gradient_without_closed_form_is_ok(tmp_path):
+    text = (SMALL_CONFIG.replace("scenario = brownian", "scenario = trig")
+            .replace(CHECKS_LINE, "checks = classical_gradient"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(out)]) == 0
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["quantity"], r["status"]) for r in rows] == [
+        ("intrinsic_estimate", "ok"), ("quadrature", "ok")]
+    assert rows[1]["params"] == "reason=no-closed-form"
+    assert not (out / "errors.json").exists()
+
+
+def test_parallel_run_leaves_warning_filters_alone(tmp_path):
+    text = (SMALL_CONFIG.replace("scenario = brownian", "scenario = singular_demo")
+            .replace(CHECKS_LINE, "checks = intrinsic_estimate, determinism, moment_bound")
+            + "\n[output]\nparallel = 2\n")
+    cfg = write_config(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        before = list(warnings.filters)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        after = list(warnings.filters)
+    assert code == 0
+    assert after == before
+    assert not [w for w in caught if issubclass(w.category, HeuristicRegime)]
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("configs/*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    assert main(["validate", "--config", str(path)]) == 0
+
+
+# List keys of the generated configs, with the entries each may draw from.
+LIST_KEYS = {
+    ("experiment", "ci_seeds"): st.integers(0, 999).map(str),
+    ("estimator", "schedules"): st.sampled_from(sorted(SCHEDULE_FACTORIES)),
+    ("estimator", "observables"): st.sampled_from(sorted(default_observables(1))),
+    ("estimator", "perturbations"): st.sampled_from(sorted(default_perturbations(1))),
+    ("oracle", "eps_ladder"): st.sampled_from(["0.1", "0.05", "0.025"]),
+    ("oracle", "t_grid"): st.sampled_from(["0.05", "0.1", "0.2", "0.4"]),
+    ("oracle", "moment_variances"): st.sampled_from(["0.1", "1", "10"]),
+    ("oracle", "stability_shifts"): st.sampled_from(["0.02", "0.2", "2.0"]),
+}
+
+# (section, key, value): an unknown key or section, or a non-positive value
+BAD_ENTRIES = [
+    ("experiment", "n_partcles", "9"), ("plots", "style", "dark"),
+    ("experiment", "n_particles", "0"), ("experiment", "n_steps", "0"),
+    ("experiment", "t", "-0.5"), ("oracle", "tv_shift", "0"),
+    ("oracle", "eps_ladder", "0.1, 0"), ("oracle", "t_grid", "0"),
+    ("oracle", "moment_variances", "-1"), ("oracle", "stability_shifts", "0"),
+    ("output", "parallel", "0"),
+]
+
+
+@st.composite
+def generated_configs(draw):
+    sections = {
+        "experiment": {
+            "scenario": draw(st.sampled_from(scenario_names())),
+            "n_particles": str(draw(st.integers(1, 40))),
+            "n_steps": str(draw(st.integers(1, 8))),
+            "t": draw(st.sampled_from(["0.25", "0.5", "1.0"])),
+            "seed": str(draw(st.integers(0, 99))),
+        },
+        "estimator": {
+            "schedule": draw(st.sampled_from(sorted(SCHEDULE_FACTORIES))),
+            "checks": ", ".join(draw(st.sets(st.sampled_from(sorted(CHECKS))))),
+        },
+        "oracle": {"tv_shift": draw(st.sampled_from(["0.25", "0.5", "1.0"]))},
+        "output": {"parallel": str(draw(st.integers(1, 2)))},
+    }
+    for (section, key), entry in LIST_KEYS.items():
+        # lengths 0-3, empty less often so that most configs reach a run
+        length = draw(st.sampled_from((2, 3, 1, 2, 3, 1, 2, 3, 0)))
+        sections[section][key] = ", ".join(draw(st.lists(entry, min_size=length,
+                                                         max_size=length)))
+    if draw(st.sampled_from((False, False, False, False, True))):
+        section, key, value = draw(st.sampled_from(BAD_ENTRIES))
+        sections.setdefault(section, {})[key] = value
+    return "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                     for name, body in sections.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=generated_configs())
+def test_generated_configs_exit_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "gen.cfg"
+        cfg.write_text(text)
+        validated = main(["validate", "--config", str(cfg)])
+        ran = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert validated in (0, 2)
+    assert ran in (0, 1, 2, 3)
+    assert (validated == 2) == (ran == 2)
 
 
 class TestOtherCommands:
