@@ -12,20 +12,19 @@ quadrature closed forms, and empirical stability and moment bounds.
 __version__ = "0.1.0"
 
 from .bismut import (BetaInvarianceReport, Estimate, WeightVector,
-                     batch_estimate, beta_invariance_check,
-                     dual_norm_lower_bound, estimate_classical,
-                     estimate_intrinsic, weight_frozen, weight_meanfield)
+                     beta_invariance_check, dual_norm_lower_bound,
+                     estimate_classical, estimate_intrinsic, weight_frozen,
+                     weight_meanfield)
 from .errors import (ConfigError, GridMismatch, HeuristicRegime,
                      MeasureDependence, MemoryBudgetExceeded, MissingGradSigma,
                      MVGradError, NonFinite, ScheduleMismatch, SingularDiffusion,
                      SizeCap, UnequalSupport, UnknownFamily, UnsupportedScenario)
-from .measure import (EmpiricalMeasure, TransportPlan, dual_exponent, lk_norm,
-                      pushforward, sample_initial, wasserstein)
-from .model import (BismutSchedule, CylindricalDrift, Diffusion, EllipticityReport,
-                    ModelSpec, Observable, PerturbationField, SingularDrift,
-                    drift_eval, linear_schedule, lions_derivative,
-                    quadratic_schedule, schedule_by_name, sine_schedule,
-                    validate_ellipticity, zeta)
+from .measure import (EmpiricalMeasure, TransportPlan, lk_norm, pushforward,
+                      sample_initial, wasserstein)
+from .model import (BismutSchedule, CylindricalDrift, Diffusion, ModelSpec,
+                    Observable, PerturbationField, SingularDrift,
+                    linear_schedule, quadratic_schedule, schedule_by_name,
+                    sine_schedule, validate_ellipticity, zeta)
 from .oracle import (MomentReport, StabilityReport, TVScalingReport,
                      finite_difference_intrinsic, fit_loglog_slope,
                      gaussian_quadrature_reference, moment_report,

@@ -40,11 +40,10 @@ class Estimate:
     """Monte Carlo value with its provenance.
 
     ``stderr`` treats per-particle products as i.i.d., which ignores the
-    weak coupling between particles; batch means across independent seeds
-    (see :func:`batch_estimate`) give certified intervals.  For
-    :func:`estimate_classical` it is the standard error of the residuals
-    left after the quadratic-variation control variate.  ``mode`` is
-    "heuristic" exactly when the model carried a singular drift component.
+    weak coupling between particles.  For :func:`estimate_classical` it is
+    the standard error of the residuals left after the quadratic-variation
+    control variate.  ``mode`` is "heuristic" exactly when the model carried
+    a singular drift component.
     """
 
     value: float
@@ -203,11 +202,10 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturbatio
     if abs(grid.t_end - t) > 1e-12:
         raise GridMismatch(f"grid ends at {grid.t_end}, requested t={t}")
     paths = simulate_particles(model, mu0, grid, seed)
-    allow = model.has_singular_part
     v0 = np.asarray(phi(paths.states[0]), dtype=float)
-    tang_f = frozen_tangent(paths, model, v0, allow_heuristic=allow)
+    tang_f = frozen_tangent(paths, model, v0)
     w1 = weight_frozen(paths, tang_f, sched, model).values
-    tang_m = meanfield_tangent(paths, model, phi, allow_heuristic=allow)
+    tang_m = meanfield_tangent(paths, model, phi)
     w2 = weight_meanfield(paths, tang_m, model).values
 
     fx = f(paths.terminal())
@@ -248,9 +246,8 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
         )
     mu0 = EmpiricalMeasure(np.tile(x, (n_particles, 1)))
     paths = simulate_particles(model, mu0, grid, seed)
-    allow = model.has_singular_part
     v0 = np.tile(v, (n_particles, 1))
-    tang = frozen_tangent(paths, model, v0, allow_heuristic=allow)
+    tang = frozen_tangent(paths, model, v0)
     weight = weight_frozen(paths, tang, sched, model)
     w = weight.values
     g = f(paths.terminal()) * w
@@ -259,22 +256,6 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
     return Estimate(value=value, stderr=stderr, N=n_particles, n_steps=grid.n_steps,
                     dt=grid.dt, seed=seed, mode=mode, scenario=scenario,
                     term1=value, term2=0.0, notes=notes)
-
-
-def batch_estimate(run, seeds: Sequence[int]) -> Estimate:
-    """Certified-interval variant: batch means across independent seeds.
-
-    ``run(seed)`` must return an :class:`Estimate`; the result averages the
-    batch values and reports the across-batch standard error.
-    """
-    ests = [run(int(s)) for s in seeds]
-    vals = np.array([e.value for e in ests])
-    value, stderr = _mean_stderr(vals)
-    first = ests[0]
-    return Estimate(value=value, stderr=stderr, N=first.N, n_steps=first.n_steps,
-                    dt=first.dt, seed=int(seeds[0]), mode=first.mode,
-                    scenario=first.scenario,
-                    notes=first.notes + (f"batch-means:{len(ests)}",))
 
 
 def dual_norm_lower_bound(model: ModelSpec, mu0: EmpiricalMeasure, f: Observable,
@@ -320,10 +301,6 @@ class BetaInvarianceReport:
     stderrs: tuple
     pairs: tuple          # (name_a, name_b, |diff|, 3*combined stderr, passed)
     n_seeds: int
-
-    @property
-    def passed(self) -> bool:
-        return all(p[-1] for p in self.pairs)
 
 
 def beta_invariance_check(model: ModelSpec, mu0: EmpiricalMeasure, phi: PerturbationField,

@@ -10,6 +10,7 @@ runner echoes into the JSON manifest.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -90,16 +91,18 @@ class ExperimentConfig:
         if (self.scenario == "custom") != bool(self.custom):
             problems.append("a [custom] section goes with scenario = custom, and only there")
         for key in ("n_particles", "n_steps", "t", "parallel", "tv_shift"):
-            if not getattr(self, key) > 0:
-                problems.append(f"{key} must be positive")
+            if not 0 < getattr(self, key) < math.inf:
+                problems.append(f"{key} must be positive and finite")
         for key in ("ci_seeds", "observables", "perturbations"):
             if not getattr(self, key):
                 problems.append(f"{key} must be nonempty")
         for key in ("eps_ladder", "t_grid", "moment_variances"):
-            if not all(v > 0 for v in getattr(self, key)):
-                problems.append(f"{key} entries must be positive")
-        if 0 in self.stability_shifts:
-            problems.append("stability_shifts entries must be nonzero")
+            if not all(0 < v < math.inf for v in getattr(self, key)):
+                problems.append(f"{key} entries must be positive and finite")
+        if len(set(self.eps_ladder)) < len(self.eps_ladder):
+            problems.append("eps_ladder entries must be distinct")
+        if not all(v != 0 and math.isfinite(v) for v in self.stability_shifts):
+            problems.append("stability_shifts entries must be nonzero and finite")
         if problems:
             raise ConfigError("; ".join(problems))
 

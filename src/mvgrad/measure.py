@@ -18,8 +18,8 @@ from .errors import NonFinite, SizeCap, UnequalSupport, UnknownFamily
 
 Array = np.ndarray
 
-#: Largest N accepted by the exact assignment path (configurable per call).
-DEFAULT_ASSIGNMENT_CAP = 4096
+#: Largest N accepted by the exact assignment path.
+ASSIGNMENT_CAP = 4096
 
 # Stream tag separating initial-law sampling from path-noise streams, which
 # are keyed by (seed, particle index).
@@ -58,10 +58,9 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Permutation pairing between two equal-size clouds plus realized cost."""
+    """Permutation pairing between two equal-size clouds."""
 
     pairing: Array
-    cost: float
 
     def __post_init__(self):
         pairing = np.array(self.pairing, dtype=np.intp, copy=True)
@@ -71,27 +70,23 @@ class TransportPlan:
         pairing.setflags(write=False)
         object.__setattr__(self, "pairing", pairing)
 
-    def recompute_cost(self, a: EmpiricalMeasure, b: EmpiricalMeasure, k: float) -> float:
-        diff = a.points - b.points[self.pairing]
-        return float(np.mean(np.linalg.norm(diff, axis=1) ** k))
-
 
 def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, k: float,
-                method: str = "auto",
-                size_cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[float, TransportPlan]:
+                method: str = "auto") -> tuple[float, TransportPlan]:
     """Exact k-Wasserstein distance between two equal-size point clouds.
 
     For d=1 the sorted pairing is optimal for any convex cost |x-y|^k and
     runs in O(N log N); otherwise the |x-y|^k cost matrix goes through the
-    exact O(N^3) assignment solver, guarded by ``size_cap``.  Returns the
-    distance (mean cost to the 1/k) together with the optimal pairing.
+    exact O(N^3) assignment solver, guarded by :data:`ASSIGNMENT_CAP`.
+    Returns the distance (mean cost to the 1/k) together with the optimal
+    pairing.
 
     ``method`` forces a specific path: "sorted" (d=1 only) or "assignment".
     """
     if a.N != b.N:
         raise UnequalSupport(f"cannot transport between N={a.N} and N={b.N} samples")
-    if not k >= 1:
-        raise ValueError("Wasserstein exponent k must be >= 1")
+    if not 1 <= k < math.inf:
+        raise ValueError("Wasserstein exponent k must be finite and >= 1")
     if a.d != b.d:
         raise ValueError("point clouds must share the ambient dimension")
 
@@ -106,8 +101,8 @@ def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, k: float,
         pairing[ia] = ib
         cost = float(np.mean(np.abs(a.points[ia, 0] - b.points[ib, 0]) ** k))
     elif method == "assignment":
-        if a.N > size_cap:
-            raise SizeCap(f"assignment requested for N={a.N} above cap {size_cap}")
+        if a.N > ASSIGNMENT_CAP:
+            raise SizeCap(f"assignment requested for N={a.N} above cap {ASSIGNMENT_CAP}")
         cost_matrix = cdist(a.points, b.points) ** k
         rows, cols = linear_sum_assignment(cost_matrix)
         pairing = np.empty(a.N, dtype=np.intp)
@@ -117,7 +112,7 @@ def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, k: float,
         raise ValueError(f"unknown method {method!r}")
 
     distance = cost ** (1.0 / k)
-    return distance, TransportPlan(pairing=pairing, cost=cost)
+    return distance, TransportPlan(pairing=pairing)
 
 
 def pushforward(mu: EmpiricalMeasure, phi, eps: float) -> EmpiricalMeasure:
@@ -128,26 +123,11 @@ def pushforward(mu: EmpiricalMeasure, phi, eps: float) -> EmpiricalMeasure:
     return EmpiricalMeasure(moved)
 
 
-def dual_exponent(k: float) -> float:
-    """Conjugate exponent k/(k-1); math.inf (sup-norm mode) when k = 1.
-
-    The returned value is meant for the mode switch in :func:`lk_norm`,
-    never for arithmetic.
-    """
-    if not k >= 1:
-        raise ValueError("k must be >= 1")
-    if k == 1.0:
-        return math.inf
-    return k / (k - 1.0)
-
-
 def lk_norm(phi, mu: EmpiricalMeasure, k: float) -> float:
-    """L^k(mu) norm of a vector field; pass k=math.inf for the sup-norm mode."""
+    """L^k(mu) norm of a vector field, for a finite k >= 1."""
+    if not 1 <= k < math.inf:
+        raise ValueError("k must be finite and >= 1")
     norms = np.linalg.norm(np.asarray(phi(mu.points), dtype=float), axis=1)
-    if k == math.inf:
-        return float(np.max(norms))
-    if not k >= 1:
-        raise ValueError("k must be >= 1 (or math.inf for the sup mode)")
     return float(np.mean(norms ** k) ** (1.0 / k))
 
 
@@ -155,57 +135,18 @@ def _rng_for_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), _INIT_STREAM_TAG]))
 
 
-def _sample_family(law: dict, N: int, rng: np.random.Generator) -> Array:
-    family = law.get("family")
-    if family == "point_mass":
-        x0 = np.atleast_1d(np.asarray(law["x0"], dtype=float))
-        return np.tile(x0, (N, 1))
-    if family == "gaussian":
-        mean = np.atleast_1d(np.asarray(law.get("mean", 0.0), dtype=float))
-        d = mean.shape[0]
-        cov = law.get("cov", 1.0)
-        z = rng.standard_normal((N, d))
-        cov = np.asarray(cov, dtype=float)
-        if cov.ndim == 0:
-            return mean + math.sqrt(float(cov)) * z
-        if cov.ndim == 1:
-            return mean + np.sqrt(cov) * z
-        chol = np.linalg.cholesky(cov)
-        return mean + z @ chol.T
-    if family == "uniform_box":
-        low = np.atleast_1d(np.asarray(law["low"], dtype=float))
-        high = np.atleast_1d(np.asarray(law["high"], dtype=float))
-        return low + (high - low) * rng.random((N, low.shape[0]))
-    if family == "mixture":
-        comps = law["components"]
-        weights = np.asarray(law["weights"], dtype=float)
-        weights = weights / weights.sum()
-        idx = rng.choice(len(comps), size=N, p=weights)
-        # sample each component at full size for a schedule-free draw order,
-        # then select rows by component label
-        draws = [_sample_family(c, N, rng) for c in comps]
-        out = np.empty_like(draws[0])
-        for j, block in enumerate(draws):
-            out[idx == j] = block[idx == j]
-        return out
-    if family == "points":
-        pts = np.asarray(law["points"], dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.shape[0] != N:
-            raise ValueError(f"explicit point list has {pts.shape[0]} rows, expected {N}")
-        return np.array(pts, dtype=float)
-    raise UnknownFamily(f"unknown initial-law family {family!r}")
-
-
 def sample_initial(dist_spec: dict, N: int, seed: int) -> EmpiricalMeasure:
-    """Draw N initial samples; bit-identical for identical (spec, N, seed).
+    """Draw N samples of a Gaussian law; bit-identical for identical (spec, N, seed).
 
-    Supported families: ``point_mass`` (x0), ``gaussian`` (mean, cov),
-    ``uniform_box`` (low, high), ``mixture`` (components, weights) and
-    ``points`` (explicit list).
+    ``dist_spec`` is ``{"family": "gaussian", "mean": [...], "cov": v}`` with
+    a scalar variance v (default 1); any other family raises
+    :class:`UnknownFamily`.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    pts = _sample_family(dict(dist_spec), N, _rng_for_seed(seed))
-    return EmpiricalMeasure(pts)
+    family = dist_spec.get("family")
+    if family != "gaussian":
+        raise UnknownFamily(f"unknown initial-law family {family!r}")
+    mean = np.atleast_1d(np.asarray(dist_spec.get("mean", 0.0), dtype=float))
+    z = _rng_for_seed(seed).standard_normal((N, mean.shape[0]))
+    return EmpiricalMeasure(mean + math.sqrt(float(dist_spec.get("cov", 1.0))) * z)

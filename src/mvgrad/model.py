@@ -23,14 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NonFinite, SingularDiffusion
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .measure import EmpiricalMeasure
 
 Array = np.ndarray
 
@@ -89,14 +86,12 @@ class CylindricalDrift:
 class SingularDrift:
     """Regularized stand-in for a locally integrable drift component.
 
-    ``declared_integrability`` is an informational (p0, q0) tag only; no
-    membership check is attempted.  ``eval`` must already include the
-    delta-regularization so every value is finite.
+    ``eval`` must already include the delta-regularization so every value
+    is finite.
     """
 
     eval: Callable[[float, Array], Array]
     regularization_scale: float
-    declared_integrability: tuple = (4.0, 8.0)
 
     def __post_init__(self):
         if not self.regularization_scale > 0:
@@ -190,12 +185,6 @@ class BismutSchedule:
         bt = float(self.beta(np.array(self.t)))
         if abs(b0) > 1e-12 or abs(bt - 1.0) > 1e-12:
             raise ValueError(f"schedule must satisfy beta(0)=0, beta(t)=1; got {b0}, {bt}")
-
-    def derivative_mismatch(self, n_probes: int = 64, step: float = 1e-6) -> float:
-        """Max gap between beta_prime and a central difference of beta."""
-        s = np.linspace(step, self.t - step, n_probes)
-        fd = (self.beta(s + step) - self.beta(s - step)) / (2 * step)
-        return float(np.max(np.abs(fd - self.beta_prime(s))))
 
 
 def linear_schedule(t: float) -> BismutSchedule:
@@ -296,66 +285,20 @@ def zeta(diffusion: Diffusion, t: float, x, check: bool = True) -> Array:
     return out[0] if single else out
 
 
-def lions_derivative(drift: CylindricalDrift, t: float, x, mu: "EmpiricalMeasure", y) -> Array:
-    """Measure-derivative matrix of a cylindrical drift at (x, mu), point y.
+def validate_ellipticity(diffusion: Diffusion, probe_points) -> None:
+    """Raise :class:`SingularDiffusion` unless sigma sigma* is elliptic at t = 0.
 
-    Returns the (d, d) matrix sum_l dF/dz_l(x, mu(h)) (x) grad_h_l(y); its
-    action on a vector v is the directional derivative of the drift when
-    mass at y moves with velocity v.
+    Over the probe points the smallest eigenvalue of a = sigma sigma* must
+    exceed 1e-10 and the condition number stay within ``diffusion.cond_cap``.
     """
-    xb, _ = _batch(x)
-    yb, _ = _batch(y)
-    z = drift.moment_vector(np.asarray(mu.points, dtype=float))
-    gz = np.asarray(drift.grad_z_F(t, xb, z), dtype=float)[0]       # (d, n)
-    if drift.n == 0:
-        return np.zeros((xb.shape[1], xb.shape[1]))
-    gh = np.stack([np.asarray(gl(yb), dtype=float)[0] for gl in drift.grad_h])  # (n, d)
-    return gz @ gh                                                   # (d, d)
-
-
-def drift_eval(model: ModelSpec, t: float, x, mu: "EmpiricalMeasure") -> Array:
-    """Total drift b0(t,x) + F(t, x, mu(h)) at one point or a batch."""
-    xb, single = _batch(x)
-    z = model.meanfield_drift.moment_vector(np.asarray(mu.points, dtype=float))
-    out = np.asarray(model.meanfield_drift.F(t, xb, z), dtype=float)
-    if model.singular_drift is not None:
-        out = out + model.singular_drift(t, xb)
-    if not np.all(np.isfinite(out)):
-        raise NonFinite(f"drift evaluation produced NaN/Inf at t={t}")
-    return out[0] if single else out
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    """Spectral summary of a = sigma sigma* over a probe set."""
-
-    min_eigenvalue: float
-    max_eigenvalue: float
-    max_condition: float
-    n_probes: int
-    passed: bool
-
-
-def validate_ellipticity(diffusion: Diffusion, probe_points, times: Sequence[float] = (0.0,),
-                         min_eig: float = 1e-10, raise_on_fail: bool = False) -> EllipticityReport:
-    """Check uniform ellipticity of sigma sigma* over probe points and times."""
     pts, _ = _batch(probe_points)
     if len(pts) == 0:
         raise ValueError("probe set must be nonempty")
-    lo, hi = math.inf, -math.inf
-    for t in times:
-        sig = diffusion(t, pts)
-        a = sig @ np.swapaxes(sig, 1, 2)
-        eigs = np.linalg.eigvalsh(a)
-        lo = min(lo, float(eigs[:, 0].min()))
-        hi = max(hi, float(eigs[:, -1].max()))
+    sig = diffusion(0.0, pts)
+    eigs = np.linalg.eigvalsh(sig @ np.swapaxes(sig, 1, 2))
+    lo, hi = float(eigs[:, 0].min()), float(eigs[:, -1].max())
     cond = math.inf if lo <= 0 else hi / lo
-    ok = lo > min_eig and cond <= diffusion.cond_cap
-    report = EllipticityReport(min_eigenvalue=lo, max_eigenvalue=hi,
-                               max_condition=cond, n_probes=len(pts) * len(times),
-                               passed=ok)
-    if raise_on_fail and not ok:
+    if not (lo > 1e-10 and cond <= diffusion.cond_cap):
         raise SingularDiffusion(
             f"ellipticity check failed: min eig {lo:.3g}, condition {cond:.3g}"
         )
-    return report

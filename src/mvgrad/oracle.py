@@ -9,7 +9,6 @@ The only shared code is the particle integrator and measure arithmetic.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -106,10 +105,12 @@ def _affine_flow(a: float, kappa: float, sigma: float, t: float) -> AffineFlow:
     return AffineFlow(alpha=alpha, gamma=gamma, noise_var=var)
 
 
-def _gauss_hermite_expect(fun, mean0: float, var0: float, noise_var: float,
-                          n_nodes: int = 201) -> float:
-    """E[fun(X0, G)] for independent X0 ~ N(mean0, var0), G ~ N(0, noise_var)."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+def _gauss_hermite_expect(fun, mean0: float, var0: float, noise_var: float) -> float:
+    """E[fun(X0, G)] for independent X0 ~ N(mean0, var0), G ~ N(0, noise_var).
+
+    Uses 201 Gauss-Hermite nodes per variable.
+    """
+    nodes, weights = np.polynomial.hermite_e.hermegauss(201)
     weights = weights / weights.sum()
     g = math.sqrt(noise_var) * nodes if noise_var > 0 else np.zeros(1)
     wg = weights if noise_var > 0 else np.ones(1)
@@ -131,8 +132,7 @@ _FPRIME = {
 
 
 def gaussian_quadrature_reference(scenario_id: str, f_name: str, t: float,
-                                  phi_name: str, x0: Optional[float] = None,
-                                  n_nodes: int = 201) -> float:
+                                  phi_name: str, x0: Optional[float] = None) -> float:
     """Exact derivative value for an affine scenario via Gauss-Hermite nodes.
 
     Supports the one-dimensional affine registry entries (constant noise),
@@ -187,18 +187,16 @@ def gaussian_quadrature_reference(scenario_id: str, f_name: str, t: float,
         fun = lambda x0v, gv: fprime(a_ * x0v + g_ * mean0 + gv) * ((a_ + g_) * c)
     else:
         fun = lambda x0v, gv: fprime(a_ * x0v + g_ * mean0 + gv) * (a_ * x0v + g_ * mean0)
-    return _gauss_hermite_expect(fun, mean0, var0, flow.noise_var, n_nodes=n_nodes)
+    return _gauss_hermite_expect(fun, mean0, var0, flow.noise_var)
 
 
-def tv_sign_reference(shift: float, sigma: float, t: float,
-                      theta: Optional[float] = None) -> float:
+def tv_sign_reference(shift: float, sigma: float, t: float) -> float:
     """Exact separation |E f(x + sW) - E f(x + shift + sW)| for f = sign(. - theta).
 
-    The two starting points are 0 and ``shift``; ``theta`` defaults to the
-    midpoint, which maximizes the gap over step positions.
+    The two starting points are 0 and ``shift``; theta is their midpoint,
+    which maximizes the gap over step positions.
     """
-    if theta is None:
-        theta = shift / 2.0
+    theta = shift / 2.0
     s = sigma * math.sqrt(t)
     return abs(2.0 * (_norm.cdf(theta / s) - _norm.cdf((theta - shift) / s)))
 
@@ -223,18 +221,7 @@ class StabilityReport:
     initial_distance: float
     sup_ratio: float          # (mean_i sup_s |X1-X2|^k)^(1/k) / W_k(mu0, nu0)
     terminal_ratio: float     # W_k(law_t mu0, law_t nu0) / W_k(mu0, nu0)
-    k: float
-    t: float
-    seed: int
-    n_particles: int = 0
-    n_steps: int = 0
     degenerate: bool = False  # identical initial clouds: ratios reported as 0
-
-    def rows(self) -> list:
-        return [("sup_ratio", self.sup_ratio), ("terminal_ratio", self.terminal_ratio)]
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeasure,
@@ -251,9 +238,7 @@ def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeas
     w0, plan = wasserstein(mu0, nu0, k)
     if w0 == 0.0:
         return StabilityReport(initial_distance=0.0, sup_ratio=0.0,
-                               terminal_ratio=0.0, k=k, t=t, seed=seed,
-                               n_particles=mu0.N, n_steps=grid.n_steps,
-                               degenerate=True)
+                               terminal_ratio=0.0, degenerate=True)
     nu_matched = EmpiricalMeasure(nu0.points[plan.pairing])
     run1 = simulate_particles(model, mu0, grid, seed)
     run2 = simulate_particles(model, nu_matched, grid, seed)
@@ -261,29 +246,20 @@ def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeas
     sup_k = float(np.mean(np.max(gaps, axis=0) ** k) ** (1.0 / k))
     wt, _ = wasserstein(run1.terminal_measure(), run2.terminal_measure(), k)
     return StabilityReport(initial_distance=w0, sup_ratio=sup_k / w0,
-                           terminal_ratio=wt / w0, k=k, t=t, seed=seed,
-                           n_particles=mu0.N, n_steps=grid.n_steps)
+                           terminal_ratio=wt / w0)
 
 
 @dataclass(frozen=True)
 class MomentReport:
     """sup-in-time moment growth across a ladder of initial laws."""
 
-    k: float
-    t: float
-    seed: int
     initial_moments: tuple    # E-hat |X_0|^k per ladder entry
     sup_moments: tuple        # sup_s E-hat |X_s|^k
     ratios: tuple             # sup / (1 + initial)
-    n_particles: int = 0
-    n_steps: int = 0
 
     @property
     def max_ratio(self) -> float:
         return max(self.ratios)
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     def rows(self) -> list:
         return [(f"init={i0:.6g}", r) for i0, r in zip(self.initial_moments, self.ratios)]
@@ -309,10 +285,8 @@ def moment_report(model: ModelSpec, mu0_ladder: Sequence[EmpiricalMeasure],
         inits.append(i0)
         sups.append(sup)
         ratios.append(sup / (1.0 + i0))
-    return MomentReport(k=k, t=t, seed=seed, initial_moments=tuple(inits),
-                        sup_moments=tuple(sups), ratios=tuple(ratios),
-                        n_particles=mu0_ladder[0].N if mu0_ladder else 0,
-                        n_steps=grid.n_steps)
+    return MomentReport(initial_moments=tuple(inits), sup_moments=tuple(sups),
+                        ratios=tuple(ratios))
 
 
 @dataclass(frozen=True)
@@ -327,18 +301,10 @@ class TVScalingReport:
 
     ts: tuple
     gaps: tuple
-    best_names: tuple
     slope: Optional[float]
-    seed: int = 0
-    n_particles: int = 0
-    dt: float = 0.0
-    reference_slope: float = -0.5
 
     def rows(self) -> list:
         return [(f"t={t:g}", g) for t, g in zip(self.ts, self.gaps)]
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def tv_gradient_scaling(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeasure,
@@ -357,25 +323,21 @@ def tv_gradient_scaling(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalM
     for f in dictionary:
         if not f.bounded_flag:
             raise ValueError(f"dictionary member {f.name or '<anon>'} must be bounded")
-    ts, gaps, names = [], [], []
+    ts, gaps = [], []
     for t in t_grid:
         n_steps = max(1, int(round(t / dt)))
         grid = TimeGrid(t_end=t, n_steps=n_steps)
         run1 = simulate_particles(model, mu0, grid, seed)
         run2 = simulate_particles(model, nu0, grid, seed)
         x1, x2 = run1.terminal(), run2.terminal()
-        best, best_name = 0.0, ""
+        best = 0.0
         for f in dictionary:
             f.check_bound(x1)
             f.check_bound(x2)
-            gap = abs(float(np.mean(f(x1))) - float(np.mean(f(x2))))
-            if gap > best:
-                best, best_name = gap, f.name
+            best = max(best, abs(float(np.mean(f(x1))) - float(np.mean(f(x2)))))
         ts.append(float(t))
         gaps.append(best)
-        names.append(best_name)
     slope: Optional[float] = None
     if all(g > 0 for g in gaps) and len(gaps) >= 2:
         slope = fit_loglog_slope(ts, gaps)
-    return TVScalingReport(ts=tuple(ts), gaps=tuple(gaps), best_names=tuple(names),
-                           slope=slope, seed=seed, n_particles=mu0.N, dt=dt)
+    return TVScalingReport(ts=tuple(ts), gaps=tuple(gaps), slope=slope)

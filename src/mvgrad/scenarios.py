@@ -8,7 +8,9 @@ rebuilt on demand, so runs never share mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import UnknownFamily
@@ -116,14 +118,13 @@ def regularized_singular_drift(delta: float, strength: float = 1.0) -> SingularD
     """d=1 attracting drift -s x / (|x|^{3/2} + delta), finite everywhere.
 
     Behaves like -s sign(x) |x|^{-1/2} away from the regularized core, a
-    locally integrable singularity; (p0, q0) below is a declared tag only.
+    locally integrable singularity.
     """
 
     def ev(t, x):
         return -strength * x / (np.abs(x) ** 1.5 + delta)
 
-    return SingularDrift(eval=ev, regularization_scale=delta,
-                         declared_integrability=(4.0, 8.0))
+    return SingularDrift(eval=ev, regularization_scale=delta)
 
 
 # The parameters build_family reads for each family.
@@ -139,7 +140,8 @@ def build_family(family: str, **p) -> ModelSpec:
     """Construct a model from a named coefficient family.
 
     :data:`FAMILY_PARAMS` lists the families and the parameters each reads;
-    a missing parameter takes its default and any other is an error.
+    a missing parameter takes its default, and any other parameter or a
+    non-finite value is an error.
     """
     known = FAMILY_PARAMS.get(family)
     if known is None:
@@ -147,6 +149,9 @@ def build_family(family: str, **p) -> ModelSpec:
     unknown = [key for key in p if key not in known]
     if unknown:
         raise ValueError(f"family {family} reads {list(known)}, not {unknown[0]!r}")
+    nonfinite = [key for key, value in p.items() if not math.isfinite(value)]
+    if nonfinite:
+        raise ValueError(f"parameter {nonfinite[0]} = {p[nonfinite[0]]!r} is not finite")
     k = float(p.get("k", 2.0))
     horizon = float(p.get("horizon", 4.0))
     sigma0 = float(p.get("sigma", 1.0))

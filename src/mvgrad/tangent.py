@@ -46,8 +46,6 @@ class TangentPaths:
 
     values: Array
     kind: str
-    source: ParticlePaths
-    heuristic: bool = False
     psi: Optional[Array] = None
 
     @property
@@ -94,14 +92,10 @@ def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) 
     return np.einsum("adm,am->ad", directional, dW)
 
 
-def _require_smooth_or_flag(model: ModelSpec, allow_heuristic: bool) -> bool:
+def _flag_heuristic(model: ModelSpec) -> bool:
+    """Whether the recursion runs in heuristic mode; warns when it does."""
     if model.singular_drift is None:
         return False
-    if not allow_heuristic:
-        raise ValueError(
-            "model has a singular drift component; pass allow_heuristic=True "
-            "to run the tangent recursion in heuristic mode"
-        )
     warnings.warn(
         "singular drift present: tangent uses finite differences of the "
         "regularized component and results are heuristic",
@@ -143,20 +137,19 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
     return values, psi
 
 
-def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array,
-                   allow_heuristic: bool = False) -> TangentPaths:
+def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array) -> TangentPaths:
     """Derivative of the decoupled flow in its starting point, along v0.
 
     Integrates V' = (grad_x b) V dt + (grad sigma . V) dW along the stored
     paths with the measure flow frozen at the recorded moments.  Linear in
     v0 (bit-exactly so for power-of-two rescalings).
     """
-    heuristic = _require_smooth_or_flag(model, allow_heuristic)
+    heuristic = _flag_heuristic(model)
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (paths.N, paths.d):
         raise ValueError(f"v0 must have shape {(paths.N, paths.d)}, got {v0.shape}")
     values, _ = _variational_flow(paths, model, v0, heuristic, coupled=False)
-    return TangentPaths(values=values, kind="frozen", source=paths, heuristic=heuristic)
+    return TangentPaths(values=values, kind="frozen")
 
 
 def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
@@ -177,8 +170,7 @@ def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
     return gz @ g
 
 
-def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi,
-                      allow_heuristic: bool = False) -> TangentPaths:
+def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi) -> TangentPaths:
     """Derivative of the particle flow along an initial-law perturbation phi.
 
     Starts from V_0 = phi(X_0) and adds the measure-derivative coupling to
@@ -186,10 +178,9 @@ def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi,
     in-system empirical average (the propagation-of-chaos surrogate), which
     introduces an O(N^{-1/2}) bias absorbed into downstream tolerances.
     """
-    heuristic = _require_smooth_or_flag(model, allow_heuristic)
+    heuristic = _flag_heuristic(model)
     V0 = np.asarray(phi(paths.states[0]), dtype=float)
     if V0.shape != (paths.N, paths.d):
         raise ValueError("phi must map (N, d) states to (N, d) directions")
     values, psi = _variational_flow(paths, model, V0, heuristic, coupled=True)
-    return TangentPaths(values=values, kind="meanfield", source=paths,
-                        heuristic=heuristic, psi=psi)
+    return TangentPaths(values=values, kind="meanfield", psi=psi)

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mvgrad.bismut import (Estimate, WeightVector, batch_estimate,
-                           beta_invariance_check, dual_norm_lower_bound,
-                           estimate_classical, estimate_intrinsic,
-                           weight_frozen, weight_meanfield)
+from mvgrad.bismut import (Estimate, WeightVector, beta_invariance_check,
+                           dual_norm_lower_bound, estimate_classical,
+                           estimate_intrinsic, weight_frozen, weight_meanfield)
 from mvgrad.errors import (GridMismatch, MeasureDependence, NonFinite,
                            ScheduleMismatch)
 from mvgrad.measure import EmpiricalMeasure
@@ -280,7 +279,7 @@ class TestBetaInvariance:
         report = beta_invariance_check(
             model, mu0, const_e1, coord_observable(0), 0.5, grid,
             seeds=(1, 2, 3), schedules=[linear_schedule(0.5), quadratic_schedule(0.5)])
-        assert report.passed
+        assert all(passed for *_, passed in report.pairs)
         assert len(report.pairs) == 1
 
     def test_identical_schedules_bit_identical(self):
@@ -306,16 +305,3 @@ class TestEstimateType:
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError):
             Estimate(value=0.0, stderr=-1.0, N=1, n_steps=1, dt=0.1, seed=0)
-
-    def test_batch_estimate(self):
-        model = brownian_model()
-        mu0 = gaussian_cloud(300, seed=37)
-        grid = TimeGrid(0.5, 25)
-
-        def run(seed):
-            return estimate_intrinsic(model, mu0, const_e1, coord_observable(0),
-                                      0.5, grid, linear_schedule(0.5), seed)
-
-        est = batch_estimate(run, seeds=(1, 2, 3, 4))
-        assert est.stderr > 0
-        assert any(note.startswith("batch-means") for note in est.notes)

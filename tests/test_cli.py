@@ -218,6 +218,17 @@ BAD_INPUTS = {
     "zero-tv-shift": ((oracle_line("tv_shift = 0"),), None),
     "classical-on-meanfield": ((("scenario = brownian", "scenario = meanfield_ou"),
                                 only_check("classical_gradient")), None),
+    "custom-infinite-k": ((("scenario = brownian", "scenario = custom"),
+                           ("[oracle]\n", "[custom]\nfamily = affine\nk = inf\n\n[oracle]\n")),
+                          None),
+    "custom-infinite-sigma": ((("scenario = brownian", "scenario = custom"),
+                               ("[oracle]\n",
+                                "[custom]\nfamily = affine\nsigma = inf\n\n[oracle]\n")),
+                              None),
+    "repeated-eps-ladder": ((("eps_ladder = 0.1, 0.05", "eps_ladder = 0.1, 0.1, 0.05"),), None),
+    "infinite-tv-shift": ((oracle_line("tv_shift = inf"),), None),
+    "infinite-eps": ((("eps_ladder = 0.1, 0.05", "eps_ladder = 0.1, inf"),), None),
+    "nan-stability-shift": ((oracle_line("stability_shifts = 0.2, nan"),), None),
 }
 
 
@@ -258,6 +269,37 @@ def test_classical_gradient_without_closed_form_is_ok(tmp_path):
     assert [(r["quantity"], r["status"]) for r in rows] == [
         ("intrinsic_estimate", "ok"), ("quadrature", "ok")]
     assert rows[1]["params"] == "reason=no-closed-form"
+    assert not (out / "errors.json").exists()
+
+
+def read_rows(out):
+    with open(out / "results.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_exact_tangent_passes_without_an_order(tmp_path):
+    # an affine flow has an exact tangent: the finite-difference errors are
+    # rounding noise, so no order is fitted
+    text = (SMALL_CONFIG.replace("scenario = brownian", "scenario = ou")
+            .replace(CHECKS_LINE, "checks = tangent_fd_order"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(out)]) == 0
+    last = read_rows(out)[-1]
+    assert (last["label"], last["value"], last["status"], last["params"]) == (
+        "tangent-order", "", "pass", "reason=exact-tangent")
+
+
+def test_zero_gap_is_a_failed_check_not_a_numerical_error(tmp_path):
+    text = (SMALL_CONFIG.replace("n_particles = 400", "n_particles = 2")
+            .replace("n_steps = 50", "n_steps = 3")
+            .replace(CHECKS_LINE, "checks = tv_scaling"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(out)]) == 1
+    last = read_rows(out)[-1]
+    assert (last["label"], last["status"], last["params"]) == ("slope", "fail",
+                                                               "reason=zero-gap")
     assert not (out / "errors.json").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,14 +7,22 @@ import pytest
 from mvgrad.errors import NonFinite, SingularDiffusion
 from mvgrad.measure import EmpiricalMeasure
 from mvgrad.model import (BismutSchedule, CylindricalDrift, Diffusion,
-                          drift_eval, linear_schedule, lions_derivative,
-                          quadratic_schedule, schedule_by_name, sine_schedule,
-                          validate_ellipticity, zeta)
+                          linear_schedule, quadratic_schedule, schedule_by_name,
+                          sine_schedule, validate_ellipticity, zeta)
 from mvgrad.scenarios import (affine_drift, build_family,
                               regularized_singular_drift, sine_coupling_drift,
                               trig_diffusion, trig_drift)
+from mvgrad.simulate import TimeGrid, simulate_particles
+from mvgrad.tangent import cylindrical_coupling
 
 from conftest import brownian_model, gaussian_cloud, mfou_model
+
+
+def derivative_mismatch(sched, n_probes=64, step=1e-6):
+    """Max gap between beta_prime and a central difference of beta."""
+    s = np.linspace(step, sched.t - step, n_probes)
+    fd = (sched.beta(s + step) - sched.beta(s - step)) / (2 * step)
+    return float(np.max(np.abs(fd - sched.beta_prime(s))))
 
 
 def const_diffusion_matrix(mat):
@@ -73,18 +82,24 @@ class TestZeta:
 
 
 class TestLionsDerivative:
+    """The measure derivative of each drift, through its coupling contraction.
+
+    Row i of cylindrical_coupling(drift, t, X, z, V) is the mean over j of
+    the measure-derivative matrix at (X_i, mu), point X_j, applied to V_j.
+    """
+
     def test_meanfield_ou_is_kappa_identity(self):
         kappa = 0.7
         drift = affine_drift(2, a=1.0, kappa=kappa)
-        mu = gaussian_cloud(50, d=2, seed=3)
-        out = lions_derivative(drift, 0.0, np.array([0.3, -1.0]), mu,
-                               np.array([2.0, 5.0]))
-        assert np.allclose(out, kappa * np.eye(2), atol=1e-14)
+        X = gaussian_cloud(50, d=2, seed=3).points
+        V = gaussian_cloud(50, d=2, seed=4).points
+        out = cylindrical_coupling(drift, 0.0, X, drift.moment_vector(X), V)
+        assert np.allclose(out, kappa * V.mean(axis=0), atol=1e-14)
 
     def test_no_measure_dependence_gives_zero(self):
         drift = trig_drift(a=1.0, c_nl=0.5)
-        mu = gaussian_cloud(20, seed=1)
-        out = lions_derivative(drift, 0.0, np.array([0.5]), mu, np.array([1.0]))
+        X = gaussian_cloud(20, seed=1).points
+        out = cylindrical_coupling(drift, 0.0, X, drift.moment_vector(X), np.ones_like(X))
         assert np.all(out == 0.0)
 
     def test_quadratic_moment_hand_computation(self):
@@ -108,8 +123,11 @@ class TestLionsDerivative:
             h=(lambda x: x[:, 0] ** 2,),
             grad_h=(lambda x: np.stack([2.0 * x[:, 0], np.zeros(x.shape[0])], axis=1),),
         )
-        mu = gaussian_cloud(10, d=2, seed=0)
-        out = lions_derivative(drift, 0.0, np.zeros(2), mu, np.array([3.0, 0.0]))
+        y = np.array([[3.0, 0.0]])
+        z = drift.moment_vector(y)
+        # a one-particle system: the columns of the matrix, one direction each
+        out = np.stack([cylindrical_coupling(drift, 0.0, y, z, e[None, :])[0]
+                        for e in np.eye(2)], axis=1)
         expected = np.zeros((2, 2))
         expected[0, 0] = 6.0
         assert np.allclose(out, expected)
@@ -121,25 +139,29 @@ class TestLionsDerivative:
             grad_z_F=lambda t, x, z: 2.0 * np.asarray(drift.grad_z_F(t, x, z)),
             h=drift.h, grad_h=drift.grad_h,
         )
-        mu = gaussian_cloud(30, seed=5)
-        x, y = np.array([0.2]), np.array([-0.9])
-        base = lions_derivative(drift, 0.0, x, mu, y)
-        twice = lions_derivative(doubled, 0.0, x, mu, y)
+        X = gaussian_cloud(30, seed=5).points
+        V = gaussian_cloud(30, seed=6).points
+        z = drift.moment_vector(X)
+        base = cylindrical_coupling(drift, 0.0, X, z, V)
+        twice = cylindrical_coupling(doubled, 0.0, X, z, V)
         assert np.array_equal(twice, 2.0 * base)
 
 
 class TestDriftEval:
+    """The drift as the integrator evaluates it: F(t, x, mu(h)) plus b0."""
+
     def test_pure_linear(self):
         model = build_family("affine", d=2, a=1.0, kappa=0.0)
+        drift = model.meanfield_drift
         mu = gaussian_cloud(10, d=2, seed=2)
-        out = drift_eval(model, 0.0, np.array([1.0, 2.0]), mu)
-        assert np.allclose(out, [-1.0, -2.0])
+        out = drift.F(0.0, np.array([[1.0, 2.0]]), drift.moment_vector(mu.points))
+        assert np.allclose(out, [[-1.0, -2.0]])
 
     def test_meanfield_ou_at_origin(self):
-        model = mfou_model(a=1.0, kappa=1.0, d=2)
+        drift = mfou_model(a=1.0, kappa=1.0, d=2).meanfield_drift
         mu = EmpiricalMeasure(np.tile([2.0, 0.0], (8, 1)))
-        out = drift_eval(model, 0.0, np.zeros(2), mu)
-        assert np.allclose(out, [2.0, 0.0])
+        out = drift.F(0.0, np.zeros((1, 2)), drift.moment_vector(mu.points))
+        assert np.allclose(out, [[2.0, 0.0]])
 
     def test_regularized_singularity_at_origin(self):
         sing = regularized_singular_drift(delta=1e-3)
@@ -147,14 +169,16 @@ class TestDriftEval:
         assert np.allclose(out, 0.0)
 
     def test_depends_on_measure_only_through_moments(self):
-        model = mfou_model(a=1.0, kappa=0.5)
-        # two very different clouds with identical means
-        mu1 = EmpiricalMeasure(np.array([[-1.0], [1.0], [3.0]]))
-        mu2 = EmpiricalMeasure(np.array([[0.0], [0.5], [2.5]]))
+        # noise-free mean-field OU: one Euler step of a particle at 0.25 in two
+        # very different clouds with identical means
+        model = mfou_model(a=1.0, kappa=0.5, sigma=0.0)
+        mu1 = EmpiricalMeasure(np.array([[0.25], [-1.0], [1.0], [3.0]]))
+        mu2 = EmpiricalMeasure(np.array([[0.25], [0.0], [0.5], [2.5]]))
         assert np.mean(mu1.points) == np.mean(mu2.points)
-        x = np.array([0.3])
-        assert np.array_equal(drift_eval(model, 0.0, x, mu1),
-                              drift_eval(model, 0.0, x, mu2))
+        grid = TimeGrid(t_end=0.1, n_steps=1)
+        p1 = simulate_particles(model, mu1, grid, 0, check_ellipticity=False)
+        p2 = simulate_particles(model, mu2, grid, 0, check_ellipticity=False)
+        assert p1.states[1, 0, 0] == p2.states[1, 0, 0]
 
     def test_nonfinite_detected(self):
         model = build_family("affine", d=1, a=1.0, kappa=0.0)
@@ -164,37 +188,29 @@ class TestDriftEval:
             grad_z_F=lambda t, x, z: np.zeros((x.shape[0], 1, 0)),
             h=(), grad_h=(),
         )
-        from dataclasses import replace
         model = replace(model, meanfield_drift=bad)
-        with pytest.raises(NonFinite):
-            drift_eval(model, 0.0, np.zeros(1), gaussian_cloud(4))
+        with pytest.raises(NonFinite) as err:
+            simulate_particles(model, gaussian_cloud(4), TimeGrid(0.1, 2), 0)
+        assert err.value.step == 1
 
 
 class TestEllipticity:
     def test_identity_passes(self):
-        rep = validate_ellipticity(const_diffusion_matrix(np.eye(2)),
-                                   np.zeros((3, 2)))
-        assert rep.passed
-        assert rep.min_eigenvalue == pytest.approx(1.0)
-        assert rep.max_eigenvalue == pytest.approx(1.0)
+        validate_ellipticity(const_diffusion_matrix(np.eye(2)), np.zeros((3, 2)))
 
     def test_degenerate_fails(self):
-        rep = validate_ellipticity(const_diffusion_matrix(np.diag([1.0, 0.0])),
-                                   np.zeros((3, 2)))
-        assert not rep.passed
-        assert rep.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(SingularDiffusion):
             validate_ellipticity(const_diffusion_matrix(np.diag([1.0, 0.0])),
-                                 np.zeros((3, 2)), raise_on_fail=True)
+                                 np.zeros((3, 2)))
 
     def test_trig_diffusion_extremes(self):
         # sigma(x) = 1 + 0.5 sin x on [0, 2pi]: eigenvalues of sigma sigma*
-        # range over [(1-0.5)^2, (1+0.5)^2] = [0.25, 2.25]
+        # range over [(1-0.5)^2, (1+0.5)^2] = [0.25, 2.25], condition 9
         diff = trig_diffusion(1.0, 0.5)
         probes = np.linspace(0.0, 2.0 * math.pi, 721)[:, None]
-        rep = validate_ellipticity(diff, probes)
-        assert rep.min_eigenvalue == pytest.approx(0.25, abs=1e-6)
-        assert rep.max_eigenvalue == pytest.approx(2.25, abs=1e-6)
+        validate_ellipticity(replace(diff, cond_cap=9.0 + 1e-6), probes)
+        with pytest.raises(SingularDiffusion):
+            validate_ellipticity(replace(diff, cond_cap=9.0 - 1e-6), probes)
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):
@@ -282,7 +298,7 @@ class TestSchedules:
         sched = factory(0.7)
         assert float(sched.beta(np.array(0.0))) == pytest.approx(0.0, abs=1e-12)
         assert float(sched.beta(np.array(0.7))) == pytest.approx(1.0, abs=1e-12)
-        assert sched.derivative_mismatch() < 1e-6
+        assert derivative_mismatch(sched) < 1e-6
 
     def test_bad_endpoints_rejected(self):
         with pytest.raises(ValueError):
