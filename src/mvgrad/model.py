@@ -264,7 +264,8 @@ def zeta(diffusion: Diffusion, t: float, x, check: bool = True) -> Array:
     (m, d) per point and sigma(t,x) @ zeta(t,x) = I_d.  Raises
     :class:`SingularDiffusion` when a = sigma sigma* is ill-conditioned
     beyond ``diffusion.cond_cap`` (only evaluated when ``check`` is set;
-    hot loops disable it after probing once).
+    hot loops disable it after probing once).  For d = 1, zeta is sigma*/a
+    elementwise, and a zero a raises :class:`SingularDiffusion` even unchecked.
     """
     xb, single = _batch(x)
     sig = diffusion(t, xb)                      # (N, d, m)
@@ -277,11 +278,16 @@ def zeta(diffusion: Diffusion, t: float, x, check: bool = True) -> Array:
             raise SingularDiffusion(
                 f"sigma sigma* has eigenvalue range [{lo:.3g}, {hi:.3g}] at t={t}"
             )
-    try:
-        z = np.linalg.solve(a, sig)             # a^{-1} sigma: (N, d, m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDiffusion(str(exc)) from exc
-    out = np.swapaxes(z, 1, 2)                  # sigma* a^{-1}: (N, m, d)
+    if sig.shape[1] == 1:
+        if not np.all(a):
+            raise SingularDiffusion(f"sigma sigma* vanishes at t={t}")
+        out = np.swapaxes(sig, 1, 2) / a        # sigma* a^{-1}: (N, m, 1)
+    else:
+        try:
+            z = np.linalg.solve(a, sig)         # a^{-1} sigma: (N, d, m)
+        except np.linalg.LinAlgError as exc:
+            raise SingularDiffusion(str(exc)) from exc
+        out = np.swapaxes(z, 1, 2)              # sigma* a^{-1}: (N, m, d)
     return out[0] if single else out
 
 

@@ -225,7 +225,7 @@ class StabilityReport:
 
 
 def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeasure,
-                     t: float, grid: TimeGrid, seed: int) -> StabilityReport:
+                     grid: TimeGrid, seed: int) -> StabilityReport:
     """Couple two runs through identical noise after optimal initial pairing.
 
     The initial clouds are matched by the exact transport plan so that the
@@ -266,7 +266,7 @@ class MomentReport:
 
 
 def moment_report(model: ModelSpec, mu0_ladder: Sequence[EmpiricalMeasure],
-                  t: float, grid: TimeGrid, seed: int,
+                  grid: TimeGrid, seed: int,
                   check_ellipticity: bool = True) -> MomentReport:
     """Tabulate sup_s E|X_s|^k against 1 + E|X_0|^k over initial laws.
 

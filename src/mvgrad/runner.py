@@ -350,7 +350,7 @@ def check_wasserstein_lipschitz(bundle: RunBundle):
     for c in cfg.stability_shifts:
         shift[0] = c
         nu0 = mu0.shifted(shift)
-        rep = stability_report(bundle.model, mu0, nu0, cfg.t, bundle.grid(), cfg.seed)
+        rep = stability_report(bundle.model, mu0, nu0, bundle.grid(), cfg.seed)
         ratios.append(rep.terminal_ratio)
         rows.append(_row(bundle, "stability", f"shift={c:g}|terminal",
                          rep.terminal_ratio, None, "ok", cfg.seed, w0=rep.initial_distance))
@@ -369,7 +369,7 @@ def check_moment_bound(bundle: RunBundle):
     ladder = [sample_initial({"family": "gaussian", "mean": mean, "cov": v},
                              cfg.n_particles, cfg.seed + j)
               for j, v in enumerate(cfg.moment_variances)]
-    rep = moment_report(bundle.model, ladder, cfg.t, bundle.grid(), cfg.seed)
+    rep = moment_report(bundle.model, ladder, bundle.grid(), cfg.seed)
     rows = [_row(bundle, "moment", label, ratio, None, "ok", cfg.seed)
             for label, ratio in rep.rows()]
     status = "pass" if rep.max_ratio <= MOMENT_RATIO_CAP else "fail"

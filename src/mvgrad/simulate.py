@@ -128,9 +128,11 @@ class ParticlePaths:
 
 
 def _step_guard(X: Array, step: int) -> None:
-    if not np.all(np.isfinite(X)):
-        raise NonFinite(f"non-finite state at step {step}", step=step)
-    if np.max(np.abs(X)) > BLOWUP_THRESHOLD:
+    # one reduction per step: a nan or inf entry also fails the comparison
+    peak = np.max(np.abs(X))
+    if not peak <= BLOWUP_THRESHOLD:
+        if not np.isfinite(peak):
+            raise NonFinite(f"non-finite state at step {step}", step=step)
         raise NonFinite(f"blow-up guard tripped at step {step}", step=step)
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import HeuristicRegime, MissingGradSigma, NonFinite
-from .model import CylindricalDrift, ModelSpec
+from .model import BLOWUP_THRESHOLD, CylindricalDrift, ModelSpec
 from .simulate import ParticlePaths
 
 Array = np.ndarray
@@ -131,7 +131,7 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
             psi[s] = cylindrical_coupling(drift, t, X, z, V)
             drift_term = drift_term + psi[s]
         V = V + drift_term * dt + _diffusion_terms(model, t, X, V, paths.noise[s])
-        if not np.all(np.isfinite(V)):
+        if not np.max(np.abs(V)) <= BLOWUP_THRESHOLD:
             raise NonFinite(f"tangent blow-up at step {s + 1}", step=s + 1)
         values[s + 1] = V
     return values, psi

@@ -216,7 +216,7 @@ def test_criterion_08_wasserstein_lipschitz_ladder():
     mu0 = desk_mu0("meanfield_ou")
     ratios = []
     for c in (0.02, 0.2, 2.0):
-        rep = stability_report(model, mu0, mu0.shifted([c]), T_DESK, GRID_DESK,
+        rep = stability_report(model, mu0, mu0.shifted([c]), GRID_DESK,
                                seed=81)
         ratios.append(rep.terminal_ratio)
     variation = (max(ratios) - min(ratios)) / max(ratios)
@@ -234,7 +234,7 @@ def test_criterion_09_moment_bound_ladder():
         ladder = [sample_initial({"family": "gaussian", "mean": [0.0], "cov": v},
                                  N_DESK, 90 + j)
                   for j, v in enumerate((0.1, 1.0, 10.0, 100.0))]
-        rep = moment_report(model, ladder, T_DESK, GRID_DESK, seed=91)
+        rep = moment_report(model, ladder, GRID_DESK, seed=91)
         ok = rep.max_ratio <= cap
         report("criterion-09 moment bound", ok,
                f"[{scen_name}] ratios={['%.3f' % r for r in rep.ratios]} cap={cap}")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mvgrad.cli import main
 from mvgrad.errors import HeuristicRegime
 from mvgrad.model import SCHEDULE_FACTORIES
-from mvgrad.runner import CHECKS
+from mvgrad.runner import CHECK_NEEDS, CHECKS
 from mvgrad.scenarios import (all_scenarios, default_observables,
                               default_perturbations, scenario_names)
 
@@ -150,6 +150,34 @@ sigma = 1.0
         assert records and records[0]["type"] == "NonFinite"
         rows = (out / "results.csv").read_text()
         assert ",error," in rows
+
+    def test_tangent_blow_up_exits_3(self, tmp_path):
+        # at delta = 1e-4 the heuristic tangent sees a drift gradient of order
+        # 1/delta and diverges; the estimate must not reach the oracle row
+        text = """\
+[experiment]
+scenario = custom
+n_particles = 50
+n_steps = 1000
+t = 1.0
+seed = 7
+
+[estimator]
+observables = tanh
+perturbations = const_e1
+checks = intrinsic_vs_fd
+
+[custom]
+family = singular
+delta = 1e-4
+"""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 3
+        records = json.loads((out / "errors.json").read_text())
+        assert [(r["check"], r["type"]) for r in records] == [("intrinsic_vs_fd", "NonFinite")]
+        assert records[0]["message"].startswith("tangent blow-up at step ")
+        assert [r["status"] for r in read_rows(out)] == ["error"]
 
     def test_custom_scenario(self, tmp_path):
         text = """\
@@ -336,15 +364,22 @@ LIST_KEYS = {
     ("oracle", "stability_shifts"): st.sampled_from(["0.02", "0.2", "2.0"]),
 }
 
-# (section, key, value): an unknown key or section, or a non-positive value
+# The fewest distinct entries any check needs of each list key.
+MIN_ENTRIES = {key: max((needs.get(key[1], 1) for needs in CHECK_NEEDS.values()), default=1)
+               for key in LIST_KEYS}
+
+# (section, key, value): an unknown key or section, a non-positive value, an
+# empty or repeated list, or a list shorter than some check needs
 BAD_ENTRIES = [
     ("experiment", "n_partcles", "9"), ("plots", "style", "dark"),
     ("experiment", "n_particles", "0"), ("experiment", "n_steps", "0"),
     ("experiment", "t", "-0.5"), ("oracle", "tv_shift", "0"),
     ("oracle", "eps_ladder", "0.1, 0"), ("oracle", "t_grid", "0"),
     ("oracle", "moment_variances", "-1"), ("oracle", "stability_shifts", "0"),
-    ("output", "parallel", "0"),
-]
+    ("output", "parallel", "0"), ("oracle", "eps_ladder", "0.05, 0.05"),
+    ("estimator", "schedules", "sine, sine"), ("oracle", "t_grid", "0.2"),
+    ("oracle", "stability_shifts", "0.2"),
+] + [(section, key, "") for section, key in LIST_KEYS]
 
 
 @st.composite
@@ -365,10 +400,14 @@ def generated_configs(draw):
         "output": {"parallel": str(draw(st.integers(1, 2)))},
     }
     for (section, key), entry in LIST_KEYS.items():
-        # lengths 0-3, empty less often so that most configs reach a run
-        length = draw(st.sampled_from((2, 3, 1, 2, 3, 1, 2, 3, 0)))
+        # a list some check needs distinct entries of is drawn distinct and
+        # long enough, so that most configs reach a run; BAD_ENTRIES draws
+        # the empty, short and repeated ones
+        fewest = MIN_ENTRIES[section, key]
+        length = draw(st.integers(fewest, 3))
         sections[section][key] = ", ".join(draw(st.lists(entry, min_size=length,
-                                                         max_size=length)))
+                                                         max_size=length,
+                                                         unique=fewest > 1)))
     if draw(st.sampled_from((False, False, False, False, True))):
         section, key, value = draw(st.sampled_from(BAD_ENTRIES))
         sections.setdefault(section, {})[key] = value

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -79,6 +80,51 @@ class TestZeta:
                          constant_in_x=True, cond_cap=1e4)
         with pytest.raises(SingularDiffusion):
             zeta(diff, 0.0, np.zeros(2))
+
+
+def solved_zeta(diff, x):
+    """sigma* (sigma sigma*)^{-1} by a batched LAPACK solve."""
+    sig = diff(0.0, x)
+    return np.swapaxes(np.linalg.solve(sig @ np.swapaxes(sig, 1, 2), sig), 1, 2)
+
+
+def scalar_state_diffusion(sigma_row):
+    """d = 1 diffusion whose (1, m) row is sigma_row(x[:, 0])."""
+    return Diffusion(sigma=lambda t, x: np.stack(sigma_row(x[:, 0]), axis=1)[:, None, :])
+
+
+class TestZetaOneDimensional:
+    """For d = 1, zeta is sigma*/a elementwise instead of a batched solve."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_trig_matches_solve_bitwise(self, seed):
+        diff = trig_diffusion(1.0, 0.25)
+        x = gaussian_cloud(5000, std=1.0 + seed, seed=seed).points
+        z = zeta(diff, 0.0, x, check=False)
+        assert z.shape == (5000, 1, 1)
+        assert np.array_equal(z, solved_zeta(diff, x))
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_two_noise_coordinates(self, seed):
+        # a multi-column solve may scale by a rounded reciprocal of a instead
+        # of dividing, so the two agree to the last bit, not bitwise
+        diff = scalar_state_diffusion(lambda x: (1.0 + 0.25 * np.sin(x), 0.5 * np.cos(x)))
+        x = gaussian_cloud(5000, std=3.0, seed=seed).points
+        z = zeta(diff, 0.0, x, check=False)
+        assert z.shape == (5000, 2, 1)
+        np.testing.assert_array_max_ulp(z, solved_zeta(diff, x), maxulp=1)
+        sig = diff(0.0, x)
+        assert np.allclose(sig @ z, 1.0, rtol=0.0, atol=4e-16)
+
+    @pytest.mark.parametrize("row", [lambda x: (x,), lambda x: (x, 0.0 * x)],
+                             ids=["m1", "m2"])
+    def test_zero_sigma_raises_without_warning(self, row):
+        diff = scalar_state_diffusion(row)
+        x = np.array([[1.0], [0.0], [-2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularDiffusion):
+                zeta(diff, 0.0, x, check=False)
 
 
 class TestLionsDerivative:
@@ -192,6 +238,7 @@ class TestDriftEval:
         with pytest.raises(NonFinite) as err:
             simulate_particles(model, gaussian_cloud(4), TimeGrid(0.1, 2), 0)
         assert err.value.step == 1
+        assert str(err.value) == "non-finite state at step 1"
 
 
 class TestEllipticity:

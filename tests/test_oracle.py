@@ -195,7 +195,7 @@ class TestStabilityReport:
     def test_identical_clouds_degenerate(self):
         model = mfou_model()
         mu0 = gaussian_cloud(64, seed=9)
-        rep = stability_report(model, mu0, mu0, 0.5, TimeGrid(0.5, 50), 10)
+        rep = stability_report(model, mu0, mu0, TimeGrid(0.5, 50), 10)
         assert rep.degenerate
         assert rep.sup_ratio == 0.0 and rep.terminal_ratio == 0.0
 
@@ -205,7 +205,7 @@ class TestStabilityReport:
         model = brownian_model()
         mu0 = gaussian_cloud(128, seed=11)
         nu0 = mu0.shifted([0.7])
-        rep = stability_report(model, mu0, nu0, 0.5, TimeGrid(0.5, 50), 12)
+        rep = stability_report(model, mu0, nu0, TimeGrid(0.5, 50), 12)
         assert rep.initial_distance == pytest.approx(0.7, abs=1e-12)
         assert rep.sup_ratio == pytest.approx(1.0, abs=1e-10)
         assert rep.terminal_ratio == pytest.approx(1.0, abs=1e-10)
@@ -213,7 +213,7 @@ class TestStabilityReport:
     def test_meanfield_ou_contracts(self):
         model = mfou_model(a=1.0, kappa=0.5)
         mu0 = gaussian_cloud(256, seed=13)
-        rep = stability_report(model, mu0, mu0.shifted([0.5]), 1.0,
+        rep = stability_report(model, mu0, mu0.shifted([0.5]),
                                TimeGrid(1.0, 200), 14)
         assert rep.terminal_ratio <= 1.0 + 1e-9
         assert rep.sup_ratio <= 1.0 + 1e-9
@@ -222,7 +222,7 @@ class TestStabilityReport:
         model = brownian_model()
         with pytest.raises(UnequalSupport):
             stability_report(model, gaussian_cloud(8, seed=0),
-                             gaussian_cloud(9, seed=1), 0.5, TimeGrid(0.5, 5), 0)
+                             gaussian_cloud(9, seed=1), TimeGrid(0.5, 5), 0)
 
 
 class TestMomentReport:
@@ -230,7 +230,7 @@ class TestMomentReport:
         model = build_family("affine", d=1, a=0.0, kappa=0.0, sigma=0.0)
         clouds = [gaussian_cloud(128, std=s, seed=15) for s in (0.5, 2.0)]
         # zero drift and noise: sup equals the initial moment exactly
-        rep = moment_report(model, clouds, 0.2, TimeGrid(0.2, 10), 16,
+        rep = moment_report(model, clouds, TimeGrid(0.2, 10), 16,
                             check_ellipticity=False)
         for i0, sup, ratio in zip(rep.initial_moments, rep.sup_moments, rep.ratios):
             assert sup == pytest.approx(i0, abs=1e-12)
@@ -242,7 +242,7 @@ class TestMomentReport:
         n = 20_000
         mu0 = gaussian_cloud(n, seed=17)
         t = 0.5
-        rep = moment_report(model, [mu0], t, TimeGrid(t, 50), 18)
+        rep = moment_report(model, [mu0], TimeGrid(t, 50), 18)
         # independent increments: E|X_t|^2 = E|X_0|^2 + t
         expected_sup = rep.initial_moments[0] + t
         assert rep.sup_moments[0] == pytest.approx(expected_sup,
@@ -251,7 +251,7 @@ class TestMomentReport:
     def test_dissipative_large_start_bounded(self):
         model = mfou_model(a=1.0, kappa=0.5)
         big = gaussian_cloud(256, std=10.0, seed=19)
-        rep = moment_report(model, [big], 1.0, TimeGrid(1.0, 100), 20)
+        rep = moment_report(model, [big], TimeGrid(1.0, 100), 20)
         assert rep.max_ratio <= 1.0 + 1e-6
         assert len(rep.rows()) == 1
 

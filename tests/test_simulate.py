@@ -176,6 +176,7 @@ class TestSimulateParticles:
         with pytest.raises(NonFinite) as err:
             simulate_particles(model, mu0, grid, 0)
         assert err.value.step is not None
+        assert str(err.value).startswith("blow-up guard tripped at step ")
 
     def test_degenerate_diffusion_rejected_by_precheck(self):
         model = zero_noise_model()
