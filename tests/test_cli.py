@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mvgrad.cli import main
 from mvgrad.errors import HeuristicRegime
 from mvgrad.model import SCHEDULE_FACTORIES
-from mvgrad.runner import CHECK_NEEDS, CHECKS
+from mvgrad.runner import CHECKS
 from mvgrad.scenarios import (all_scenarios, default_observables,
                               default_perturbations, scenario_names)
 
@@ -364,12 +364,8 @@ LIST_KEYS = {
     ("oracle", "stability_shifts"): st.sampled_from(["0.02", "0.2", "2.0"]),
 }
 
-# The fewest distinct entries any check needs of each list key.
-MIN_ENTRIES = {key: max((needs.get(key[1], 1) for needs in CHECK_NEEDS.values()), default=1)
-               for key in LIST_KEYS}
-
-# (section, key, value): an unknown key or section, a non-positive value, an
-# empty or repeated list, or a list shorter than some check needs
+# (section, key, value): an unknown key or section, a non-positive value, or
+# a repeated eps_ladder entry (generated ladders are drawn without repeats)
 BAD_ENTRIES = [
     ("experiment", "n_partcles", "9"), ("plots", "style", "dark"),
     ("experiment", "n_particles", "0"), ("experiment", "n_steps", "0"),
@@ -377,9 +373,7 @@ BAD_ENTRIES = [
     ("oracle", "eps_ladder", "0.1, 0"), ("oracle", "t_grid", "0"),
     ("oracle", "moment_variances", "-1"), ("oracle", "stability_shifts", "0"),
     ("output", "parallel", "0"), ("oracle", "eps_ladder", "0.05, 0.05"),
-    ("estimator", "schedules", "sine, sine"), ("oracle", "t_grid", "0.2"),
-    ("oracle", "stability_shifts", "0.2"),
-] + [(section, key, "") for section, key in LIST_KEYS]
+]
 
 
 @st.composite
@@ -400,14 +394,13 @@ def generated_configs(draw):
         "output": {"parallel": str(draw(st.integers(1, 2)))},
     }
     for (section, key), entry in LIST_KEYS.items():
-        # a list some check needs distinct entries of is drawn distinct and
-        # long enough, so that most configs reach a run; BAD_ENTRIES draws
-        # the empty, short and repeated ones
-        fewest = MIN_ENTRIES[section, key]
-        length = draw(st.integers(fewest, 3))
-        sections[section][key] = ", ".join(draw(st.lists(entry, min_size=length,
-                                                         max_size=length,
-                                                         unique=fewest > 1)))
+        # lengths 0-3 and repeated entries, both less often than long lists
+        # of distinct entries, so that most configs reach a run; a repeated
+        # eps_ladder entry is a config error, so the ladder never repeats
+        length = draw(st.sampled_from((2, 3) * 8 + (1, 0)))
+        unique = key == "eps_ladder" or draw(st.sampled_from((True, True, True, False)))
+        sections[section][key] = ", ".join(draw(st.lists(
+            entry, min_size=length, max_size=length, unique=unique)))
     if draw(st.sampled_from((False, False, False, False, True))):
         section, key, value = draw(st.sampled_from(BAD_ENTRIES))
         sections.setdefault(section, {})[key] = value
