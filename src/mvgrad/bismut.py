@@ -17,7 +17,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,7 +36,7 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte Carlo value with its provenance.
+    """Monte Carlo value with its standard error.
 
     ``stderr`` treats per-particle products as i.i.d., which ignores the
     weak coupling between particles.  For :func:`estimate_classical` it is
@@ -48,15 +47,10 @@ class Estimate:
 
     value: float
     stderr: float
-    N: int
-    n_steps: int
-    dt: float
-    seed: int
     mode: str = "certified"
     scenario: str = ""
     term1: Optional[float] = None
     term2: Optional[float] = None
-    notes: tuple = ()
 
     def __post_init__(self):
         if self.stderr < 0:
@@ -90,6 +84,11 @@ def _zeta_apply(model: ModelSpec, t: float, X: Array, direction: Array) -> Array
         return direction @ z[0].T
     z = zeta(model.diffusion, t, X, check=False)                # (N, m, d)
     return np.einsum("amd,ad->am", z, direction)
+
+
+def _check_grid(grid: TimeGrid, t: float) -> None:
+    if abs(grid.t_end - t) > 1e-12:
+        raise GridMismatch(f"grid ends at {grid.t_end}, requested t={t}")
 
 
 def _check_schedule(paths: ParticlePaths, sched: BismutSchedule) -> None:
@@ -148,15 +147,8 @@ def weight_meanfield(paths: ParticlePaths, tang: TangentPaths,
     return _ito_weight(paths, tang.psi, model, None)
 
 
-def _mode_and_notes(model: ModelSpec, f: Observable) -> tuple[str, tuple]:
-    notes = []
-    mode = "certified"
-    if model.has_singular_part:
-        mode = "heuristic"
-        notes.append("singular-drift-fd")
-    if not f.bounded_flag:
-        notes.append("unbounded-observable")
-    return mode, tuple(notes)
+def _mode(model: ModelSpec) -> str:
+    return "heuristic" if model.has_singular_part else "certified"
 
 
 def _mean_stderr(samples: Array) -> tuple[float, float]:
@@ -199,8 +191,7 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturbatio
     weight started from phi(X_0), the coupling term against the mean-field
     weight.  The whole pipeline is linear in phi for fixed seed.
     """
-    if abs(grid.t_end - t) > 1e-12:
-        raise GridMismatch(f"grid ends at {grid.t_end}, requested t={t}")
+    _check_grid(grid, t)
     paths = simulate_particles(model, mu0, grid, seed)
     v0 = np.asarray(phi(paths.states[0]), dtype=float)
     tang_f = frozen_tangent(paths, model, v0)
@@ -211,11 +202,8 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturbatio
     fx = f(paths.terminal())
     g = fx * (w1 + w2)
     value, stderr = _mean_stderr(g)
-    mode, notes = _mode_and_notes(model, f)
-    return Estimate(value=value, stderr=stderr, N=paths.N, n_steps=grid.n_steps,
-                    dt=grid.dt, seed=seed, mode=mode, scenario=scenario,
-                    term1=float(np.mean(fx * w1)), term2=float(np.mean(fx * w2)),
-                    notes=notes)
+    return Estimate(value=value, stderr=stderr, mode=_mode(model), scenario=scenario,
+                    term1=float(np.mean(fx * w1)), term2=float(np.mean(fx * w2)))
 
 
 def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
@@ -236,8 +224,7 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
     standard error of the residuals, and the fitted coefficient leaves an
     O(1/N) bias.
     """
-    if abs(grid.t_end - t) > 1e-12:
-        raise GridMismatch(f"grid ends at {grid.t_end}, requested t={t}")
+    _check_grid(grid, t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if not model.meanfield_drift.is_measure_free(x):
@@ -252,44 +239,34 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
     w = weight.values
     g = f(paths.terminal()) * w
     value, stderr = _controlled_mean_stderr(g, w * w - weight.quadratic_variation)
-    mode, notes = _mode_and_notes(model, f)
-    return Estimate(value=value, stderr=stderr, N=n_particles, n_steps=grid.n_steps,
-                    dt=grid.dt, seed=seed, mode=mode, scenario=scenario,
-                    term1=value, term2=0.0, notes=notes)
+    return Estimate(value=value, stderr=stderr, mode=_mode(model), scenario=scenario,
+                    term1=value, term2=0.0)
 
 
 def dual_norm_lower_bound(model: ModelSpec, mu0: EmpiricalMeasure, f: Observable,
                           t: float, grid: TimeGrid, sched: BismutSchedule,
                           dictionary: Sequence[PerturbationField], seed: int,
-                          scenario: str = "") -> tuple[Estimate, list]:
+                          scenario: str = "") -> Estimate:
     """Max directional derivative over unit-normalized dictionary fields.
 
     Each field is rescaled to unit L^k(mu0) norm before estimation, so the
     maximum is a lower bound for the dual norm of the measure gradient
-    (reported explicitly as such; a richer dictionary can only raise it).
-    Returns the best estimate and the per-field detail list.
+    (a richer dictionary can only raise it).  Returns the best estimate.
     """
     if not dictionary:
         raise ValueError("dictionary must be nonempty")
-    details = []
     best: Optional[Estimate] = None
-    best_name = ""
-    for j, phi in enumerate(dictionary):
+    for phi in dictionary:
         nrm = lk_norm(phi, mu0, model.k)
         if nrm == 0.0:
             continue
-        unit = phi.scaled(1.0 / nrm)
-        est = estimate_intrinsic(model, mu0, unit, f, t, grid, sched, seed,
-                                 scenario=scenario)
-        name = phi.name or f"phi{j}"
-        details.append((name, est))
+        est = estimate_intrinsic(model, mu0, phi.scaled(1.0 / nrm), f, t, grid, sched,
+                                 seed, scenario=scenario)
         if best is None or est.value > best.value:
-            best, best_name = est, name
+            best = est
     if best is None:
         raise ValueError("all dictionary fields have zero norm under mu0")
-    tagged = dataclasses.replace(
-        best, notes=best.notes + (f"dual-norm-lower-bound:{best_name}",))
-    return tagged, details
+    return best
 
 
 @dataclass(frozen=True)

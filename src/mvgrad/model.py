@@ -34,6 +34,10 @@ Array = np.ndarray
 #: Hard ceiling on |X| used by the integrators' blow-up guard.
 BLOWUP_THRESHOLD = 1e8
 
+#: Largest condition number of a = sigma sigma* that :func:`zeta` and
+#: :func:`validate_ellipticity` accept.
+COND_CAP = 1e8
+
 
 def _batch(x) -> tuple[Array, bool]:
     """Promote a single point (d,) to a batch (1, d); report if promoted."""
@@ -110,14 +114,12 @@ class Diffusion:
 
     ``grad_sigma`` may be omitted for diffusions constant in the state
     (set ``constant_in_x=True``); tangent integration requires one of the
-    two.  ``cond_cap`` bounds the condition number of a = sigma sigma*
-    accepted by :func:`zeta` and :func:`validate_ellipticity`.
+    two.
     """
 
     sigma: Callable[[float, Array], Array]
     grad_sigma: Optional[Callable[[float, Array], Array]] = None
     constant_in_x: bool = False
-    cond_cap: float = 1e8
 
     def __call__(self, t: float, x: Array) -> Array:
         return np.asarray(self.sigma(t, x), dtype=float)
@@ -160,8 +162,7 @@ class PerturbationField:
 
     def scaled(self, factor: float) -> "PerturbationField":
         f = self.phi
-        return PerturbationField(lambda x: factor * np.asarray(f(x), dtype=float),
-                                 name=f"{factor}*{self.name}" if self.name else "")
+        return PerturbationField(lambda x: factor * np.asarray(f(x), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,6 @@ class ModelSpec:
     diffusion: Diffusion
     horizon: float
     singular_drift: Optional[SingularDrift] = None
-    name: str = ""
 
     def __post_init__(self):
         if self.d < 1 or self.m < 1:
@@ -263,7 +263,7 @@ def zeta(diffusion: Diffusion, t: float, x, check: bool = True) -> Array:
     coordinates paired against the Brownian increments, so the result is
     (m, d) per point and sigma(t,x) @ zeta(t,x) = I_d.  Raises
     :class:`SingularDiffusion` when a = sigma sigma* is ill-conditioned
-    beyond ``diffusion.cond_cap`` (only evaluated when ``check`` is set;
+    beyond ``COND_CAP`` (only evaluated when ``check`` is set;
     hot loops disable it after probing once).  For d = 1, zeta is sigma*/a
     elementwise, and a zero a raises :class:`SingularDiffusion` even unchecked.
     """
@@ -274,7 +274,7 @@ def zeta(diffusion: Diffusion, t: float, x, check: bool = True) -> Array:
         eigs = np.linalg.eigvalsh(a)
         lo = eigs[:, 0].min()
         hi = eigs[:, -1].max()
-        if lo <= 0 or hi / lo > diffusion.cond_cap:
+        if lo <= 0 or hi / lo > COND_CAP:
             raise SingularDiffusion(
                 f"sigma sigma* has eigenvalue range [{lo:.3g}, {hi:.3g}] at t={t}"
             )
@@ -295,7 +295,7 @@ def validate_ellipticity(diffusion: Diffusion, probe_points) -> None:
     """Raise :class:`SingularDiffusion` unless sigma sigma* is elliptic at t = 0.
 
     Over the probe points the smallest eigenvalue of a = sigma sigma* must
-    exceed 1e-10 and the condition number stay within ``diffusion.cond_cap``.
+    exceed 1e-10 and the condition number stay within ``COND_CAP``.
     """
     pts, _ = _batch(probe_points)
     if len(pts) == 0:
@@ -304,7 +304,7 @@ def validate_ellipticity(diffusion: Diffusion, probe_points) -> None:
     eigs = np.linalg.eigvalsh(sig @ np.swapaxes(sig, 1, 2))
     lo, hi = float(eigs[:, 0].min()), float(eigs[:, -1].max())
     cond = math.inf if lo <= 0 else hi / lo
-    if not (lo > 1e-10 and cond <= diffusion.cond_cap):
+    if not (lo > 1e-10 and cond <= COND_CAP):
         raise SingularDiffusion(
             f"ellipticity check failed: min eig {lo:.3g}, condition {cond:.3g}"
         )

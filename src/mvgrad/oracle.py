@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .bismut import Estimate, _mean_stderr, _mode_and_notes
+from .bismut import Estimate, _check_grid, _mean_stderr, _mode
 from .errors import UnequalSupport, UnsupportedScenario
 from .measure import EmpiricalMeasure, pushforward, wasserstein
 from .model import ModelSpec, Observable, PerturbationField
@@ -53,14 +53,9 @@ def finite_difference_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if abs(grid.t_end - t) > 1e-12:
-        raise ValueError(f"grid ends at {grid.t_end}, requested t={t}")
-    diffs = _fd_samples(model, mu0, phi, f, grid, eps, seed)
-    value, stderr = _mean_stderr(diffs)
-    mode, notes = _mode_and_notes(model, f)
-    return Estimate(value=value, stderr=stderr, N=mu0.N, n_steps=grid.n_steps,
-                    dt=grid.dt, seed=seed, mode=mode, scenario=scenario,
-                    notes=notes + (f"fd:eps={eps:g}",))
+    _check_grid(grid, t)
+    value, stderr = _mean_stderr(_fd_samples(model, mu0, phi, f, grid, eps, seed))
+    return Estimate(value=value, stderr=stderr, mode=_mode(model), scenario=scenario)
 
 
 def richardson_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
@@ -70,15 +65,12 @@ def richardson_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
     """Richardson pair (eps, eps/2): cancels the leading O(eps) bias."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    _check_grid(grid, t)
     base = simulate_particles(model, mu0, grid, seed)
     d_full = _fd_samples(model, mu0, phi, f, grid, eps, seed, base=base)
     d_half = _fd_samples(model, mu0, phi, f, grid, eps / 2.0, seed, base=base)
-    samples = 2.0 * d_half - d_full
-    value, stderr = _mean_stderr(samples)
-    mode, notes = _mode_and_notes(model, f)
-    return Estimate(value=value, stderr=stderr, N=mu0.N, n_steps=grid.n_steps,
-                    dt=grid.dt, seed=seed, mode=mode, scenario=scenario,
-                    notes=notes + (f"richardson:eps={eps:g}",))
+    value, stderr = _mean_stderr(2.0 * d_half - d_full)
+    return Estimate(value=value, stderr=stderr, mode=_mode(model), scenario=scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +213,6 @@ class StabilityReport:
     initial_distance: float
     sup_ratio: float          # (mean_i sup_s |X1-X2|^k)^(1/k) / W_k(mu0, nu0)
     terminal_ratio: float     # W_k(law_t mu0, law_t nu0) / W_k(mu0, nu0)
-    degenerate: bool = False  # identical initial clouds: ratios reported as 0
 
 
 def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeasure,
@@ -237,8 +228,8 @@ def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeas
     k = model.k
     w0, plan = wasserstein(mu0, nu0, k)
     if w0 == 0.0:
-        return StabilityReport(initial_distance=0.0, sup_ratio=0.0,
-                               terminal_ratio=0.0, degenerate=True)
+        # identical initial clouds: ratios reported as 0
+        return StabilityReport(initial_distance=0.0, sup_ratio=0.0, terminal_ratio=0.0)
     nu_matched = EmpiricalMeasure(nu0.points[plan.pairing])
     run1 = simulate_particles(model, mu0, grid, seed)
     run2 = simulate_particles(model, nu_matched, grid, seed)

@@ -47,6 +47,10 @@ TANGENT_ORDER_MIN = 0.8
 # Finite-difference errors at or below this on every ladder entry mean an
 # exact tangent (an affine flow): they are rounding noise, with no order to fit.
 TANGENT_EXACT_TOL = 1e-10
+# A Richardson row fails when the estimate's stderr exceeds this multiple of
+# the oracle's scale max(|value|, stderr): a diverged estimate's own stderr
+# would otherwise widen the 3-sigma tolerance until any gap passes.
+ESTIMATE_SPREAD_CAP = 100.0
 
 
 @dataclass(frozen=True)
@@ -199,7 +203,10 @@ def check_intrinsic_vs_fd(bundle: RunBundle):
                                     eps_rich, cfg.seed, scenario=bundle.scenario_name)
         gap = abs(est.value - rich.value)
         tol = 3.0 * float(np.hypot(est.stderr, rich.stderr))
-        status = "pass" if gap <= tol else "fail"
+        # an oracle of exactly 0 +- 0 (a constant payoff) has no scale to compare with
+        scale = max(abs(rich.value), rich.stderr)
+        spread = scale > 0 and est.stderr > ESTIMATE_SPREAD_CAP * scale
+        status = "pass" if gap <= tol and not spread else "fail"
         rows.append(_row(bundle, "fd_oracle", f"{f_name}|{p_name}|richardson",
                          rich.value, rich.stderr, status, cfg.seed,
                          gap=gap, tol=tol, estimate=est.value))
@@ -207,7 +214,7 @@ def check_intrinsic_vs_fd(bundle: RunBundle):
 
 
 def check_intrinsic_closed_form(bundle: RunBundle):
-    """Affine flow with linear payoff: the derivative is the phi-mean itself."""
+    """Mean-preserving drift with linear payoff: the derivative is the phi-mean itself."""
     cfg = bundle.cfg
     mu0 = bundle.mu0()
     rows = []
@@ -300,9 +307,9 @@ def check_dual_norm_scaling(bundle: RunBundle):
     dictionary = dual_dictionary(bundle.model.d)
     rows, values = [], []
     for t in cfg.t_grid:
-        est, _ = dual_norm_lower_bound(bundle.model, mu0, f, t, bundle.grid(t),
-                                       bundle.sched(t=t), dictionary, cfg.seed,
-                                       scenario=bundle.scenario_name)
+        est = dual_norm_lower_bound(bundle.model, mu0, f, t, bundle.grid(t),
+                                    bundle.sched(t=t), dictionary, cfg.seed,
+                                    scenario=bundle.scenario_name)
         values.append(est.value)
         rows.append(_row(bundle, "dual_norm", f"t={t:g}", est.value, est.stderr,
                          "ok", cfg.seed))
@@ -426,10 +433,12 @@ CHECKS: dict[str, Callable] = {
 
 # What each check needs from the config: the fewest distinct entries of each
 # list it reads (t_grid entries are horizons, so they must also lie within
-# the model's), and for "measure_free_drift" a drift with no measure
-# derivative at the check's starting point.
+# the model's), for "measure_free_drift" a drift with no measure derivative
+# at the check's starting point, and for "mean_preserving_drift" a drift
+# whose particle average vanishes, so that E X_t = E X_0.
 CHECK_NEEDS: dict[str, dict] = {
     "intrinsic_vs_fd": {"eps_ladder": 1},
+    "intrinsic_closed_form": {"mean_preserving_drift": True},
     "classical_gradient": {"measure_free_drift": True},
     "beta_invariance": {"schedules": 2},
     "dual_norm_scaling": {"t_grid": 2},
@@ -440,12 +449,26 @@ CHECK_NEEDS: dict[str, dict] = {
 }
 
 
+def _preserves_mean(model: ModelSpec) -> bool:
+    """Whether the drift averages to zero over a probe cloud with nonzero mean."""
+    if model.singular_drift is not None:
+        return False
+    drift = model.meanfield_drift
+    probes = np.outer([0.5, 1.0, 2.0], np.ones(model.d))
+    b = np.asarray(drift.F(0.0, probes, drift.moment_vector(probes)), dtype=float)
+    return bool(np.max(np.abs(np.mean(b, axis=0))) <= 1e-12 * (1.0 + np.max(np.abs(b))))
+
+
 def _require_needs(cfg: ExperimentConfig, model: ModelSpec, check: str) -> None:
     for need, count in CHECK_NEEDS.get(check, {}).items():
         if need == "measure_free_drift":
             if not model.meanfield_drift.is_measure_free(np.zeros(model.d)):
                 raise ConfigError(f"check {check} needs a measure-free drift, "
                                   f"which scenario {cfg.scenario} does not have")
+        elif need == "mean_preserving_drift":
+            if not _preserves_mean(model):
+                raise ConfigError(f"check {check} needs a drift that keeps the particle "
+                                  f"mean fixed, which scenario {cfg.scenario} does not have")
         elif len(set(getattr(cfg, need))) < count:
             raise ConfigError(f"check {check} needs {count} distinct {need} entries")
         elif need == "t_grid" and max(cfg.t_grid) > model.horizon + 1e-12:
@@ -463,7 +486,6 @@ class RunResult:
     errors: list
     exit_code: int
     csv_path: Optional[Path] = None
-    manifest_path: Optional[Path] = None
 
 
 def _run_one_check(bundle: RunBundle, name: str):
@@ -526,7 +548,6 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
         with open(out_dir / "errors.json", "w") as fh:
             json.dump(errors, fh, indent=2, sort_keys=True)
 
-    manifest_path = out_dir / "manifest.json"
     manifest = {
         "version": __version__,
         "config_text": config_text,
@@ -538,10 +559,9 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
         "outputs": {"results_csv": csv_path.name,
                     "errors_json": "errors.json" if errors else None},
     }
-    with open(manifest_path, "w") as fh:
+    with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    return RunResult(rows=rows, errors=errors, exit_code=exit_code,
-                     csv_path=csv_path, manifest_path=manifest_path)
+    return RunResult(rows=rows, errors=errors, exit_code=exit_code, csv_path=csv_path)
 
 
 def run_experiment(cfg: ExperimentConfig, config_text: str, out_dir) -> RunResult:

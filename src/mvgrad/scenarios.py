@@ -160,24 +160,24 @@ def build_family(family: str, **p) -> ModelSpec:
         drift = affine_drift(d, float(p.get("a", 0.0)), float(p.get("kappa", 0.0)))
         return ModelSpec(d=d, m=d, k=k, meanfield_drift=drift,
                          diffusion=constant_diffusion(d, d, sigma0),
-                         horizon=horizon, name=family)
+                         horizon=horizon)
     if family == "trig":
         drift = trig_drift(float(p.get("a", 1.0)), float(p.get("c_nl", 0.5)))
         diff = trig_diffusion(sigma0, float(p.get("amp", 0.25)))
         return ModelSpec(d=1, m=1, k=k, meanfield_drift=drift, diffusion=diff,
-                         horizon=horizon, name=family)
+                         horizon=horizon)
     if family == "meanfield_sine":
         drift = sine_coupling_drift(float(p.get("a", 1.0)), float(p.get("kappa", 0.5)))
         return ModelSpec(d=1, m=1, k=k, meanfield_drift=drift,
                          diffusion=constant_diffusion(1, 1, sigma0),
-                         horizon=horizon, name=family)
+                         horizon=horizon)
     if family == "singular":
         drift = affine_drift(1, float(p.get("a", 0.5)), 0.0)
         sing = regularized_singular_drift(float(p.get("delta", 1e-3)),
                                           float(p.get("strength", 1.0)))
         return ModelSpec(d=1, m=1, k=k, meanfield_drift=drift,
                          diffusion=constant_diffusion(1, 1, sigma0),
-                         horizon=horizon, singular_drift=sing, name=family)
+                         horizon=horizon, singular_drift=sing)
 
 
 # ---------------------------------------------------------------------------

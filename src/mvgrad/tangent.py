@@ -48,13 +48,6 @@ class TangentPaths:
     kind: str
     psi: Optional[Array] = None
 
-    @property
-    def N(self) -> int:
-        return self.values.shape[1]
-
-    def terminal(self) -> Array:
-        return self.values[-1]
-
 
 def _singular_grad_fd(model: ModelSpec, t: float, X: Array) -> Array:
     """Central-difference state gradient of the regularized singular part."""

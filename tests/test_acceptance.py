@@ -185,9 +185,9 @@ def test_criterion_06_dual_norm_time_scaling():
     values = []
     for t in ts:
         grid = TimeGrid(t_end=t, n_steps=max(1, int(round(t / DT_DESK))))
-        est, _ = dual_norm_lower_bound(model, mu0, f, t, grid,
-                                       linear_schedule(t), [const_e1, neg_e1],
-                                       seed=61, scenario="brownian")
+        est = dual_norm_lower_bound(model, mu0, f, t, grid,
+                                    linear_schedule(t), [const_e1, neg_e1],
+                                    seed=61, scenario="brownian")
         values.append(est.value)
     slope = fit_loglog_slope(ts, values)
     ok = -0.65 <= slope <= -0.35

@@ -179,6 +179,34 @@ delta = 1e-4
         assert records[0]["message"].startswith("tangent blow-up at step ")
         assert [r["status"] for r in read_rows(out)] == ["error"]
 
+    def test_diverged_estimate_fails_its_oracle_row(self, tmp_path):
+        # at delta = 3e-4 the heuristic tangent stays under the blow-up guard
+        # but its estimate (about -7.7e3 +- 7.0e3) is far off the oracle's
+        # -0.06 +- 0.08; the 3-sigma tolerance alone would pass it
+        text = """\
+[experiment]
+scenario = custom
+n_particles = 50
+n_steps = 1000
+t = 1.0
+seed = 7
+
+[estimator]
+observables = tanh
+perturbations = const_e1
+checks = intrinsic_vs_fd
+
+[custom]
+family = singular
+delta = 3e-4
+"""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        rich = [r for r in read_rows(out) if r["label"] == "tanh|const_e1|richardson"]
+        assert [r["status"] for r in rich] == ["fail"]
+        assert not (out / "errors.json").exists()
+
     def test_custom_scenario(self, tmp_path):
         text = """\
 [experiment]
@@ -246,6 +274,8 @@ BAD_INPUTS = {
     "zero-tv-shift": ((oracle_line("tv_shift = 0"),), None),
     "classical-on-meanfield": ((("scenario = brownian", "scenario = meanfield_ou"),
                                 only_check("classical_gradient")), None),
+    "closed-form-on-ou": ((("scenario = brownian", "scenario = ou"),
+                           only_check("intrinsic_closed_form")), None),
     "custom-infinite-k": ((("scenario = brownian", "scenario = custom"),
                            ("[oracle]\n", "[custom]\nfamily = affine\nk = inf\n\n[oracle]\n")),
                           None),

@@ -75,11 +75,11 @@ class TestZeta:
             zeta(diff, 0.0, np.zeros(2))
 
     def test_condition_cap(self):
-        mat = np.diag([1.0, 1e-6])
-        diff = Diffusion(sigma=lambda t, x: np.broadcast_to(mat, (x.shape[0], 2, 2)),
-                         constant_in_x=True, cond_cap=1e4)
+        # sigma = diag(1e4, 1): a = diag(1e8, 1) sits exactly on COND_CAP
+        zeta(const_diffusion_matrix(np.diag([1e4, 1.0])), 0.0, np.zeros(2))
         with pytest.raises(SingularDiffusion):
-            zeta(diff, 0.0, np.zeros(2))
+            zeta(const_diffusion_matrix(np.diag([1e4 * (1 + 1e-6), 1.0])), 0.0,
+                 np.zeros(2))
 
 
 def solved_zeta(diff, x):
@@ -253,11 +253,13 @@ class TestEllipticity:
     def test_trig_diffusion_extremes(self):
         # sigma(x) = 1 + 0.5 sin x on [0, 2pi]: eigenvalues of sigma sigma*
         # range over [(1-0.5)^2, (1+0.5)^2] = [0.25, 2.25], condition 9
-        diff = trig_diffusion(1.0, 0.5)
         probes = np.linspace(0.0, 2.0 * math.pi, 721)[:, None]
-        validate_ellipticity(replace(diff, cond_cap=9.0 + 1e-6), probes)
+        validate_ellipticity(trig_diffusion(1.0, 0.5), probes)
+        # the condition cap is inclusive: sigma = diag(1e4, 1) gives exactly 1e8
+        validate_ellipticity(const_diffusion_matrix(np.diag([1e4, 1.0])), np.zeros((3, 2)))
         with pytest.raises(SingularDiffusion):
-            validate_ellipticity(replace(diff, cond_cap=9.0 - 1e-6), probes)
+            validate_ellipticity(const_diffusion_matrix(np.diag([1e4 * (1 + 1e-6), 1.0])),
+                                 np.zeros((3, 2)))
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):

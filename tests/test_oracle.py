@@ -6,7 +6,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from mvgrad.bismut import estimate_intrinsic
-from mvgrad.errors import UnequalSupport, UnsupportedScenario
+from mvgrad.errors import GridMismatch, UnequalSupport, UnsupportedScenario
 from mvgrad.measure import EmpiricalMeasure
 from mvgrad.model import linear_schedule
 from mvgrad.oracle import (finite_difference_intrinsic, fit_loglog_slope,
@@ -86,6 +86,21 @@ class TestFiniteDifference:
         with pytest.raises(ValueError):
             finite_difference_intrinsic(model, mu0, const_e1, coord_observable(0),
                                         0.5, TimeGrid(0.5, 5), 0.0, 0)
+
+    def test_grid_must_end_at_t(self):
+        model = brownian_model()
+        mu0 = gaussian_cloud(8, seed=0)
+        with pytest.raises(GridMismatch):
+            finite_difference_intrinsic(model, mu0, const_e1, coord_observable(0),
+                                        0.5, TimeGrid(1.0, 5), 0.1, 0)
+
+    def test_richardson_grid_must_end_at_t(self):
+        # the pair would otherwise silently give the derivative at grid.t_end
+        model = brownian_model()
+        mu0 = gaussian_cloud(8, seed=0)
+        with pytest.raises(GridMismatch):
+            richardson_intrinsic(model, mu0, const_e1, coord_observable(0),
+                                 0.5, TimeGrid(1.0, 5), 0.1, 0)
 
 
 class TestQuadratureReference:
@@ -196,7 +211,7 @@ class TestStabilityReport:
         model = mfou_model()
         mu0 = gaussian_cloud(64, seed=9)
         rep = stability_report(model, mu0, mu0, TimeGrid(0.5, 50), 10)
-        assert rep.degenerate
+        assert rep.initial_distance == 0.0
         assert rep.sup_ratio == 0.0 and rep.terminal_ratio == 0.0
 
     def test_brownian_translation_exact(self):
