@@ -15,10 +15,10 @@ from .bismut import (BetaInvarianceReport, Estimate, WeightVector,
                      beta_invariance_check, dual_norm_lower_bound,
                      estimate_classical, estimate_intrinsic, weight_frozen,
                      weight_meanfield)
-from .errors import (ConfigError, GridMismatch, HeuristicRegime,
-                     MeasureDependence, MemoryBudgetExceeded, MissingGradSigma,
-                     MVGradError, NonFinite, ScheduleMismatch, SingularDiffusion,
-                     SizeCap, UnequalSupport, UnknownFamily, UnsupportedScenario)
+from .errors import (ConfigError, GridMismatch, MeasureDependence,
+                     MemoryBudgetExceeded, MissingGradSigma, MVGradError,
+                     NonFinite, ScheduleMismatch, SingularDiffusion, SizeCap,
+                     UnequalSupport, UnknownFamily, UnsupportedScenario)
 from .measure import (EmpiricalMeasure, TransportPlan, lk_norm, pushforward,
                       sample_initial, wasserstein)
 from .model import (BismutSchedule, CylindricalDrift, Diffusion, ModelSpec,

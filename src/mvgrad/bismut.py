@@ -80,9 +80,9 @@ class WeightVector:
 def _zeta_apply(model: ModelSpec, t: float, X: Array, direction: Array) -> Array:
     """zeta(t, X) applied per particle to a (N, d) direction -> (N, m)."""
     if model.diffusion.constant_in_x:
-        z = zeta(model.diffusion, t, X[:1], check=False)        # (1, m, d)
+        z = zeta(model.diffusion, t, X[:1])        # (1, m, d)
         return direction @ z[0].T
-    z = zeta(model.diffusion, t, X, check=False)                # (N, m, d)
+    z = zeta(model.diffusion, t, X)                # (N, m, d)
     return np.einsum("amd,ad->am", z, direction)
 
 

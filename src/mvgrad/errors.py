@@ -1,4 +1,4 @@
-"""Exception types and warning categories shared across the package."""
+"""Exception types shared across the package."""
 
 
 class MVGradError(Exception):
@@ -55,12 +55,3 @@ class MemoryBudgetExceeded(MVGradError):
 
 class ConfigError(MVGradError):
     """Experiment configuration failed to parse or validate."""
-
-
-class HeuristicRegime(UserWarning):
-    """Emitted when derivative machinery runs outside its certified regime.
-
-    Raised as a warning (not an error) when a regularized singular drift
-    is present: the variational recursions then use finite differences of
-    the regularized drift, and results are labeled mode="heuristic".
-    """

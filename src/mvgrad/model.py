@@ -12,6 +12,7 @@ value carries the particle axis first.  Concretely,
 * ``sigma(t, x)``         -> (N, d, m)
 * ``grad_sigma(t, x)``    -> (N, d, m, d) entry [i, a, b, j] = d sigma_ab / dx_j
 * singular ``eval(t, x)`` -> (N, d)
+* singular ``grad(t, x)`` -> (N, d, d)    entry [i, a, b] = d b0_a/dx_b
 
 Scalar ``t`` everywhere; grids are uniform and coefficients may be
 time-dependent but default to autonomous.  All objects here are immutable
@@ -34,8 +35,8 @@ Array = np.ndarray
 #: Hard ceiling on |X| used by the integrators' blow-up guard.
 BLOWUP_THRESHOLD = 1e8
 
-#: Largest condition number of a = sigma sigma* that :func:`zeta` and
-#: :func:`validate_ellipticity` accept.
+#: Largest condition number of a = sigma sigma* that
+#: :func:`validate_ellipticity` accepts.
 COND_CAP = 1e8
 
 
@@ -88,18 +89,14 @@ class CylindricalDrift:
 
 @dataclass(frozen=True)
 class SingularDrift:
-    """Regularized stand-in for a locally integrable drift component.
+    """Regularized stand-in b0 for a locally integrable drift component.
 
     ``eval`` must already include the delta-regularization so every value
-    is finite.
+    is finite; ``grad`` is its exact state gradient.
     """
 
     eval: Callable[[float, Array], Array]
-    regularization_scale: float
-
-    def __post_init__(self):
-        if not self.regularization_scale > 0:
-            raise ValueError("regularization_scale must be positive")
+    grad: Callable[[float, Array], Array]
 
     def __call__(self, t: float, x: Array) -> Array:
         out = np.asarray(self.eval(t, x), dtype=float)
@@ -127,10 +124,12 @@ class Diffusion:
 
 @dataclass(frozen=True)
 class Observable:
-    """Scalar test function f paired against terminal particle states."""
+    """Scalar test function f paired against terminal particle states.
+
+    ``bound`` is the declared sup of |f|, None for an unbounded f.
+    """
 
     f: Callable[[Array], Array]
-    bounded_flag: bool = False
     bound: Optional[float] = None
     name: str = ""
 
@@ -139,9 +138,9 @@ class Observable:
 
     def check_bound(self, x: Array, tol: float = 1e-9) -> None:
         """Verify |f| <= bound on the supplied probe points."""
-        if not self.bounded_flag:
+        if self.bound is None:
             return
-        b = 1.0 if self.bound is None else float(self.bound)
+        b = float(self.bound)
         worst = float(np.max(np.abs(self(x)))) if len(x) else 0.0
         if worst > b + tol:
             raise ValueError(
@@ -226,9 +225,10 @@ class ModelSpec:
     """A full problem instance.
 
     The drift splits as b = b0 + F(x, mu(h)) with b0 the optional
-    regularized singular part and F the cylindrical mean-field part.
-    ``k`` is the Wasserstein exponent the instance lives in and ``horizon``
-    the largest admissible terminal time.
+    regularized singular part and F the cylindrical mean-field part;
+    :meth:`drift` and :meth:`drift_grad_x` are the only places that add
+    the two.  ``k`` is the Wasserstein exponent the instance lives in and
+    ``horizon`` the largest admissible terminal time.
     """
 
     d: int
@@ -251,33 +251,38 @@ class ModelSpec:
     def has_singular_part(self) -> bool:
         return self.singular_drift is not None
 
+    def drift(self, t: float, x: Array, z: Array) -> Array:
+        """The full drift F(t, x, z) + b0(t, x), (N, d)."""
+        b = np.asarray(self.meanfield_drift.F(t, x, z), dtype=float)
+        if self.singular_drift is not None:
+            b = b + self.singular_drift(t, x)
+        return b
+
+    def drift_grad_x(self, t: float, x: Array, z: Array) -> Array:
+        """State gradient of :meth:`drift`, (N, d, d)."""
+        G = np.asarray(self.meanfield_drift.grad_x_F(t, x, z), dtype=float)
+        if self.singular_drift is not None:
+            G = G + np.asarray(self.singular_drift.grad(t, x), dtype=float)
+        return G
+
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
-def zeta(diffusion: Diffusion, t: float, x, check: bool = True) -> Array:
+def zeta(diffusion: Diffusion, t: float, x) -> Array:
     """Right pseudo-inverse sigma*(sigma sigma*)^{-1} of the diffusion.
 
     This is the matrix that converts a state-space direction into the noise
     coordinates paired against the Brownian increments, so the result is
-    (m, d) per point and sigma(t,x) @ zeta(t,x) = I_d.  Raises
-    :class:`SingularDiffusion` when a = sigma sigma* is ill-conditioned
-    beyond ``COND_CAP`` (only evaluated when ``check`` is set;
-    hot loops disable it after probing once).  For d = 1, zeta is sigma*/a
-    elementwise, and a zero a raises :class:`SingularDiffusion` even unchecked.
+    (m, d) per point and sigma(t,x) @ zeta(t,x) = I_d.  Conditioning is
+    :func:`validate_ellipticity`'s job; an exactly singular a = sigma sigma*
+    raises :class:`SingularDiffusion`.  For d = 1, zeta is sigma*/a
+    elementwise.
     """
     xb, single = _batch(x)
     sig = diffusion(t, xb)                      # (N, d, m)
     a = sig @ np.swapaxes(sig, 1, 2)            # (N, d, d)
-    if check:
-        eigs = np.linalg.eigvalsh(a)
-        lo = eigs[:, 0].min()
-        hi = eigs[:, -1].max()
-        if lo <= 0 or hi / lo > COND_CAP:
-            raise SingularDiffusion(
-                f"sigma sigma* has eigenvalue range [{lo:.3g}, {hi:.3g}] at t={t}"
-            )
     if sig.shape[1] == 1:
         if not np.all(a):
             raise SingularDiffusion(f"sigma sigma* vanishes at t={t}")

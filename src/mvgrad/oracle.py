@@ -312,7 +312,7 @@ def tv_gradient_scaling(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalM
     if mu0.N != nu0.N:
         raise UnequalSupport("tv scaling needs equal sample counts")
     for f in dictionary:
-        if not f.bounded_flag:
+        if f.bound is None:
             raise ValueError(f"dictionary member {f.name or '<anon>'} must be bounded")
     ts, gaps = [], []
     for t in t_grid:

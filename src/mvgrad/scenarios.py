@@ -115,16 +115,23 @@ def trig_diffusion(sigma0: float, amp: float) -> Diffusion:
 
 
 def regularized_singular_drift(delta: float, strength: float = 1.0) -> SingularDrift:
-    """d=1 attracting drift -s x / (|x|^{3/2} + delta), finite everywhere.
+    """d=1 attracting drift -s x / (|x|^{3/2} + delta), finite for delta > 0.
 
     Behaves like -s sign(x) |x|^{-1/2} away from the regularized core, a
-    locally integrable singularity.
+    locally integrable singularity.  Its gradient is
+    -s (delta - |x|^{3/2} / 2) / (|x|^{3/2} + delta)^2.
     """
+    if not delta > 0:
+        raise ValueError(f"delta = {delta!r} must be positive")
 
     def ev(t, x):
         return -strength * x / (np.abs(x) ** 1.5 + delta)
 
-    return SingularDrift(eval=ev, regularization_scale=delta)
+    def grad(t, x):
+        r = np.abs(x) ** 1.5
+        return (-strength * (delta - 0.5 * r) / (r + delta) ** 2)[:, :, None]
+
+    return SingularDrift(eval=ev, grad=grad)
 
 
 # The parameters build_family reads for each family.
@@ -185,27 +192,25 @@ def build_family(family: str, **p) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 def coord_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: x[:, j], bounded_flag=False, name=f"coord{j + 1}")
+    return Observable(f=lambda x: x[:, j], name=f"coord{j + 1}")
 
 
 def sin_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.sin(x[:, j]), bounded_flag=True, bound=1.0,
-                      name="sin")
+    return Observable(f=lambda x: np.sin(x[:, j]), bound=1.0, name="sin")
 
 
 def sign_observable(theta: float = 0.0, j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.sign(x[:, j] - theta), bounded_flag=True,
-                      bound=1.0, name=f"sign@{theta:g}")
+    return Observable(f=lambda x: np.sign(x[:, j] - theta), bound=1.0,
+                      name=f"sign@{theta:g}")
 
 
 def tanh_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.tanh(x[:, j]), bounded_flag=True, bound=1.0,
-                      name="tanh")
+    return Observable(f=lambda x: np.tanh(x[:, j]), bound=1.0, name="tanh")
 
 
 def constant_observable(c: float = 1.0) -> Observable:
-    return Observable(f=lambda x: np.full(x.shape[0], c), bounded_flag=True,
-                      bound=abs(c) or 1.0, name=f"const{c:g}")
+    return Observable(f=lambda x: np.full(x.shape[0], c), bound=abs(c) or 1.0,
+                      name=f"const{c:g}")
 
 
 def identity_field() -> PerturbationField:
@@ -336,7 +341,7 @@ _register(Scenario(
     family="singular",
     params={"a": 0.5, "delta": 1e-3, "sigma": 1.0, "strength": 1.0},
     d=1, initial_law={"family": "gaussian", "mean": [1.0], "cov": 0.25},
-    checks=("moment_bound", "intrinsic_estimate", "determinism"),
+    checks=("moment_bound", "intrinsic_estimate", "intrinsic_vs_fd", "determinism"),
 ))
 
 

@@ -168,9 +168,7 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
         t = s * dt
         z = drift.moment_vector(X)
         flow[s] = z
-        b = np.asarray(drift.F(t, X, z), dtype=float)
-        if model.singular_drift is not None:
-            b = b + model.singular_drift(t, X)
+        b = model.drift(t, X, z)
         sig = model.diffusion(t, X if not model.diffusion.constant_in_x else X[:1])
         if sig.shape[0] == 1 and N > 1:
             incr = dW[s] @ sig[0].T

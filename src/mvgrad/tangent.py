@@ -8,29 +8,28 @@ whole system, of the drift's measure derivative contracted with every other
 particle's tangent.  For cylindrical drifts that coupling costs O(N n) per
 step instead of O(N^2).
 
-Both recursions are certified only when the singular drift component is
-absent (the smooth regime, where the transformed and plain variational
-equations coincide).  With a regularized singular part present they run in
-a flagged heuristic mode: the state gradient of the regularized part is
-taken by central finite differences and results are labeled accordingly.
+Both recursions take the drift's state gradient from
+:meth:`ModelSpec.drift_grad_x`, which includes the exact gradient of a
+regularized singular part b0.  They are certified only when b0 is absent
+(the smooth regime, where the transformed and plain variational equations
+coincide).  With b0 present the recursion is the exact variational
+equation of the delta-regularized drift, but the paper does not certify
+the plain variational equation as delta -> 0, so estimates carry mode
+"heuristic".
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import HeuristicRegime, MissingGradSigma, NonFinite
+from .errors import MissingGradSigma, NonFinite
 from .model import BLOWUP_THRESHOLD, CylindricalDrift, ModelSpec
 from .simulate import ParticlePaths
 
 Array = np.ndarray
-
-# cube root of double eps: near-optimal central-difference step scale
-_FD_SCALE = 6.06e-6
 
 
 @dataclass(frozen=True)
@@ -49,28 +48,6 @@ class TangentPaths:
     psi: Optional[Array] = None
 
 
-def _singular_grad_fd(model: ModelSpec, t: float, X: Array) -> Array:
-    """Central-difference state gradient of the regularized singular part."""
-    sd = model.singular_drift
-    N, d = X.shape
-    out = np.empty((N, d, d))
-    scale = sd.regularization_scale
-    for j in range(d):
-        h = _FD_SCALE * (scale + np.abs(X[:, j]))[:, None]
-        step = np.zeros_like(X)
-        step[:, j] = h[:, 0]
-        out[:, :, j] = (sd(t, X + step) - sd(t, X - step)) / (2.0 * h)
-    return out
-
-
-def _drift_state_grad(model: ModelSpec, t: float, X: Array, z: Array,
-                      heuristic: bool) -> Array:
-    G = np.asarray(model.meanfield_drift.grad_x_F(t, X, z), dtype=float)
-    if heuristic:
-        G = G + _singular_grad_fd(model, t, X)
-    return G
-
-
 def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) -> Array:
     """(sum_j d_j sigma V_j) dW for one step; zero for state-constant sigma."""
     diff = model.diffusion
@@ -85,21 +62,8 @@ def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) 
     return np.einsum("adm,am->ad", directional, dW)
 
 
-def _flag_heuristic(model: ModelSpec) -> bool:
-    """Whether the recursion runs in heuristic mode; warns when it does."""
-    if model.singular_drift is None:
-        return False
-    warnings.warn(
-        "singular drift present: tangent uses finite differences of the "
-        "regularized component and results are heuristic",
-        HeuristicRegime,
-        stacklevel=3,
-    )
-    return True
-
-
 def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
-                      heuristic: bool, coupled: bool) -> tuple[Array, Optional[Array]]:
+                      coupled: bool) -> tuple[Array, Optional[Array]]:
     """The tangent recursion along stored paths, from V_0 = V0.
 
     Each step adds (grad_x b) V dt and (grad sigma . V) dW; with ``coupled``
@@ -118,7 +82,7 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
         t = s * dt
         X = paths.states[s]
         z = paths.moment_flow[s]
-        G = _drift_state_grad(model, t, X, z, heuristic)
+        G = model.drift_grad_x(t, X, z)
         drift_term = np.einsum("aij,aj->ai", G, V)
         if coupled:
             psi[s] = cylindrical_coupling(drift, t, X, z, V)
@@ -137,11 +101,10 @@ def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array) -> Tangent
     paths with the measure flow frozen at the recorded moments.  Linear in
     v0 (bit-exactly so for power-of-two rescalings).
     """
-    heuristic = _flag_heuristic(model)
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (paths.N, paths.d):
         raise ValueError(f"v0 must have shape {(paths.N, paths.d)}, got {v0.shape}")
-    values, _ = _variational_flow(paths, model, v0, heuristic, coupled=False)
+    values, _ = _variational_flow(paths, model, v0, coupled=False)
     return TangentPaths(values=values, kind="frozen")
 
 
@@ -171,9 +134,8 @@ def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi) -> TangentPat
     in-system empirical average (the propagation-of-chaos surrogate), which
     introduces an O(N^{-1/2}) bias absorbed into downstream tolerances.
     """
-    heuristic = _flag_heuristic(model)
     V0 = np.asarray(phi(paths.states[0]), dtype=float)
     if V0.shape != (paths.N, paths.d):
         raise ValueError("phi must map (N, d) states to (N, d) directions")
-    values, psi = _variational_flow(paths, model, V0, heuristic, coupled=True)
+    values, psi = _variational_flow(paths, model, V0, coupled=True)
     return TangentPaths(values=values, kind="meanfield", psi=psi)

@@ -8,7 +8,7 @@ from scipy.stats import norm
 from mvgrad.bismut import estimate_intrinsic
 from mvgrad.errors import GridMismatch, UnequalSupport, UnsupportedScenario
 from mvgrad.measure import EmpiricalMeasure
-from mvgrad.model import linear_schedule
+from mvgrad.model import Observable, linear_schedule
 from mvgrad.oracle import (finite_difference_intrinsic, fit_loglog_slope,
                            gaussian_quadrature_reference, moment_report,
                            richardson_intrinsic, stability_report,
@@ -321,4 +321,13 @@ class TestTvScaling:
         mu0, nu0 = self._point_pair(100, 0.5)
         with pytest.raises(ValueError):
             tv_gradient_scaling(model, mu0, nu0, (0.1,), [coord_observable(0)],
+                                dt=0.01, seed=25)
+
+    def test_member_beyond_its_declared_bound_rejected(self):
+        model = brownian_model()
+        mu0, nu0 = self._point_pair(100, 0.5)
+        twice_sign = Observable(f=lambda x: 2.0 * np.sign(x[:, 0]), bound=1.0,
+                                name="twice_sign")
+        with pytest.raises(ValueError, match="twice_sign declared"):
+            tv_gradient_scaling(model, mu0, nu0, (0.1,), [twice_sign],
                                 dt=0.01, seed=25)
