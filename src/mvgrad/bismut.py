@@ -288,15 +288,18 @@ def beta_invariance_check(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturba
 
     All schedules are run on the same seed list (identical schedules are
     then bit-identical); the pairwise criterion still uses the conservative
-    independent combination of batch standard errors.
+    independent combination of batch standard errors.  Seeds run outer and
+    schedules inner, so consecutive estimates share their noise.
     """
     if len(schedules) < 2:
         raise ValueError("need at least two schedules to compare")
+    by_seed = [[estimate_intrinsic(model, mu0, phi, f, t, grid, sched, int(s),
+                                   scenario=scenario)
+                for sched in schedules]
+               for s in seeds]
     means, ses, names = [], [], []
     for j, sched in enumerate(schedules):
-        ests = [estimate_intrinsic(model, mu0, phi, f, t, grid, sched, int(s),
-                                   scenario=scenario)
-                for s in seeds]
+        ests = [row[j] for row in by_seed]
         mean, se = _mean_stderr(np.array([e.value for e in ests]))
         if len(seeds) == 1:
             # single seed: fall back on the per-particle stderr

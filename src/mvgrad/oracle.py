@@ -306,14 +306,15 @@ def tv_gradient_scaling(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalM
     For each time the two laws are simulated at the common step size and
     the largest absolute mean gap over the dictionary is recorded; the gap
     is a genuine lower bound on the total-variation distance because every
-    dictionary member is verified to satisfy |f| <= 1 on the realized
-    samples.
+    dictionary member must declare a bound of at most 1 and is verified to
+    keep it on the realized samples.
     """
     if mu0.N != nu0.N:
         raise UnequalSupport("tv scaling needs equal sample counts")
     for f in dictionary:
-        if f.bound is None:
-            raise ValueError(f"dictionary member {f.name or '<anon>'} must be bounded")
+        if f.bound is None or f.bound > 1.0:
+            raise ValueError(f"dictionary member {f.name or '<anon>'} must be bounded "
+                             f"by 1, not {f.bound}")
     ts, gaps = [], []
     for t in t_grid:
         n_steps = max(1, int(round(t / dt)))

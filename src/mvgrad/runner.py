@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bismut import (beta_invariance_check, dual_norm_lower_bound,
@@ -32,7 +36,8 @@ from .oracle import (fit_loglog_slope, finite_difference_intrinsic,
 from .scenarios import (build_family, default_observables,
                         default_perturbations, dual_dictionary, get_scenario,
                         sign_observable)
-from .simulate import TimeGrid, memory_budget_bytes, simulate_particles
+from .simulate import (TimeGrid, memory_budget_bytes, reusing_noise,
+                       simulate_particles)
 from .tangent import meanfield_tangent
 
 CSV_HEADER = ("scenario", "quantity", "label", "value", "stderr", "status",
@@ -50,6 +55,8 @@ TANGENT_EXACT_TOL = 1e-10
 # the oracle's scale max(|value|, stderr): a diverged estimate's own stderr
 # would otherwise widen the 3-sigma tolerance until any gap passes.
 ESTIMATE_SPREAD_CAP = 100.0
+# determinism compares two regenerations of its run, so it never shares noise
+NOISE_REGENERATING_CHECKS = frozenset({"determinism"})
 
 
 @dataclass(frozen=True)
@@ -490,36 +497,53 @@ class RunResult:
 
 
 def _run_one_check(bundle: RunBundle, name: str):
+    """Run one check in the calling thread; returns (rows, error records, wall s).
+
+    Unless the check is in NOISE_REGENERATING_CHECKS, its simulations share
+    noise tensors; checks never share them with each other.
+    """
+    start = time.perf_counter()
+    reuse = nullcontext() if name in NOISE_REGENERATING_CHECKS else reusing_noise()
     try:
-        return CHECKS[name](bundle), []
+        with reuse:
+            rows, errors = CHECKS[name](bundle), []
     except (MVGradError, FloatingPointError) as exc:
-        row = _row(bundle, "intrinsic_estimate", name, None, None, "error",
-                   bundle.cfg.seed, error=type(exc).__name__)
-        return [row], [{"check": name, "type": type(exc).__name__, "message": str(exc)}]
+        rows = [_row(bundle, "intrinsic_estimate", name, None, None, "error",
+                     bundle.cfg.seed, error=type(exc).__name__)]
+        errors = [{"check": name, "type": type(exc).__name__, "message": str(exc)}]
+    return rows, errors, time.perf_counter() - start
 
 
-def run_suite(cfg: ExperimentConfig) -> tuple[list, list]:
-    """Execute all declared checks; returns (rows, error records)."""
+def run_suite(cfg: ExperimentConfig) -> tuple[list, list, list]:
+    """Execute all declared checks; returns (rows, error records, check walls).
+
+    The walls are {"name", "wall_s"} records in declaration order.
+    """
     bundle = resolve_bundle(cfg)
     names = list(bundle.checks)
-    rows_per: list = [None] * len(names)
-    errs_per: list = [None] * len(names)
     if cfg.parallel > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            futures = {i: pool.submit(_run_one_check, bundle, name)
-                       for i, name in enumerate(names)}
-            for i, fut in futures.items():
-                rows_per[i], errs_per[i] = fut.result()
+            futures = [pool.submit(_run_one_check, bundle, name) for name in names]
+            results = [fut.result() for fut in futures]
     else:
-        for i, name in enumerate(names):
-            rows_per[i], errs_per[i] = _run_one_check(bundle, name)
-    rows = [r for chunk in rows_per for r in chunk]
-    errors = [e for chunk in errs_per for e in chunk]
-    return rows, errors
+        results = [_run_one_check(bundle, name) for name in names]
+    rows = [r for chunk, _, _ in results for r in chunk]
+    errors = [e for _, chunk, _ in results for e in chunk]
+    walls = [{"name": name, "wall_s": wall} for name, (_, _, wall) in zip(names, results)]
+    return rows, errors, walls
+
+
+def _versions() -> dict:
+    """What bit-identity of results.csv depends on, and the cores a run may use."""
+    nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "nproc": nproc}
 
 
 def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
-                  errors: list, out_dir: Path, wall_clock: float) -> RunResult:
+                  errors: list, out_dir: Path, wall_clock: float,
+                  check_walls: list) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -551,6 +575,8 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
         "failed_checks": failed,
         "exit_code": exit_code,
         "wall_clock_s": wall_clock,
+        "checks": check_walls,
+        "versions": _versions(),
         "outputs": {"results_csv": csv_path.name,
                     "errors_json": "errors.json" if errors else None},
     }
@@ -561,6 +587,6 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
 
 def run_experiment(cfg: ExperimentConfig, config_text: str, out_dir) -> RunResult:
     start = time.perf_counter()
-    rows, errors = run_suite(cfg)
+    rows, errors, check_walls = run_suite(cfg)
     wall = time.perf_counter() - start
-    return write_outputs(cfg, config_text, rows, errors, Path(out_dir), wall)
+    return write_outputs(cfg, config_text, rows, errors, Path(out_dir), wall, check_walls)

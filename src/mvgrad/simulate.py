@@ -6,13 +6,16 @@ position inside the stream, so output is bit-identical for any parallel
 schedule and any single particle's noise can be regenerated in isolation.
 Increments are retained in memory (they are the raw material for every
 stochastic-integral weight); a budget guard errors out instead of spilling
-to disk.
+to disk.  Inside a :func:`reusing_noise` block, consecutive simulations on
+the same noise (common random numbers) share one read-only tensor.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
@@ -85,16 +88,44 @@ def particle_increments(seed: int, particle: int, grid: TimeGrid, m: int) -> Arr
     return ndtri(np.maximum(u, _U_FLOOR)) * np.sqrt(grid.dt)
 
 
+_reuse = threading.local()     # .entry: [key, tensor] inside reusing_noise()
+
+
+@contextmanager
+def reusing_noise():
+    """Let :func:`brownian_increments` hand back its last tensor in this block.
+
+    The calling thread holds one entry, the last (seed, N, m, grid) key and
+    its tensor; a call with that key returns the stored array, and a call
+    with a new key drops it before building the next.  The entry is dropped
+    when the block exits.
+    """
+    _reuse.entry = [None, None]
+    try:
+        yield
+    finally:
+        _reuse.entry = None
+
+
 def brownian_increments(grid: TimeGrid, N: int, m: int, seed: int) -> Array:
-    """Gaussian(0, dt I) increment tensor of shape (n_steps, N, m).
+    """Read-only Gaussian(0, dt I) increment tensor of shape (n_steps, N, m).
 
     Column i is :func:`particle_increments` of particle i, so the output
     does not depend on evaluation order and two calls with equal arguments
-    are bit-identical.
+    are bit-identical; inside :func:`reusing_noise` they are the same array.
     """
+    entry = getattr(_reuse, "entry", None)
+    key = (seed, N, m, grid)
+    if entry is not None:
+        if entry[0] == key:
+            return entry[1]
+        entry[:] = [None, None]
     out = np.empty((grid.n_steps, N, m))
     for i in range(N):
         out[:, i, :] = particle_increments(seed, i, grid, m)
+    out.flags.writeable = False
+    if entry is not None:
+        entry[:] = [key, out]
     return out
 
 

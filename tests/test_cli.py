@@ -1,4 +1,6 @@
+import collections
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvgrad import runner, simulate
 from mvgrad.cli import main
+from mvgrad.config import load_config
 from mvgrad.model import SCHEDULE_FACTORIES
 from mvgrad.runner import CHECKS
 from mvgrad.scenarios import (all_scenarios, default_observables,
@@ -120,6 +124,11 @@ class TestRun:
         assert manifest["summary"]["fail"] == 0
         assert manifest["version"]
         assert manifest["resolved_config"]["out_dir"] == str(out)
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy", "nproc"}
+        assert manifest["versions"]["nproc"] >= 1
+        assert [c["name"] for c in manifest["checks"]] == [
+            "intrinsic_vs_fd", "intrinsic_closed_form", "linearity", "determinism"]
+        assert all(c["wall_s"] > 0 for c in manifest["checks"])
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # explosive custom drift trips the blow-up guard mid-run
@@ -397,6 +406,49 @@ def test_parallel_run_leaves_warning_filters_alone(tmp_path):
                          ids=lambda p: p.name)
 def test_shipped_configs_validate(path):
     assert main(["validate", "--config", str(path)]) == 0
+
+
+# Noise tensors each check builds: one per distinct noise key its
+# consecutive simulations use, except determinism, which regenerates.
+TENSORS_PER_CHECK = {
+    "meanfield_ou.cfg": {"intrinsic_vs_fd": 1, "beta_invariance": 4,
+                         "wasserstein_lipschitz": 1, "moment_bound": 1,
+                         "linearity": 1, "determinism": 2},
+    "brownian.cfg": {"classical_gradient": 1, "intrinsic_vs_fd": 1,
+                     "intrinsic_closed_form": 1, "beta_invariance": 3,
+                     "linearity": 1, "dual_norm_scaling": 4, "tv_scaling": 4,
+                     "determinism": 2},
+}
+
+
+@pytest.mark.parametrize("config", sorted(TENSORS_PER_CHECK))
+def test_noise_tensors_built_per_check(config, monkeypatch):
+    built = collections.Counter()
+    running = []
+    draw = simulate.particle_increments
+
+    def counting(seed, particle, grid, m):
+        if particle == 0:
+            built[running[-1]] += 1
+        return draw(seed, particle, grid, m)
+
+    def tagged(name, check):
+        def run(bundle):
+            running.append(name)
+            try:
+                return check(bundle)
+            finally:
+                running.pop()
+        return run
+
+    monkeypatch.setattr(simulate, "particle_increments", counting)
+    for name, check in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, name, tagged(name, check))
+    cfg, _ = load_config(Path(__file__).parent.parent / "configs" / config)
+    cfg = dataclasses.replace(cfg, n_particles=200, n_steps=100, parallel=1)
+    rows, errors, _ = runner.run_suite(cfg)
+    assert not errors and all(r.status in ("ok", "pass") for r in rows)
+    assert dict(built) == TENSORS_PER_CHECK[config]
 
 
 # List keys of the generated configs, with the entries each may draw from.

@@ -331,3 +331,13 @@ class TestTvScaling:
         with pytest.raises(ValueError, match="twice_sign declared"):
             tv_gradient_scaling(model, mu0, nu0, (0.1,), [twice_sign],
                                 dt=0.01, seed=25)
+
+    def test_member_declared_beyond_one_rejected(self):
+        # a gap of 5*sign would read 10 here, beyond the TV range 2
+        model = brownian_model()
+        mu0, nu0 = self._point_pair(400, 3.0)
+        five_sign = Observable(f=lambda x: 5.0 * np.sign(x[:, 0] - 1.5), bound=5.0,
+                               name="five_sign")
+        with pytest.raises(ValueError, match="five_sign must be bounded by 1"):
+            tv_gradient_scaling(model, mu0, nu0, (0.05, 0.1), [five_sign],
+                                dt=0.01, seed=26)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from mvgrad.errors import (GridMismatch, MemoryBudgetExceeded, NonFinite,
 from mvgrad.measure import EmpiricalMeasure, sample_initial
 from mvgrad.model import CylindricalDrift, ModelSpec
 from mvgrad.simulate import (MEMORY_BUDGET_ENV, TimeGrid, brownian_increments,
-                             particle_increments, simulate_particles)
+                             particle_increments, reusing_noise, simulate_particles)
 from mvgrad.scenarios import build_family
 
 from conftest import brownian_model, gaussian_cloud, mfou_model
@@ -46,9 +47,42 @@ class TestBrownianIncrements:
         grid = TimeGrid(t_end=1.0, n_steps=16)
         a = brownian_increments(grid, 32, 2, 123)
         b = brownian_increments(grid, 32, 2, 123)
-        assert np.array_equal(a, b)
+        assert a is not b and np.array_equal(a, b)
         c = brownian_increments(grid, 32, 2, 124)
         assert not np.array_equal(a, c)
+
+    def test_read_only(self):
+        dw = brownian_increments(TimeGrid(t_end=1.0, n_steps=4), 3, 1, 0)
+        assert not dw.flags.writeable
+        with pytest.raises(ValueError):
+            dw[0, 0, 0] = 1.0
+
+    def test_reuse_holds_the_last_key_only(self):
+        grid = TimeGrid(t_end=1.0, n_steps=8)
+        with reusing_noise():
+            a = brownian_increments(grid, 4, 2, 5)
+            assert brownian_increments(grid, 4, 2, 5) is a
+            other_seed = brownian_increments(grid, 4, 2, 6)
+            assert brownian_increments(grid, 4, 2, 6) is other_seed
+            other_grid = brownian_increments(TimeGrid(t_end=1.0, n_steps=9), 4, 2, 6)
+            assert other_grid is not other_seed
+            again = brownian_increments(grid, 4, 2, 5)
+            assert again is not a and np.array_equal(again, a)
+            assert brownian_increments(grid, 4, 2, 5) is again
+        after = brownian_increments(grid, 4, 2, 5)
+        assert after is not again and np.array_equal(after, a)
+
+    def test_reuse_is_per_thread(self):
+        grid = TimeGrid(t_end=1.0, n_steps=8)
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(brownian_increments(grid, 4, 1, 5)))
+        with reusing_noise():
+            a = brownian_increments(grid, 4, 1, 5)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert brownian_increments(grid, 4, 1, 5) is a
+        assert seen[0] is not a and np.array_equal(seen[0], a)
 
     def test_moments(self):
         grid = TimeGrid(t_end=1.0, n_steps=50)
