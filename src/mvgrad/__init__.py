@@ -11,10 +11,9 @@ quadrature closed forms, and empirical stability and moment bounds.
 
 __version__ = "0.1.0"
 
-from .bismut import (BetaInvarianceReport, Estimate, WeightVector,
-                     beta_invariance_check, dual_norm_lower_bound,
-                     estimate_classical, estimate_intrinsic, weight_frozen,
-                     weight_meanfield)
+from .bismut import (BetaInvarianceReport, Estimate, beta_invariance_check,
+                     dual_norm_lower_bound, estimate_classical,
+                     estimate_intrinsic, weight_frozen, weight_meanfield)
 from .errors import (ConfigError, GridMismatch, MeasureDependence,
                      MemoryBudgetExceeded, MissingGradSigma, MVGradError,
                      NonFinite, ScheduleMismatch, SingularDiffusion, SizeCap,
@@ -34,5 +33,4 @@ from .scenarios import (Scenario, all_scenarios, build_family, get_scenario,
                         scenario_names)
 from .simulate import (ParticlePaths, TimeGrid, brownian_increments,
                        particle_increments, simulate_particles)
-from .tangent import (TangentPaths, cylindrical_coupling, frozen_tangent,
-                      meanfield_tangent)
+from .tangent import cylindrical_coupling, frozen_tangent, meanfield_tangent

@@ -29,7 +29,7 @@ from .measure import EmpiricalMeasure, lk_norm
 from .model import (BismutSchedule, ModelSpec, Observable, PerturbationField,
                     zeta)
 from .simulate import ParticlePaths, TimeGrid, simulate_particles
-from .tangent import TangentPaths, frozen_tangent, meanfield_tangent
+from .tangent import frozen_tangent, meanfield_tangent
 
 Array = np.ndarray
 
@@ -57,26 +57,6 @@ class Estimate:
             raise ValueError("stderr must be nonnegative")
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Realized per-particle stochastic-integral weights.
-
-    ``quadratic_variation``, when present, is the per-particle discrete
-    quadratic variation of the weight, sum_s |integrand_s|^2 dt.
-    """
-
-    values: Array
-    quadratic_variation: Optional[Array] = None
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("weights must be a flat per-particle vector")
-        if not np.all(np.isfinite(vals)):
-            raise NonFinite("weight vector contains non-finite entries")
-        object.__setattr__(self, "values", vals)
-
-
 def _zeta_apply(model: ModelSpec, t: float, X: Array, direction: Array) -> Array:
     """zeta(t, X) applied per particle to a (N, d) direction -> (N, m)."""
     if model.diffusion.constant_in_x:
@@ -99,12 +79,13 @@ def _check_schedule(paths: ParticlePaths, sched: BismutSchedule) -> None:
 
 
 def _ito_weight(paths: ParticlePaths, directions: Array, model: ModelSpec,
-                sched: Optional[BismutSchedule]) -> WeightVector:
+                sched: Optional[BismutSchedule]) -> tuple[Array, Optional[Array]]:
     """Left-point Ito sum  w_i = sum_s beta'(t_s) <zeta(t_s, X_si) D_si, dW_si>.
 
     With a schedule the same loop accumulates the quadratic variation
     <w>_i = sum_s beta'(t_s)^2 |zeta(t_s, X_si) D_si|^2 dt; without one,
     beta' = 1 (exact in floating point) and no quadratic variation is kept.
+    Returns the per-particle (w, qv); raises NonFinite if w is not finite.
     """
     n = paths.grid.n_steps
     dt = paths.grid.dt
@@ -117,34 +98,33 @@ def _ito_weight(paths: ParticlePaths, directions: Array, model: ModelSpec,
         w += bp * np.sum(zv * paths.noise[s], axis=1)
         if qv is not None:
             qv += (bp * bp * dt) * np.sum(zv * zv, axis=1)
-    return WeightVector(values=w, quadratic_variation=qv)
+    if not np.all(np.isfinite(w)):
+        raise NonFinite("weight vector contains non-finite entries")
+    return w, qv
 
 
-def weight_frozen(paths: ParticlePaths, tang: TangentPaths,
-                  sched: BismutSchedule, model: ModelSpec) -> WeightVector:
+def weight_frozen(paths: ParticlePaths, V: Array, sched: BismutSchedule,
+                  model: ModelSpec) -> tuple[Array, Array]:
     """Left-point Ito sum  w_i = sum_s beta'(t_s) <zeta(t_s, X_si) V_si, dW_si>.
 
-    Also returns the quadratic variation
+    ``V`` holds the frozen-tangent values (:func:`frozen_tangent`).  Also
+    returns the quadratic variation
     <w>_i = sum_s beta'(t_s)^2 |zeta(t_s, X_si) V_si|^2 dt, so that
     w^2 - <w> is a mean-zero martingale usable as a control variate (see
     :func:`estimate_classical`).
     """
-    if tang.kind != "frozen":
-        raise ValueError("weight_frozen needs a frozen-kind tangent")
     _check_schedule(paths, sched)
-    return _ito_weight(paths, tang.values, model, sched)
+    return _ito_weight(paths, V, model, sched)
 
 
-def weight_meanfield(paths: ParticlePaths, tang: TangentPaths,
-                     model: ModelSpec) -> WeightVector:
+def weight_meanfield(paths: ParticlePaths, psi: Array, model: ModelSpec) -> Array:
     """Coupling weight  w_i = sum_s <zeta(t_s, X_si) psi_si, dW_si>.
 
+    ``psi`` holds the per-step coupling terms of :func:`meanfield_tangent`.
     No schedule derivative appears here: the measure-derivative term of the
     identity enters with unit weight.
     """
-    if tang.kind != "meanfield" or tang.psi is None:
-        raise ValueError("weight_meanfield needs a meanfield-kind tangent with psi")
-    return _ito_weight(paths, tang.psi, model, None)
+    return _ito_weight(paths, psi, model, None)[0]
 
 
 def _mode(model: ModelSpec) -> str:
@@ -193,11 +173,10 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturbatio
     """
     _check_grid(grid, t)
     paths = simulate_particles(model, mu0, grid, seed)
+    # each tangent goes straight into its weight, so at most one is alive
     v0 = np.asarray(phi(paths.states[0]), dtype=float)
-    tang_f = frozen_tangent(paths, model, v0)
-    w1 = weight_frozen(paths, tang_f, sched, model).values
-    tang_m = meanfield_tangent(paths, model, phi)
-    w2 = weight_meanfield(paths, tang_m, model).values
+    w1, _ = weight_frozen(paths, frozen_tangent(paths, model, v0), sched, model)
+    w2 = weight_meanfield(paths, meanfield_tangent(paths, model, phi)[1], model)
 
     fx = f(paths.terminal())
     g = fx * (w1 + w2)
@@ -234,11 +213,9 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
     mu0 = EmpiricalMeasure(np.tile(x, (n_particles, 1)))
     paths = simulate_particles(model, mu0, grid, seed)
     v0 = np.tile(v, (n_particles, 1))
-    tang = frozen_tangent(paths, model, v0)
-    weight = weight_frozen(paths, tang, sched, model)
-    w = weight.values
+    w, qv = weight_frozen(paths, frozen_tangent(paths, model, v0), sched, model)
     g = f(paths.terminal()) * w
-    value, stderr = _controlled_mean_stderr(g, w * w - weight.quadratic_variation)
+    value, stderr = _controlled_mean_stderr(g, w * w - qv)
     return Estimate(value=value, stderr=stderr, mode=_mode(model), scenario=scenario,
                     term1=value, term2=0.0)
 

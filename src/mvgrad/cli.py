@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 a declared check failed, 2 configuration error,
 3 numerical failure.  ``validate`` and ``run`` check a config alike.  An
 unknown section or key, an unknown name, an unmet check need
 (``runner.CHECK_NEEDS``) or an MVGRAD_MEMORY_BUDGET_MB (the cap on retained
-path storage) that is not a finite positive number all exit 2.
+trajectories: states plus increments, and tangents with their coupling
+terms) that is not a finite positive number all exit 2.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvgrad",
         description="particle-system derivative estimation and verification suites",
-        epilog=f"memory budget: set {MEMORY_BUDGET_ENV} (MB) to cap retained paths",
+        epilog=f"memory budget: set {MEMORY_BUDGET_ENV} (MB) to cap retained "
+               "trajectories (states plus increments, and tangents)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -99,8 +99,9 @@ class ExperimentConfig:
         for key in ("eps_ladder", "t_grid", "moment_variances"):
             if not all(0 < v < math.inf for v in getattr(self, key)):
                 problems.append(f"{key} entries must be positive and finite")
-        if len(set(self.eps_ladder)) < len(self.eps_ladder):
-            problems.append("eps_ladder entries must be distinct")
+        for key in ("ci_seeds", "eps_ladder"):
+            if len(set(getattr(self, key))) < len(getattr(self, key)):
+                problems.append(f"{key} entries must be distinct")
         if not all(v != 0 and math.isfinite(v) for v in self.stability_shifts):
             problems.append("stability_shifts entries must be nonzero and finite")
         if problems:

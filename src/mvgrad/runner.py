@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import platform
+import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -404,13 +405,13 @@ def check_tangent_fd_order(bundle: RunBundle):
     mu0 = bundle.mu0()
     grid = bundle.grid()
     base = simulate_particles(bundle.model, mu0, grid, cfg.seed)
-    tang = meanfield_tangent(base, bundle.model, phi)
+    tang, _ = meanfield_tangent(base, bundle.model, phi)
     errs, rows = [], []
     for eps in cfg.eps_ladder:
         pert = simulate_particles(bundle.model, pushforward(mu0, phi, eps),
                                   grid, cfg.seed)
         quot = (pert.states - base.states) / eps
-        err = float(np.max(np.mean(np.linalg.norm(tang.values - quot, axis=2), axis=1)))
+        err = float(np.max(np.mean(np.linalg.norm(tang - quot, axis=2), axis=1)))
         errs.append(err)
         rows.append(_row(bundle, "fd_oracle", f"tangent|eps={eps:g}", err, None,
                          "ok", cfg.seed))
@@ -575,6 +576,8 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
         "failed_checks": failed,
         "exit_code": exit_code,
         "wall_clock_s": wall_clock,
+        # ru_maxrss is in KiB on Linux: the process's peak so far, in MiB
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "checks": check_walls,
         "versions": _versions(),
         "outputs": {"results_csv": csv_path.name,

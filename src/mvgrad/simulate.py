@@ -5,9 +5,10 @@ streams keyed by (seed, particle index) with the step index addressing the
 position inside the stream, so output is bit-identical for any parallel
 schedule and any single particle's noise can be regenerated in isolation.
 Increments are retained in memory (they are the raw material for every
-stochastic-integral weight); a budget guard errors out instead of spilling
-to disk.  Inside a :func:`reusing_noise` block, consecutive simulations on
-the same noise (common random numbers) share one read-only tensor.
+stochastic-integral weight); a budget guard, which the tangent flows also
+call, errors out instead of spilling to disk.  Inside a
+:func:`reusing_noise` block, consecutive simulations on the same noise
+(common random numbers) share one read-only tensor.
 """
 
 from __future__ import annotations
@@ -71,13 +72,13 @@ def memory_budget_bytes() -> int:
     return int(budget * 1e6)
 
 
-def _guard_memory(n_steps: int, N: int, d: int, m: int) -> None:
-    need = 8 * N * ((n_steps + 1) * d + n_steps * m)
+def _guard_memory(need: int) -> None:
+    """Raise MemoryBudgetExceeded if ``need`` bytes of trajectories exceed the budget."""
     budget = memory_budget_bytes()
     if need > budget:
         raise MemoryBudgetExceeded(
-            f"retained paths need {need / 1e6:.0f} MB, budget is {budget / 1e6:.0f} MB "
-            f"(set {MEMORY_BUDGET_ENV} to raise it)"
+            f"retained trajectories need {need / 1e6:.0f} MB, budget is "
+            f"{budget / 1e6:.0f} MB (set {MEMORY_BUDGET_ENV} to raise it)"
         )
 
 
@@ -186,7 +187,7 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     N, d = mu0.points.shape
     n = grid.n_steps
     dt = grid.dt
-    _guard_memory(n, N, d, model.m)
+    _guard_memory(8 * N * ((n + 1) * d + n * model.m))
 
     dW = brownian_increments(grid, N, model.m, seed)
     states = np.empty((n + 1, N, d))

@@ -20,32 +20,15 @@ the plain variational equation as delta -> 0, so estimates carry mode
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import MissingGradSigma, NonFinite
 from .model import BLOWUP_THRESHOLD, CylindricalDrift, ModelSpec
-from .simulate import ParticlePaths
+from .simulate import ParticlePaths, _guard_memory
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class TangentPaths:
-    """Per-particle derivative trajectories V along a stored base run.
-
-    ``kind`` is "frozen" (derivative in the starting point, measure flow
-    held fixed) or "meanfield" (full derivative along an initial-law
-    perturbation).  Mean-field tangents retain the per-step coupling term
-    ``psi`` because the same contraction reappears inside the second
-    stochastic-integral weight.
-    """
-
-    values: Array
-    kind: str
-    psi: Optional[Array] = None
 
 
 def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) -> Array:
@@ -69,11 +52,17 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
     Each step adds (grad_x b) V dt and (grad sigma . V) dW; with ``coupled``
     the measure-derivative term psi joins the drift part and is recorded
     per step.  Returns the (n_steps+1, N, d) values and psi (None unless
-    coupled).
+    coupled).  The memory guard counts the paths it reads and the arrays
+    it allocates.
     """
+    if V0.shape != (paths.N, paths.d):
+        raise ValueError(f"start directions must have shape {(paths.N, paths.d)}, "
+                         f"got {V0.shape}")
     drift = model.meanfield_drift
     n = paths.grid.n_steps
     dt = paths.grid.dt
+    _guard_memory(paths.states.nbytes + paths.noise.nbytes
+                  + 8 * paths.N * paths.d * (n + 1 + (n if coupled else 0)))
     values = np.empty_like(paths.states)
     values[0] = V0
     psi = np.empty((n, paths.N, paths.d)) if coupled else None
@@ -94,18 +83,15 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
     return values, psi
 
 
-def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array) -> TangentPaths:
+def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array) -> Array:
     """Derivative of the decoupled flow in its starting point, along v0.
 
     Integrates V' = (grad_x b) V dt + (grad sigma . V) dW along the stored
-    paths with the measure flow frozen at the recorded moments.  Linear in
-    v0 (bit-exactly so for power-of-two rescalings).
+    paths with the measure flow frozen at the recorded moments and returns
+    the (n_steps+1, N, d) values.  Linear in v0 (bit-exactly so for
+    power-of-two rescalings).
     """
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (paths.N, paths.d):
-        raise ValueError(f"v0 must have shape {(paths.N, paths.d)}, got {v0.shape}")
-    values, _ = _variational_flow(paths, model, v0, coupled=False)
-    return TangentPaths(values=values, kind="frozen")
+    return _variational_flow(paths, model, np.asarray(v0, dtype=float), coupled=False)[0]
 
 
 def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
@@ -126,16 +112,15 @@ def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
     return gz @ g
 
 
-def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi) -> TangentPaths:
+def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi) -> tuple[Array, Array]:
     """Derivative of the particle flow along an initial-law perturbation phi.
 
     Starts from V_0 = phi(X_0) and adds the measure-derivative coupling to
     the frozen recursion each step.  The expectation in the coupling is the
     in-system empirical average (the propagation-of-chaos surrogate), which
     introduces an O(N^{-1/2}) bias absorbed into downstream tolerances.
+    Returns the (n_steps+1, N, d) values and the (n_steps, N, d) coupling
+    terms psi, which the second stochastic-integral weight reuses.
     """
     V0 = np.asarray(phi(paths.states[0]), dtype=float)
-    if V0.shape != (paths.N, paths.d):
-        raise ValueError("phi must map (N, d) states to (N, d) directions")
-    values, psi = _variational_flow(paths, model, V0, coupled=True)
-    return TangentPaths(values=values, kind="meanfield", psi=psi)
+    return _variational_flow(paths, model, V0, coupled=True)

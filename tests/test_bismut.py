@@ -1,19 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mvgrad.bismut import (Estimate, WeightVector, beta_invariance_check,
-                           dual_norm_lower_bound, estimate_classical,
-                           estimate_intrinsic, weight_frozen, weight_meanfield)
-from mvgrad.errors import (GridMismatch, MeasureDependence, NonFinite,
-                           ScheduleMismatch)
-from mvgrad.measure import EmpiricalMeasure
+from mvgrad.bismut import (Estimate, beta_invariance_check, dual_norm_lower_bound,
+                           estimate_classical, estimate_intrinsic, weight_frozen,
+                           weight_meanfield)
+from mvgrad.errors import (GridMismatch, MeasureDependence, MemoryBudgetExceeded,
+                           NonFinite, ScheduleMismatch)
+from mvgrad.measure import EmpiricalMeasure, sample_initial
 from mvgrad.model import PerturbationField, linear_schedule, quadratic_schedule
 from mvgrad.scenarios import (constant_observable, coord_observable,
                               coordinate_field, get_scenario, identity_field,
                               sign_observable, sin_observable)
-from mvgrad.simulate import TimeGrid, simulate_particles
+from mvgrad.simulate import MEMORY_BUDGET_ENV, TimeGrid, simulate_particles
 from mvgrad.tangent import frozen_tangent, meanfield_tangent
 
 from conftest import brownian_model, gaussian_cloud, mfou_model, ou_model
@@ -33,8 +34,8 @@ class TestWeightFrozen:
     def test_zero_tangent_gives_zero(self):
         model, mu0, grid, paths = brownian_setup()
         tang = frozen_tangent(paths, model, np.zeros((mu0.N, 1)))
-        w = weight_frozen(paths, tang, linear_schedule(grid.t_end), model)
-        assert np.all(w.values == 0.0)
+        w, _ = weight_frozen(paths, tang, linear_schedule(grid.t_end), model)
+        assert np.all(w == 0.0)
 
     def test_brownian_telescopes_to_endpoint(self, rng):
         # constant tangent, linear schedule: the Ito sum collapses to
@@ -42,15 +43,15 @@ class TestWeightFrozen:
         model, mu0, grid, paths = brownian_setup()
         v0 = rng.standard_normal((mu0.N, 1))
         tang = frozen_tangent(paths, model, v0)
-        w = weight_frozen(paths, tang, linear_schedule(grid.t_end), model)
+        w, _ = weight_frozen(paths, tang, linear_schedule(grid.t_end), model)
         endpoint = paths.noise.sum(axis=0)
         expected = (v0 * endpoint).sum(axis=1) / grid.t_end
-        assert np.allclose(w.values, expected, atol=1e-12)
+        assert np.allclose(w, expected, atol=1e-12)
 
     def test_weights_are_centered(self):
         model, mu0, grid, paths = brownian_setup(n=2048)
         tang = frozen_tangent(paths, model, np.ones((mu0.N, 1)))
-        w = weight_frozen(paths, tang, linear_schedule(grid.t_end), model).values
+        w, _ = weight_frozen(paths, tang, linear_schedule(grid.t_end), model)
         stderr = w.std(ddof=1) / math.sqrt(len(w))
         assert abs(w.mean()) < 3.0 * stderr
 
@@ -60,15 +61,12 @@ class TestWeightFrozen:
         with pytest.raises(ScheduleMismatch):
             weight_frozen(paths, tang, linear_schedule(grid.t_end * 2), model)
 
-    def test_kind_checked(self):
-        model, mu0, grid, paths = brownian_setup()
-        mt = meanfield_tangent(paths, model, const_e1)
-        with pytest.raises(ValueError):
-            weight_frozen(paths, mt, linear_schedule(grid.t_end), model)
-
     def test_nonfinite_rejected(self):
+        model, mu0, grid, paths = brownian_setup()
+        V = np.ones((grid.n_steps + 1, mu0.N, 1))
+        V[3, 5, 0] = np.nan
         with pytest.raises(NonFinite):
-            WeightVector(values=np.array([1.0, np.nan]))
+            weight_frozen(paths, V, linear_schedule(grid.t_end), model)
 
 
 class TestWeightMeanfield:
@@ -76,9 +74,9 @@ class TestWeightMeanfield:
         model = ou_model(a=1.0)
         mu0 = gaussian_cloud(64, seed=5)
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 50), 6)
-        tang = meanfield_tangent(paths, model, const_e1)
-        w = weight_meanfield(paths, tang, model)
-        assert np.all(w.values == 0.0)
+        _, psi = meanfield_tangent(paths, model, const_e1)
+        w = weight_meanfield(paths, psi, model)
+        assert np.all(w == 0.0)
 
     def test_meanfield_ou_ito_isometry(self):
         # constant phi: psi_s = kappa * Vbar_s with Vbar_s = (1 - a dt)^s,
@@ -88,8 +86,8 @@ class TestWeightMeanfield:
         mu0 = gaussian_cloud(n, seed=7)
         grid = TimeGrid(t_end=1.0, n_steps=200)
         paths = simulate_particles(model, mu0, grid, 8)
-        tang = meanfield_tangent(paths, model, const_e1)
-        w = weight_meanfield(paths, tang, model).values
+        _, psi = meanfield_tangent(paths, model, const_e1)
+        w = weight_meanfield(paths, psi, model)
 
         stderr = w.std(ddof=1) / math.sqrt(n)
         assert abs(w.mean()) < 3.0 * stderr
@@ -103,16 +101,10 @@ class TestWeightMeanfield:
         model = mfou_model()
         mu0 = gaussian_cloud(64, seed=9)
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 50), 10)
-        w1 = weight_meanfield(paths, meanfield_tangent(paths, model, const_e1), model)
+        w1 = weight_meanfield(paths, meanfield_tangent(paths, model, const_e1)[1], model)
         w2 = weight_meanfield(
-            paths, meanfield_tangent(paths, model, const_e1.scaled(2.0)), model)
-        assert np.array_equal(w2.values, 2.0 * w1.values)
-
-    def test_requires_meanfield_kind(self):
-        model, mu0, grid, paths = brownian_setup()
-        ft = frozen_tangent(paths, model, np.ones((mu0.N, 1)))
-        with pytest.raises(ValueError):
-            weight_meanfield(paths, ft, model)
+            paths, meanfield_tangent(paths, model, const_e1.scaled(2.0))[1], model)
+        assert np.array_equal(w2, 2.0 * w1)
 
 
 class TestEstimateIntrinsic:
@@ -308,3 +300,34 @@ class TestEstimateType:
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError):
             Estimate(value=0.0, stderr=-1.0)
+
+
+class TestMemory:
+    def test_guard_counts_tangents(self, monkeypatch):
+        # states plus increments take 0.32 MB and pass a 0.5 MB budget; the
+        # mean-field tangent adds its values and psi (0.32 MB) and must not
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.5")
+        model = mfou_model()
+        mu0 = gaussian_cloud(200, seed=0)
+        grid = TimeGrid(0.5, 100)
+        simulate_particles(model, mu0, grid, 1)
+        with pytest.raises(MemoryBudgetExceeded):
+            estimate_intrinsic(model, mu0, const_e1, coord_observable(0), 0.5, grid,
+                               linear_schedule(0.5), 1)
+
+    @pytest.mark.parametrize("scen_name", ["trig", "meanfield_ou"])
+    def test_traced_peak_of_an_estimate(self, scen_name):
+        # states, increments, one tangent's values and psi: about 4 trajectories
+        scen = get_scenario(scen_name)
+        model = scen.build()
+        N, n = 2000, 200
+        mu0 = sample_initial(scen.initial_law, N, 3)
+        grid = TimeGrid(1.0, n)
+        tracemalloc.start()
+        try:
+            estimate_intrinsic(model, mu0, const_e1, coord_observable(0), 1.0, grid,
+                               linear_schedule(1.0), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * N * (n + 1) * model.d

@@ -129,6 +129,7 @@ class TestRun:
         assert [c["name"] for c in manifest["checks"]] == [
             "intrinsic_vs_fd", "intrinsic_closed_form", "linearity", "determinism"]
         assert all(c["wall_s"] > 0 for c in manifest["checks"])
+        assert manifest["peak_rss_mb"] > 0
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # explosive custom drift trips the blow-up guard mid-run
@@ -292,6 +293,8 @@ BAD_INPUTS = {
                                 "[custom]\nfamily = affine\nsigma = inf\n\n[oracle]\n")),
                               None),
     "repeated-eps-ladder": ((("eps_ladder = 0.1, 0.05", "eps_ladder = 0.1, 0.1, 0.05"),), None),
+    "repeated-ci-seeds": ((only_check("beta_invariance"),
+                           ("ci_seeds = 1, 2", "ci_seeds = 5, 5")), None),
     "infinite-tv-shift": ((oracle_line("tv_shift = inf"),), None),
     "infinite-eps": ((("eps_ladder = 0.1, 0.05", "eps_ladder = 0.1, inf"),), None),
     "nan-stability-shift": ((oracle_line("stability_shifts = 0.2, nan"),), None),
@@ -496,6 +499,7 @@ def generated_configs(draw):
         # lengths 0-3 and repeated entries, both less often than long lists
         # of distinct entries, so that most configs reach a run; a repeated
         # eps_ladder entry is a config error, so the ladder never repeats
+        # (a repeated ci_seeds entry is one too, and may be drawn: it exits 2)
         length = draw(st.sampled_from((2, 3) * 8 + (1, 0)))
         unique = key == "eps_ladder" or draw(st.sampled_from((True, True, True, False)))
         sections[section][key] = ", ".join(draw(st.lists(
