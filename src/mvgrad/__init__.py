@@ -5,8 +5,9 @@ the empirical law of the system, integrates the associated variational
 (tangent) flows, and assembles stochastic-integral weights into estimators
 for derivatives of expectation functionals, both in a starting point and
 along perturbations of the initial law.  A verification layer cross-checks
-every estimator against common-random-number finite differences, Gaussian
-quadrature closed forms, and empirical stability and moment bounds.
+every estimator against common-random-number finite differences, the exact
+derivative of affine flows at the sampled cloud, and empirical stability and
+moment bounds.
 """
 
 __version__ = "0.1.0"
@@ -25,10 +26,9 @@ from .model import (BismutSchedule, CylindricalDrift, Diffusion, ModelSpec,
                     linear_schedule, quadratic_schedule, schedule_by_name,
                     sine_schedule, validate_ellipticity, zeta)
 from .oracle import (MomentReport, StabilityReport, TVScalingReport,
-                     finite_difference_intrinsic, fit_loglog_slope,
-                     gaussian_quadrature_reference, moment_report,
-                     richardson_intrinsic, stability_report, tv_gradient_scaling,
-                     tv_sign_reference)
+                     affine_reference, finite_difference_intrinsic,
+                     fit_loglog_slope, moment_report, richardson_intrinsic,
+                     stability_report, tv_gradient_scaling, tv_sign_reference)
 from .scenarios import (Scenario, all_scenarios, build_family, get_scenario,
                         scenario_names)
 from .simulate import (ParticlePaths, TimeGrid, brownian_increments,

@@ -1,8 +1,8 @@
-"""Independent ground truth: finite differences, quadrature, empirical bounds.
+"""Independent ground truth: finite differences, closed forms, empirical bounds.
 
 Everything here reaches the target quantities by a different route than the
 weight-based estimators: common-random-number finite differences of actual
-reruns, Gauss-Hermite quadrature on known Gaussian transition laws, and
+reruns, the exact derivative of affine flows at the sampled cloud, and
 direct empirical versions of the moment/stability/total-variation bounds.
 The only shared code is the particle integrator and measure arithmetic.
 """
@@ -20,7 +20,6 @@ from .bismut import Estimate, _check_grid, _mean_stderr, _mode
 from .errors import UnequalSupport, UnsupportedScenario
 from .measure import EmpiricalMeasure, pushforward, wasserstein
 from .model import ModelSpec, Observable, PerturbationField
-from .scenarios import get_scenario
 from .simulate import TimeGrid, simulate_particles
 
 Array = np.ndarray
@@ -74,112 +73,53 @@ def richardson_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
 
 
 # ---------------------------------------------------------------------------
-# Gaussian closed forms by quadrature
+# Exact affine derivative at a sampled cloud
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineFlow:
-    """One-dimensional affine flow X_t = alpha X_0 + gamma mean(mu0) + G."""
-
-    alpha: float
-    gamma: float
-    noise_var: float
-
-
-def _affine_flow(a: float, kappa: float, sigma: float, t: float) -> AffineFlow:
+def _affine_flow(a: float, kappa: float, sigma: float, t: float) -> tuple:
+    """(alpha, gamma, v) of X_t = alpha x + gamma mean(mu0) + G, G ~ N(0, v)."""
     rate = a + kappa
     alpha = math.exp(-rate * t)
     gamma = math.exp(-a * t) - alpha
-    if rate == 0.0:
-        var = sigma * sigma * t
-    else:
-        var = sigma * sigma * (1.0 - math.exp(-2.0 * rate * t)) / (2.0 * rate)
-    return AffineFlow(alpha=alpha, gamma=gamma, noise_var=var)
+    decay = t if rate == 0.0 else (1.0 - math.exp(-2.0 * rate * t)) / (2.0 * rate)
+    return alpha, gamma, sigma * sigma * decay
 
 
-def _gauss_hermite_expect(fun, mean0: float, var0: float, noise_var: float) -> float:
-    """E[fun(X0, G)] for independent X0 ~ N(mean0, var0), G ~ N(0, noise_var).
-
-    Uses 201 Gauss-Hermite nodes per variable.
-    """
-    nodes, weights = np.polynomial.hermite_e.hermegauss(201)
-    weights = weights / weights.sum()
-    g = math.sqrt(noise_var) * nodes if noise_var > 0 else np.zeros(1)
-    wg = weights if noise_var > 0 else np.ones(1)
-    if var0 > 0:
-        x0 = mean0 + math.sqrt(var0) * nodes
-        wx = weights
-    else:
-        x0 = np.array([mean0])
-        wx = np.ones(1)
-    vals = fun(x0[:, None], g[None, :])
-    return float(wx @ vals @ wg)
-
-
-_FPRIME = {
-    "coord1": lambda y: np.ones_like(y),
-    "sin": np.cos,
-    "const1": lambda y: np.zeros_like(y),
-}
-
-
-def gaussian_quadrature_reference(scenario_id: str, f_name: str, t: float,
-                                  phi_name: str, x0: Optional[float] = None) -> float:
-    """Exact derivative value for an affine scenario via Gauss-Hermite nodes.
-
-    Supports the one-dimensional affine registry entries (constant noise),
-    observables with known derivative ("coord1", "sin") plus the
-    distributional step observable "sign0" for point-mass starts, and
-    perturbations "identity", "const_e1", "neg_const_e1".  ``x0`` replaces
-    the scenario's initial law by a point mass (the classical-gradient
-    case).  Raises :class:`UnsupportedScenario` otherwise.
-    """
-    scen = get_scenario(scenario_id)
-    if scen.family != "affine" or scen.d != 1:
-        raise UnsupportedScenario(
-            f"no Gaussian closed form for scenario {scenario_id!r}"
-        )
-    p = scen.params
-    flow = _affine_flow(float(p.get("a", 0.0)), float(p.get("kappa", 0.0)),
-                        float(p.get("sigma", 1.0)), t)
-    if x0 is not None:
-        mean0, var0 = float(x0), 0.0
-    else:
-        law = scen.initial_law
-        if law.get("family") != "gaussian":
-            raise UnsupportedScenario("initial law must be Gaussian or a point mass")
-        mean0 = float(np.atleast_1d(law.get("mean", 0.0))[0])
-        var0 = float(np.atleast_1d(law.get("cov", 1.0))[0])
-
-    if phi_name in ("const_e1", "neg_const_e1"):
-        c = 1.0 if phi_name == "const_e1" else -1.0
-        phi_of_x0 = None
-    elif phi_name == "identity":
-        c = None
-        phi_of_x0 = lambda x: x
-    else:
-        raise UnsupportedScenario(f"no closed form for perturbation {phi_name!r}")
-
+def _expected_fprime(f_name: str, y: Array, var: float) -> Array:
+    """E f'(y + G) for G ~ N(0, var), in closed form."""
+    if f_name == "coord1":
+        return np.ones_like(y)
+    if f_name == "sin":
+        return math.exp(-0.5 * var) * np.cos(y)
     if f_name == "sign0":
-        # derivative of E sign(y + G) in y is twice the noise density at -y
-        if var0 != 0.0 or phi_of_x0 is not None:
-            raise UnsupportedScenario("sign0 reference needs a point mass and constant phi")
-        s = math.sqrt(flow.noise_var)
-        y = (flow.alpha + flow.gamma) * mean0
-        dens = math.exp(-0.5 * (y / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
-        return (flow.alpha + flow.gamma) * c * 2.0 * dens
+        # sign jumps by 2 at 0, so E sign'(y + G) is twice the density of G at -y
+        return 2.0 * _norm.pdf(y, scale=math.sqrt(var))
+    if f_name == "const1":
+        return np.zeros_like(y)
+    raise UnsupportedScenario(f"no closed form for observable {f_name!r}")
 
-    try:
-        fprime = _FPRIME[f_name]
-    except KeyError:
-        raise UnsupportedScenario(f"no closed form for observable {f_name!r}") from None
 
-    a_, g_ = flow.alpha, flow.gamma
-    if phi_of_x0 is None:
-        fun = lambda x0v, gv: fprime(a_ * x0v + g_ * mean0 + gv) * ((a_ + g_) * c)
-    else:
-        fun = lambda x0v, gv: fprime(a_ * x0v + g_ * mean0 + gv) * (a_ * x0v + g_ * mean0)
-    return _gauss_hermite_expect(fun, mean0, var0, flow.noise_var)
+def affine_reference(family: str, params: dict, f_name: str, t: float,
+                     points: Array, phi_values: Array) -> float:
+    """Exact derivative along phi of E f(X_t) at the cloud ``points``.
+
+    Each coordinate of an ``affine`` flow started at the cloud is
+    X_t = alpha x_i + gamma m + G with m the cloud mean and G ~ N(0, v), so
+    the derivative is mean_i E f'(alpha x_i + gamma m + G) (alpha phi(x_i) +
+    gamma mean phi), read on the first coordinate.  ``phi_values`` holds
+    phi at each point; a one-point cloud gives the classical gradient.
+    Raises :class:`UnsupportedScenario` for another family or an observable
+    without a closed form.
+    """
+    if family != "affine":
+        raise UnsupportedScenario(f"no closed form for family {family!r}")
+    alpha, gamma, var = _affine_flow(float(params.get("a", 0.0)),
+                                     float(params.get("kappa", 0.0)),
+                                     float(params.get("sigma", 1.0)), t)
+    x = np.asarray(points, dtype=float)[:, 0]
+    phi = np.asarray(phi_values, dtype=float)[:, 0]
+    fprime = _expected_fprime(f_name, alpha * x + gamma * np.mean(x), var)
+    return float(np.mean(fprime * (alpha * phi + gamma * np.mean(phi))))
 
 
 def tv_sign_reference(shift: float, sigma: float, t: float) -> float:

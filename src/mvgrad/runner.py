@@ -28,10 +28,10 @@ from .bismut import (beta_invariance_check, dual_norm_lower_bound,
                      estimate_classical, estimate_intrinsic)
 from .config import ExperimentConfig
 from .errors import ConfigError, MVGradError
-from .measure import EmpiricalMeasure, pushforward, sample_initial
+from .measure import ASSIGNMENT_CAP, EmpiricalMeasure, pushforward, sample_initial
 from .model import SCHEDULE_FACTORIES, ModelSpec, schedule_by_name
-from .oracle import (fit_loglog_slope, finite_difference_intrinsic,
-                     gaussian_quadrature_reference, moment_report,
+from .oracle import (affine_reference, fit_loglog_slope,
+                     finite_difference_intrinsic, moment_report,
                      richardson_intrinsic, stability_report,
                      tv_gradient_scaling, tv_sign_reference)
 from .scenarios import (build_family, default_observables,
@@ -88,6 +88,7 @@ class RunBundle:
 
     cfg: ExperimentConfig
     scenario_name: str
+    family: str
     model: ModelSpec
     initial_law: dict
     observables: dict
@@ -147,7 +148,7 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
         model = scen.build()
         checks = cfg.checks or scen.checks
         law = scen.initial_law
-        name, scen_params = scen.name, scen.params
+        name, family, scen_params = scen.name, scen.family, scen.params
     if cfg.t > model.horizon + 1e-12:
         raise ConfigError(f"t={cfg.t} exceeds the scenario horizon {model.horizon}")
     observables = default_observables(model.d)
@@ -161,12 +162,14 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
         if unknown:
             raise ConfigError(f"unknown {kind} {unknown[0]!r} for scenario {name}; "
                               f"have {sorted(known)}")
+    bundle = RunBundle(cfg=cfg, scenario_name=name, family=family, model=model,
+                       initial_law=law, observables=observables,
+                       perturbations=perturbations, checks=checks,
+                       scenario_params=dict(scen_params))
     for check in checks:
-        _require_needs(cfg, model, check)
+        _require_needs(bundle, check)
     memory_budget_bytes()  # an invalid MVGRAD_MEMORY_BUDGET_MB raises ConfigError here
-    return RunBundle(cfg=cfg, scenario_name=name, model=model, initial_law=law,
-                     observables=observables, perturbations=perturbations,
-                     checks=checks, scenario_params=dict(scen_params))
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +229,15 @@ def check_intrinsic_vs_fd(bundle: RunBundle):
 
 
 def check_intrinsic_closed_form(bundle: RunBundle):
-    """Mean-preserving drift with linear payoff: the derivative is the phi-mean itself."""
+    """Affine flow with linear payoff against its exact derivative at the cloud."""
     cfg = bundle.cfg
     mu0 = bundle.mu0()
     rows = []
     for p_name in cfg.perturbations:
         phi = bundle.field(p_name)
         est = bundle.estimate(phi, bundle.obs("coord1"), mu0)
-        ref = float(np.mean(np.asarray(phi(mu0.points))[:, 0]))
+        ref = affine_reference(bundle.family, bundle.scenario_params, "coord1", cfg.t,
+                               mu0.points, phi(mu0.points))
         gap = abs(est.value - ref)
         tol = 3.0 * est.stderr
         status = "pass" if gap <= tol else "fail"
@@ -257,8 +261,8 @@ def check_classical_gradient(bundle: RunBundle):
     rows = [_row(bundle, "intrinsic_estimate", f"classical|{f_name}",
                  est.value, est.stderr, "ok", cfg.seed, x0=0.0)]
     try:
-        ref = gaussian_quadrature_reference(bundle.scenario_name, f_name, cfg.t,
-                                            "const_e1", x0=0.0)
+        ref = affine_reference(bundle.family, bundle.scenario_params, f_name, cfg.t,
+                               x0[None, :], v[None, :])
     except MVGradError:
         # nothing to compare against: the estimate stands, the run is not failed
         rows.append(_row(bundle, "quadrature", f"classical|{f_name}",
@@ -443,41 +447,44 @@ CHECKS: dict[str, Callable] = {
     "tangent_fd_order": check_tangent_fd_order,
 }
 
-# What each check needs from the config: the fewest distinct entries of each
-# list it reads (t_grid entries are horizons, so they must also lie within
-# the model's), for "measure_free_drift" a drift with no measure derivative
-# at the check's starting point, and for "mean_preserving_drift" a drift
-# whose particle average vanishes, so that E X_t = E X_0.
+# Needs that a run's model or size must meet, each a test of the bundle and
+# what the test asks for.
+NAMED_NEEDS: dict[str, tuple] = {
+    # no measure derivative at the check's starting point
+    "measure_free_drift": (
+        lambda b: b.model.meanfield_drift.is_measure_free(np.zeros(b.model.d)),
+        "a measure-free drift"),
+    # the family affine_reference has a closed form for
+    "affine_family": (lambda b: b.family == "affine", "the affine family"),
+    # beyond d = 1 the transport is an exact assignment, capped in size
+    "assignment_cap": (lambda b: b.model.d == 1 or b.cfg.n_particles <= ASSIGNMENT_CAP,
+                       f"n_particles at most {ASSIGNMENT_CAP} when d > 1"),
+}
+
+# What each check needs from the config: a named need above, or the fewest
+# distinct entries of each list it reads (t_grid entries are horizons, so
+# they must also lie within the model's).
 CHECK_NEEDS: dict[str, dict] = {
     "intrinsic_vs_fd": {"eps_ladder": 1},
-    "intrinsic_closed_form": {"mean_preserving_drift": True},
+    "intrinsic_closed_form": {"affine_family": True},
     "classical_gradient": {"measure_free_drift": True},
     "beta_invariance": {"schedules": 2},
     "dual_norm_scaling": {"t_grid": 2},
     "tv_scaling": {"t_grid": 2},
-    "wasserstein_lipschitz": {"stability_shifts": 2},
+    "wasserstein_lipschitz": {"stability_shifts": 2, "assignment_cap": True},
     "moment_bound": {"moment_variances": 1},
     "tangent_fd_order": {"eps_ladder": 2},
 }
 
 
-def _preserves_mean(model: ModelSpec) -> bool:
-    """Whether the drift averages to zero over a probe cloud with nonzero mean."""
-    probes = np.outer([0.5, 1.0, 2.0], np.ones(model.d))
-    b = model.drift(0.0, probes, model.meanfield_drift.moment_vector(probes))
-    return bool(np.max(np.abs(np.mean(b, axis=0))) <= 1e-12 * (1.0 + np.max(np.abs(b))))
-
-
-def _require_needs(cfg: ExperimentConfig, model: ModelSpec, check: str) -> None:
+def _require_needs(bundle: RunBundle, check: str) -> None:
+    cfg, model = bundle.cfg, bundle.model
     for need, count in CHECK_NEEDS.get(check, {}).items():
-        if need == "measure_free_drift":
-            if not model.meanfield_drift.is_measure_free(np.zeros(model.d)):
-                raise ConfigError(f"check {check} needs a measure-free drift, "
-                                  f"which scenario {cfg.scenario} does not have")
-        elif need == "mean_preserving_drift":
-            if not _preserves_mean(model):
-                raise ConfigError(f"check {check} needs a drift that keeps the particle "
-                                  f"mean fixed, which scenario {cfg.scenario} does not have")
+        if need in NAMED_NEEDS:
+            holds, what = NAMED_NEEDS[need]
+            if not holds(bundle):
+                raise ConfigError(f"check {check} needs {what} "
+                                  f"(scenario {cfg.scenario})")
         elif len(set(getattr(cfg, need))) < count:
             raise ConfigError(f"check {check} needs {count} distinct {need} entries")
         elif need == "t_grid" and max(cfg.t_grid) > model.horizon + 1e-12:

@@ -27,7 +27,7 @@ from mvgrad.bismut import (beta_invariance_check, dual_norm_lower_bound,
 from mvgrad.measure import EmpiricalMeasure, sample_initial, wasserstein
 from mvgrad.model import (linear_schedule, quadratic_schedule, sine_schedule,
                           zeta)
-from mvgrad.oracle import (fit_loglog_slope, gaussian_quadrature_reference,
+from mvgrad.oracle import (affine_reference, fit_loglog_slope,
                            moment_report, richardson_intrinsic,
                            stability_report, tv_gradient_scaling,
                            tv_sign_reference)
@@ -64,12 +64,13 @@ def test_criterion_01_classical_gradient_closed_form():
     cases = [("brownian", sin_observable(0)), ("ou", coord_observable(0))]
     failures = []
     for scen_name, f in cases:
-        model = get_scenario(scen_name).build()
+        scen = get_scenario(scen_name)
+        model = scen.build()
         est = estimate_classical(model, [0.0], [1.0], f, T_DESK, GRID_DESK,
                                  linear_schedule(T_DESK), seed=2024,
                                  n_particles=N_DESK, scenario=scen_name)
-        ref = gaussian_quadrature_reference(scen_name, f.name if f.name != "sin"
-                                            else "sin", T_DESK, "const_e1", x0=0.0)
+        ref = affine_reference(scen.family, scen.params, f.name, T_DESK,
+                               np.zeros((1, 1)), np.ones((1, 1)))
         gap = abs(est.value - ref)
         tol = 3.0 * est.stderr + 2.0 * DT_DESK
         match_ok = gap <= tol
@@ -107,14 +108,15 @@ def test_criterion_02_intrinsic_oracle_agreement():
                f"gap={gap:.2g} tol={tol:.2g}")
         if not ok:
             failures.append(scen_name)
-        if scen_name == "brownian":
-            # affine flow with linear payoff: derivative is the phi-average
-            analytic = float(np.mean(const_e1(mu0.points)[:, 0]))
-            ok2 = abs(est.value - analytic) <= 3.0 * est.stderr
-            report("criterion-02 analytic value", ok2,
-                   f"est={est.value:.5f} analytic={analytic:.5f}")
-            if not ok2:
-                failures.append("brownian-analytic")
+        # affine flow: the exact derivative at the sampled cloud
+        analytic = affine_reference(scen.family, scen.params, f.name, T_DESK,
+                                    mu0.points, const_e1(mu0.points))
+        ok2 = abs(est.value - analytic) <= 3.0 * est.stderr
+        report("criterion-02 analytic value", ok2,
+               f"[{scen_name}] est={est.value:.5f} analytic={analytic:.5f} "
+               f"z={(est.value - analytic) / est.stderr:+.2f}")
+        if not ok2:
+            failures.append(f"{scen_name}-analytic")
     assert not failures, failures
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvgrad import runner, simulate
 from mvgrad.cli import main
-from mvgrad.config import load_config
+from mvgrad.config import ExperimentConfig, load_config
 from mvgrad.model import SCHEDULE_FACTORIES
 from mvgrad.runner import CHECKS
 from mvgrad.scenarios import (all_scenarios, default_observables,
@@ -283,8 +283,12 @@ BAD_INPUTS = {
     "zero-tv-shift": ((oracle_line("tv_shift = 0"),), None),
     "classical-on-meanfield": ((("scenario = brownian", "scenario = meanfield_ou"),
                                 only_check("classical_gradient")), None),
-    "closed-form-on-ou": ((("scenario = brownian", "scenario = ou"),
-                           only_check("intrinsic_closed_form")), None),
+    "closed-form-on-trig": ((("scenario = brownian", "scenario = trig"),
+                             only_check("intrinsic_closed_form")), None),
+    "transport-above-cap": ((("scenario = brownian", "scenario = brownian2d"),
+                             ("n_particles = 400", "n_particles = 4097"),
+                             only_check("wasserstein_lipschitz"),
+                             oracle_line("stability_shifts = 0.02, 0.2")), None),
     "custom-infinite-k": ((("scenario = brownian", "scenario = custom"),
                            ("[oracle]\n", "[custom]\nfamily = affine\nk = inf\n\n[oracle]\n")),
                           None),
@@ -331,6 +335,15 @@ def test_bad_input_is_config_error(case, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in proc.stderr
 
 
+def test_check_needs_are_known():
+    # an unknown need name would reach getattr(cfg, need) and end in a traceback
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    assert set(runner.CHECK_NEEDS) <= set(CHECKS)
+    for check, needs in runner.CHECK_NEEDS.items():
+        for need in needs:
+            assert need in runner.NAMED_NEEDS or need in fields, (check, need)
+
+
 def test_classical_gradient_without_closed_form_is_ok(tmp_path):
     text = (SMALL_CONFIG.replace("scenario = brownian", "scenario = trig")
             .replace(CHECKS_LINE, "checks = classical_gradient"))
@@ -348,6 +361,19 @@ def test_classical_gradient_without_closed_form_is_ok(tmp_path):
 def read_rows(out):
     with open(out / "results.csv", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("scenario", ["ou", "meanfield_ou", "brownian2d"])
+def test_closed_form_on_every_affine_scenario(scenario, tmp_path):
+    text = (SMALL_CONFIG.replace("scenario = brownian", f"scenario = {scenario}")
+            .replace("perturbations = const_e1",
+                     "perturbations = const_e1, identity, sine_field")
+            .replace(CHECKS_LINE, "checks = intrinsic_closed_form"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(out)]) == 0
+    assert [(r["label"], r["status"]) for r in read_rows(out)] == [
+        (f"coord1|{p}|exact", "pass") for p in ("const_e1", "identity", "sine_field")]
 
 
 def test_degenerate_oracle_is_ok_not_pass(tmp_path):

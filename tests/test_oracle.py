@@ -9,12 +9,13 @@ from mvgrad.bismut import estimate_intrinsic
 from mvgrad.errors import GridMismatch, UnequalSupport, UnsupportedScenario
 from mvgrad.measure import EmpiricalMeasure
 from mvgrad.model import Observable, linear_schedule
-from mvgrad.oracle import (finite_difference_intrinsic, fit_loglog_slope,
-                           gaussian_quadrature_reference, moment_report,
+from mvgrad.oracle import (affine_reference, finite_difference_intrinsic,
+                           fit_loglog_slope, moment_report,
                            richardson_intrinsic, stability_report,
                            tv_gradient_scaling, tv_sign_reference)
 from mvgrad.scenarios import (build_family, constant_observable,
                               coord_observable, coordinate_field,
+                              default_perturbations, get_scenario,
                               identity_field, sign_observable, sine_field,
                               tanh_observable)
 from mvgrad.simulate import TimeGrid
@@ -103,36 +104,47 @@ class TestFiniteDifference:
                                  0.5, TimeGrid(1.0, 5), 0.1, 0)
 
 
+def reference(scenario, f_name, t, points, phi_name="const_e1"):
+    """affine_reference for a registry scenario at a one-dimensional cloud."""
+    scen = get_scenario(scenario)
+    pts = np.asarray(points, dtype=float).reshape(-1, 1)
+    phi = default_perturbations(1)[phi_name]
+    return affine_reference(scen.family, scen.params, f_name, t, pts, phi(pts))
+
+
+SPREAD = [-1.3, -0.2, 0.4, 0.9, 2.1]
+
+
 class TestQuadratureReference:
+    """affine_reference against closed forms and adaptive quadrature."""
+
     def test_brownian_sine(self):
-        val = gaussian_quadrature_reference("brownian", "sin", 1.0, "const_e1", x0=0.0)
+        val = reference("brownian", "sin", 1.0, [0.0])
         assert val == pytest.approx(math.exp(-0.5), abs=1e-10)
 
     def test_ou_linear(self):
-        val = gaussian_quadrature_reference("ou", "coord1", 1.0, "const_e1", x0=0.0)
+        val = reference("ou", "coord1", 1.0, [0.0])
         assert val == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_constant_payoff(self):
-        val = gaussian_quadrature_reference("brownian", "const1", 1.0, "const_e1")
+        val = reference("brownian", "const1", 1.0, SPREAD)
         assert val == pytest.approx(0.0, abs=1e-14)
 
     def test_meanfield_ou_constant_direction(self):
-        val = gaussian_quadrature_reference("meanfield_ou", "coord1", 1.0, "const_e1")
+        val = reference("meanfield_ou", "coord1", 1.0, SPREAD)
         assert val == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_ou_identity_direction_scales_with_start(self):
-        val = gaussian_quadrature_reference("ou", "coord1", 1.0, "identity", x0=2.0)
+        val = reference("ou", "coord1", 1.0, [2.0], "identity")
         assert val == pytest.approx(2.0 * math.exp(-1.0), abs=1e-12)
 
     def test_negative_direction(self):
-        plus = gaussian_quadrature_reference("brownian", "sin", 1.0, "const_e1", x0=0.0)
-        minus = gaussian_quadrature_reference("brownian", "sin", 1.0,
-                                              "neg_const_e1", x0=0.0)
+        plus = reference("brownian", "sin", 1.0, [0.0])
+        minus = reference("brownian", "sin", 1.0, [0.0], "neg_const_e1")
         assert minus == pytest.approx(-plus, abs=1e-14)
 
     def test_sign_reference_from_point_mass(self):
-        val = gaussian_quadrature_reference("brownian", "sign0", 0.25, "const_e1",
-                                            x0=0.0)
+        val = reference("brownian", "sign0", 0.25, [0.0])
         assert val == pytest.approx(math.sqrt(2.0 / (math.pi * 0.25)), rel=1e-12)
 
     def test_quadrature_error_below_budget(self):
@@ -144,28 +156,40 @@ class TestQuadratureReference:
 
         for x0 in (0.0, 0.7):
             direct, _ = integrate.quad(integrand, -12, 12, args=(x0,))
-            gh = gaussian_quadrature_reference("brownian", "sin", 1.0,
-                                               "const_e1", x0=x0)
-            assert abs(gh - direct) < 1e-8
+            assert abs(reference("brownian", "sin", 1.0, [x0]) - direct) < 1e-8
 
-    def test_gaussian_initial_law_with_quadrature(self):
-        # registry brownian starts from N(0,1): E cos(X_0 + G) over both
-        def integrand(g, x0):
-            return math.cos(x0 + g) * norm.pdf(g) * norm.pdf(x0)
-
-        direct, _ = integrate.dblquad(integrand, -10, 10, -10, 10, epsabs=1e-12)
-        gh = gaussian_quadrature_reference("brownian", "sin", 1.0, "const_e1")
-        assert abs(gh - direct) < 1e-8
+    def test_meanfield_cloud_matches_per_particle_quadrature(self):
+        # mean_i of E cos(X_t^i) (alpha sin x_i + gamma mean sin), each
+        # expectation by adaptive quadrature over the Gaussian noise
+        t = 0.7
+        alpha = math.exp(-1.5 * t)                  # a + kappa = 1.5
+        gamma = math.exp(-t) - alpha
+        s = math.sqrt((1.0 - math.exp(-3.0 * t)) / 3.0)
+        x = np.array(SPREAD)
+        m, mean_phi = x.mean(), np.sin(x).mean()
+        terms = []
+        for xi in x:
+            mean_i = alpha * xi + gamma * m
+            expect, _ = integrate.quad(lambda g: math.cos(mean_i + g) * norm.pdf(g, scale=s),
+                                       -15 * s, 15 * s, epsabs=1e-13, epsrel=1e-13)
+            terms.append(expect * (alpha * math.sin(xi) + gamma * mean_phi))
+        val = reference("meanfield_ou", "sin", t, SPREAD, "sine_field")
+        assert val == pytest.approx(float(np.mean(terms)), abs=1e-10)
 
     def test_unsupported_combinations(self):
         with pytest.raises(UnsupportedScenario):
-            gaussian_quadrature_reference("trig", "sin", 1.0, "const_e1")
+            reference("trig", "sin", 1.0, [0.0])
         with pytest.raises(UnsupportedScenario):
-            gaussian_quadrature_reference("brownian", "tanh", 1.0, "const_e1")
-        with pytest.raises(UnsupportedScenario):
-            gaussian_quadrature_reference("brownian", "sign0", 1.0, "const_e1")
-        with pytest.raises(UnsupportedScenario):
-            gaussian_quadrature_reference("brownian", "sin", 1.0, "sine_field")
+            reference("brownian", "tanh", 1.0, [0.0])
+
+    def test_spread_sign_and_sine_field(self):
+        # brownian at t=1: G ~ N(0, 1), and every point moves only by noise
+        x = np.array(SPREAD)
+        sign = reference("brownian", "sign0", 1.0, SPREAD)
+        assert sign == pytest.approx(float(np.mean(2.0 * norm.pdf(x))), rel=1e-12)
+        sine = reference("brownian", "sin", 1.0, SPREAD, "sine_field")
+        expect = math.exp(-0.5) * np.cos(x) * np.sin(x)
+        assert sine == pytest.approx(float(np.mean(expect)), rel=1e-12)
 
 
 class TestTvSignReference:
