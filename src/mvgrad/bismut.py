@@ -187,7 +187,7 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturbatio
 
 def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
                        grid: TimeGrid, sched: BismutSchedule, seed: int,
-                       n_particles: int, scenario: str = "") -> Estimate:
+                       n_particles: int) -> Estimate:
     """Gradient of x -> E f(X_t^x) along v, for measure-free dynamics.
 
     Monte Carlo over independent copies started at the point x; statistically
@@ -216,14 +216,13 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
     w, qv = weight_frozen(paths, frozen_tangent(paths, model, v0), sched, model)
     g = f(paths.terminal()) * w
     value, stderr = _controlled_mean_stderr(g, w * w - qv)
-    return Estimate(value=value, stderr=stderr, mode=_mode(model), scenario=scenario,
+    return Estimate(value=value, stderr=stderr, mode=_mode(model),
                     term1=value, term2=0.0)
 
 
 def dual_norm_lower_bound(model: ModelSpec, mu0: EmpiricalMeasure, f: Observable,
                           t: float, grid: TimeGrid, sched: BismutSchedule,
-                          dictionary: Sequence[PerturbationField], seed: int,
-                          scenario: str = "") -> Estimate:
+                          dictionary: Sequence[PerturbationField], seed: int) -> Estimate:
     """Max directional derivative over unit-normalized dictionary fields.
 
     Each field is rescaled to unit L^k(mu0) norm before estimation, so the
@@ -238,7 +237,7 @@ def dual_norm_lower_bound(model: ModelSpec, mu0: EmpiricalMeasure, f: Observable
         if nrm == 0.0:
             continue
         est = estimate_intrinsic(model, mu0, phi.scaled(1.0 / nrm), f, t, grid, sched,
-                                 seed, scenario=scenario)
+                                 seed)
         if best is None or est.value > best.value:
             best = est
     if best is None:
@@ -259,8 +258,8 @@ class BetaInvarianceReport:
 
 def beta_invariance_check(model: ModelSpec, mu0: EmpiricalMeasure, phi: PerturbationField,
                           f: Observable, t: float, grid: TimeGrid,
-                          seeds: Sequence[int], schedules: Sequence[BismutSchedule],
-                          scenario: str = "") -> BetaInvarianceReport:
+                          seeds: Sequence[int],
+                          schedules: Sequence[BismutSchedule]) -> BetaInvarianceReport:
     """Verify the estimate does not depend on the admissible schedule.
 
     All schedules are run on the same seed list (identical schedules are
@@ -270,8 +269,7 @@ def beta_invariance_check(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturba
     """
     if len(schedules) < 2:
         raise ValueError("need at least two schedules to compare")
-    by_seed = [[estimate_intrinsic(model, mu0, phi, f, t, grid, sched, int(s),
-                                   scenario=scenario)
+    by_seed = [[estimate_intrinsic(model, mu0, phi, f, t, grid, sched, int(s))
                 for sched in schedules]
                for s in seeds]
     means, ses, names = [], [], []

@@ -87,7 +87,7 @@ def _cmd_list_scenarios() -> int:
     for scen in all_scenarios():
         params = ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
                           for k, v in sorted(scen.params.items()))
-        print(f"{scen.name:<16} {scen.d:>2}  {scen.family:<15} {', '.join(scen.checks)}")
+        print(f"{scen.name:<16} {scen.build().d:>2}  {scen.family:<15} {', '.join(scen.checks)}")
         print(f"{'':<16} {'':>2}  {params:<15}")
         print(f"{'':<16} {'':>2}  {scen.description}")
     return 0

@@ -41,8 +41,7 @@ def _fd_samples(model: ModelSpec, mu0: EmpiricalMeasure, phi, f: Observable,
 
 def finite_difference_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
                                 phi: PerturbationField, f: Observable, t: float,
-                                grid: TimeGrid, eps: float, seed: int,
-                                scenario: str = "") -> Estimate:
+                                grid: TimeGrid, eps: float, seed: int) -> Estimate:
     """One-sided difference quotient of the perturbed semigroup value.
 
     Both runs ride identical Brownian increments and identical initial
@@ -54,7 +53,7 @@ def finite_difference_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
         raise ValueError("eps must be positive")
     _check_grid(grid, t)
     value, stderr = _mean_stderr(_fd_samples(model, mu0, phi, f, grid, eps, seed))
-    return Estimate(value=value, stderr=stderr, mode=_mode(model), scenario=scenario)
+    return Estimate(value=value, stderr=stderr, mode=_mode(model))
 
 
 def richardson_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
@@ -76,8 +75,12 @@ def richardson_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
 # Exact affine derivative at a sampled cloud
 # ---------------------------------------------------------------------------
 
-def _affine_flow(a: float, kappa: float, sigma: float, t: float) -> tuple:
-    """(alpha, gamma, v) of X_t = alpha x + gamma mean(mu0) + G, G ~ N(0, v)."""
+def _affine_flow(family: str, params: dict, t: float) -> tuple:
+    """(alpha, gamma, v) of X_t = alpha x + gamma mean(mu0) + G, G ~ N(0, v),
+    for an ``affine`` family; another family raises UnsupportedScenario."""
+    if family != "affine":
+        raise UnsupportedScenario(f"no closed form for family {family!r}")
+    a, kappa, sigma = params["a"], params["kappa"], params["sigma"]
     rate = a + kappa
     alpha = math.exp(-rate * t)
     gamma = math.exp(-a * t) - alpha
@@ -111,26 +114,24 @@ def affine_reference(family: str, params: dict, f_name: str, t: float,
     Raises :class:`UnsupportedScenario` for another family or an observable
     without a closed form.
     """
-    if family != "affine":
-        raise UnsupportedScenario(f"no closed form for family {family!r}")
-    alpha, gamma, var = _affine_flow(float(params.get("a", 0.0)),
-                                     float(params.get("kappa", 0.0)),
-                                     float(params.get("sigma", 1.0)), t)
+    alpha, gamma, var = _affine_flow(family, params, t)
     x = np.asarray(points, dtype=float)[:, 0]
     phi = np.asarray(phi_values, dtype=float)[:, 0]
     fprime = _expected_fprime(f_name, alpha * x + gamma * np.mean(x), var)
     return float(np.mean(fprime * (alpha * phi + gamma * np.mean(phi))))
 
 
-def tv_sign_reference(shift: float, sigma: float, t: float) -> float:
-    """Exact separation |E f(x + sW) - E f(x + shift + sW)| for f = sign(. - theta).
+def tv_sign_reference(family: str, params: dict, shift: float, t: float) -> float:
+    """Exact separation |E f(X_t^0) - E f(X_t^shift)| for f = sign(. - theta).
 
-    The two starting points are 0 and ``shift``; theta is their midpoint,
-    which maximizes the gap over step positions.
+    The flows start at the point masses 0 and ``shift``, and theta is their
+    midpoint.  From a point mass x an ``affine`` flow is X_t = (alpha +
+    gamma) x + G with G ~ N(0, v); another family raises UnsupportedScenario.
     """
+    alpha, gamma, var = _affine_flow(family, params, t)
     theta = shift / 2.0
-    s = sigma * math.sqrt(t)
-    return abs(2.0 * (_norm.cdf(theta / s) - _norm.cdf((theta - shift) / s)))
+    s = math.sqrt(var)
+    return abs(2.0 * (_norm.cdf(theta / s) - _norm.cdf((theta - (alpha + gamma) * shift) / s)))
 
 
 def fit_loglog_slope(ts: Sequence[float], values: Sequence[float]) -> float:

@@ -34,7 +34,7 @@ from .oracle import (affine_reference, fit_loglog_slope,
                      finite_difference_intrinsic, moment_report,
                      richardson_intrinsic, stability_report,
                      tv_gradient_scaling, tv_sign_reference)
-from .scenarios import (build_family, default_observables,
+from .scenarios import (Scenario, build_family, default_observables,
                         default_perturbations, dual_dictionary, get_scenario,
                         sign_observable)
 from .simulate import (TimeGrid, memory_budget_bytes, reusing_noise,
@@ -87,17 +87,18 @@ class RunBundle:
     """Resolved scenario context shared by all checks of a run."""
 
     cfg: ExperimentConfig
-    scenario_name: str
-    family: str
+    scenario: Scenario
     model: ModelSpec
-    initial_law: dict
     observables: dict
     perturbations: dict
     checks: tuple
-    scenario_params: dict
+
+    @property
+    def scenario_name(self) -> str:
+        return self.scenario.name
 
     def mu0(self, seed: Optional[int] = None) -> EmpiricalMeasure:
-        return sample_initial(self.initial_law, self.cfg.n_particles,
+        return sample_initial(self.scenario.initial_law, self.cfg.n_particles,
                               self.cfg.seed if seed is None else seed)
 
     def grid(self, t: Optional[float] = None) -> TimeGrid:
@@ -120,8 +121,7 @@ class RunBundle:
         """estimate_intrinsic at the run's t, grid, schedule and seed."""
         cfg = self.cfg
         return estimate_intrinsic(self.model, self.mu0() if mu0 is None else mu0, phi, f,
-                                  cfg.t, self.grid(), self.sched(), cfg.seed,
-                                  scenario=self.scenario_name)
+                                  cfg.t, self.grid(), self.sched(), cfg.seed)
 
     def pairs(self):
         return [(f, p) for f in self.cfg.observables for p in self.cfg.perturbations]
@@ -137,18 +137,17 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
         params = dict(cfg.custom or {})
         family = params.pop("family", None)
         try:
-            model = build_family(family, **params)
+            d = build_family(family, **params).d
         except (MVGradError, ValueError) as exc:
             raise ConfigError(f"[custom] {exc}") from exc
-        checks = cfg.checks or ("intrinsic_estimate", "determinism")
-        law = {"family": "gaussian", "mean": [0.0] * model.d, "cov": 1.0}
-        name, scen_params = "custom", params
+        law = {"family": "gaussian", "mean": [0.0] * d, "cov": 1.0}
+        scen = Scenario(name="custom", description="[custom] section", family=family,
+                        params=params, initial_law=law,
+                        checks=("intrinsic_estimate", "determinism"))
     else:
         scen = get_scenario(cfg.scenario)
-        model = scen.build()
-        checks = cfg.checks or scen.checks
-        law = scen.initial_law
-        name, family, scen_params = scen.name, scen.family, scen.params
+    model = scen.build()
+    checks = cfg.checks or scen.checks
     if cfg.t > model.horizon + 1e-12:
         raise ConfigError(f"t={cfg.t} exceeds the scenario horizon {model.horizon}")
     observables = default_observables(model.d)
@@ -160,12 +159,10 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
                                ("perturbation", cfg.perturbations, perturbations)):
         unknown = [n for n in names if n not in known]
         if unknown:
-            raise ConfigError(f"unknown {kind} {unknown[0]!r} for scenario {name}; "
+            raise ConfigError(f"unknown {kind} {unknown[0]!r} for scenario {scen.name}; "
                               f"have {sorted(known)}")
-    bundle = RunBundle(cfg=cfg, scenario_name=name, family=family, model=model,
-                       initial_law=law, observables=observables,
-                       perturbations=perturbations, checks=checks,
-                       scenario_params=dict(scen_params))
+    bundle = RunBundle(cfg=cfg, scenario=scen, model=model, observables=observables,
+                       perturbations=perturbations, checks=checks)
     for check in checks:
         _require_needs(bundle, check)
     memory_budget_bytes()  # an invalid MVGRAD_MEMORY_BUDGET_MB raises ConfigError here
@@ -205,12 +202,11 @@ def check_intrinsic_vs_fd(bundle: RunBundle):
                          est.value, est.stderr, "ok", cfg.seed, mode=est.mode))
         for eps in cfg.eps_ladder:
             fd = finite_difference_intrinsic(bundle.model, mu0, phi, f, cfg.t,
-                                             bundle.grid(), eps, cfg.seed,
-                                             scenario=bundle.scenario_name)
+                                             bundle.grid(), eps, cfg.seed)
             rows.append(_row(bundle, "fd_oracle", f"{f_name}|{p_name}|eps={eps:g}",
                              fd.value, fd.stderr, "ok", cfg.seed, eps=eps))
         rich = richardson_intrinsic(bundle.model, mu0, phi, f, cfg.t, bundle.grid(),
-                                    eps_rich, cfg.seed, scenario=bundle.scenario_name)
+                                    eps_rich, cfg.seed)
         label = f"{f_name}|{p_name}|richardson"
         scale = max(abs(rich.value), rich.stderr)
         if scale == 0:
@@ -230,13 +226,13 @@ def check_intrinsic_vs_fd(bundle: RunBundle):
 
 def check_intrinsic_closed_form(bundle: RunBundle):
     """Affine flow with linear payoff against its exact derivative at the cloud."""
-    cfg = bundle.cfg
+    cfg, scen = bundle.cfg, bundle.scenario
     mu0 = bundle.mu0()
     rows = []
     for p_name in cfg.perturbations:
         phi = bundle.field(p_name)
         est = bundle.estimate(phi, bundle.obs("coord1"), mu0)
-        ref = affine_reference(bundle.family, bundle.scenario_params, "coord1", cfg.t,
+        ref = affine_reference(scen.family, scen.params, "coord1", cfg.t,
                                mu0.points, phi(mu0.points))
         gap = abs(est.value - ref)
         tol = 3.0 * est.stderr
@@ -251,17 +247,16 @@ _CLASSICAL_TARGETS = {"brownian": "sin", "ou": "coord1"}
 
 
 def check_classical_gradient(bundle: RunBundle):
-    cfg = bundle.cfg
-    f_name = _CLASSICAL_TARGETS.get(bundle.scenario_name, "coord1")
+    cfg, scen = bundle.cfg, bundle.scenario
+    f_name = _CLASSICAL_TARGETS.get(scen.name, "coord1")
     f = bundle.obs(f_name)
     x0, v = np.zeros(bundle.model.d), np.eye(bundle.model.d)[0]
     est = estimate_classical(bundle.model, x0, v, f, cfg.t, bundle.grid(),
-                             bundle.sched(), cfg.seed, cfg.n_particles,
-                             scenario=bundle.scenario_name)
+                             bundle.sched(), cfg.seed, cfg.n_particles)
     rows = [_row(bundle, "intrinsic_estimate", f"classical|{f_name}",
                  est.value, est.stderr, "ok", cfg.seed, x0=0.0)]
     try:
-        ref = affine_reference(bundle.family, bundle.scenario_params, f_name, cfg.t,
+        ref = affine_reference(scen.family, scen.params, f_name, cfg.t,
                                x0[None, :], v[None, :])
     except MVGradError:
         # nothing to compare against: the estimate stands, the run is not failed
@@ -283,7 +278,7 @@ def check_beta_invariance(bundle: RunBundle):
     f_name, p_name = cfg.observables[0], cfg.perturbations[0]
     report = beta_invariance_check(bundle.model, bundle.mu0(), bundle.field(p_name),
                                    bundle.obs(f_name), cfg.t, bundle.grid(),
-                                   cfg.ci_seeds, scheds, scenario=bundle.scenario_name)
+                                   cfg.ci_seeds, scheds)
     rows = [_row(bundle, "beta_check", f"schedule={name}", mean, se, "ok",
                  cfg.ci_seeds[0], n_seeds=report.n_seeds)
             for name, mean, se in zip(report.schedule_names, report.means, report.stderrs)]
@@ -324,8 +319,7 @@ def check_dual_norm_scaling(bundle: RunBundle):
     rows, values = [], []
     for t in cfg.t_grid:
         est = dual_norm_lower_bound(bundle.model, mu0, f, t, bundle.grid(t),
-                                    bundle.sched(t=t), dictionary, cfg.seed,
-                                    scenario=bundle.scenario_name)
+                                    bundle.sched(t=t), dictionary, cfg.seed)
         values.append(est.value)
         rows.append(_row(bundle, "dual_norm", f"t={t:g}", est.value, est.stderr,
                          "ok", cfg.seed))
@@ -342,7 +336,7 @@ def check_dual_norm_scaling(bundle: RunBundle):
 
 
 def check_tv_scaling(bundle: RunBundle):
-    cfg = bundle.cfg
+    cfg, scen = bundle.cfg, bundle.scenario
     c = cfg.tv_shift
     mu0 = bundle.point_mass(0.0)
     nu0 = bundle.point_mass(c)
@@ -351,8 +345,7 @@ def check_tv_scaling(bundle: RunBundle):
                                  cfg.dt, cfg.seed)
     rows = [_row(bundle, "tv_slope", label, gap, None, "ok", cfg.seed)
             for label, gap in report.rows()]
-    sigma0 = float(bundle.scenario_params.get("sigma", 1.0))
-    exact = [tv_sign_reference(c, sigma0, t) for t in cfg.t_grid]
+    exact = [tv_sign_reference(scen.family, scen.params, c, t) for t in cfg.t_grid]
     exact_slope = fit_loglog_slope(cfg.t_grid, exact)
     if report.slope is None:
         rows.append(_row(bundle, "tv_slope", "slope", None, None, "fail",
@@ -388,7 +381,7 @@ def check_wasserstein_lipschitz(bundle: RunBundle):
 
 def check_moment_bound(bundle: RunBundle):
     cfg = bundle.cfg
-    mean = np.atleast_1d(np.asarray(bundle.initial_law.get("mean", [0.0]), dtype=float))
+    mean = np.atleast_1d(np.asarray(bundle.scenario.initial_law["mean"], dtype=float))
     ladder = [sample_initial({"family": "gaussian", "mean": mean, "cov": v},
                              cfg.n_particles, cfg.seed + j)
               for j, v in enumerate(cfg.moment_variances)]
@@ -454,8 +447,8 @@ NAMED_NEEDS: dict[str, tuple] = {
     "measure_free_drift": (
         lambda b: b.model.meanfield_drift.is_measure_free(np.zeros(b.model.d)),
         "a measure-free drift"),
-    # the family affine_reference has a closed form for
-    "affine_family": (lambda b: b.family == "affine", "the affine family"),
+    # the family affine_reference and tv_sign_reference have closed forms for
+    "affine_family": (lambda b: b.scenario.family == "affine", "the affine family"),
     # beyond d = 1 the transport is an exact assignment, capped in size
     "assignment_cap": (lambda b: b.model.d == 1 or b.cfg.n_particles <= ASSIGNMENT_CAP,
                        f"n_particles at most {ASSIGNMENT_CAP} when d > 1"),
@@ -470,7 +463,7 @@ CHECK_NEEDS: dict[str, dict] = {
     "classical_gradient": {"measure_free_drift": True},
     "beta_invariance": {"schedules": 2},
     "dual_norm_scaling": {"t_grid": 2},
-    "tv_scaling": {"t_grid": 2},
+    "tv_scaling": {"t_grid": 2, "affine_family": True},
     "wasserstein_lipschitz": {"stability_shifts": 2, "assignment_cap": True},
     "moment_bound": {"moment_variances": 1},
     "tangent_fd_order": {"eps_ladder": 2},

@@ -134,54 +134,54 @@ def regularized_singular_drift(delta: float, strength: float = 1.0) -> SingularD
     return SingularDrift(eval=ev, grad=grad)
 
 
-# The parameters build_family reads for each family.
+# Every parameter build_family reads, per family, with its default.
+_COMMON = {"k": 2.0, "horizon": 4.0, "sigma": 1.0}
 FAMILY_PARAMS = {
-    "affine": ("k", "horizon", "sigma", "d", "a", "kappa"),
-    "trig": ("k", "horizon", "sigma", "a", "c_nl", "amp"),
-    "meanfield_sine": ("k", "horizon", "sigma", "a", "kappa"),
-    "singular": ("k", "horizon", "sigma", "a", "delta", "strength"),
+    "affine": {**_COMMON, "d": 1, "a": 0.0, "kappa": 0.0},
+    "trig": {**_COMMON, "a": 1.0, "c_nl": 0.5, "amp": 0.25},
+    "meanfield_sine": {**_COMMON, "a": 1.0, "kappa": 0.5},
+    "singular": {**_COMMON, "a": 0.5, "delta": 1e-3, "strength": 1.0},
 }
 
 
-def build_family(family: str, **p) -> ModelSpec:
-    """Construct a model from a named coefficient family.
-
-    :data:`FAMILY_PARAMS` lists the families and the parameters each reads;
-    a missing parameter takes its default, and any other parameter or a
-    non-finite value is an error.
-    """
-    known = FAMILY_PARAMS.get(family)
-    if known is None:
+def family_params(family: str, **p) -> dict:
+    """``p`` over the family's defaults in :data:`FAMILY_PARAMS`; an unknown
+    family, a key the family does not read or a non-finite value raises."""
+    defaults = FAMILY_PARAMS.get(family)
+    if defaults is None:
         raise UnknownFamily(f"unknown coefficient family {family!r}")
-    unknown = [key for key in p if key not in known]
+    unknown = [key for key in p if key not in defaults]
     if unknown:
-        raise ValueError(f"family {family} reads {list(known)}, not {unknown[0]!r}")
+        raise ValueError(f"family {family} reads {list(defaults)}, not {unknown[0]!r}")
     nonfinite = [key for key, value in p.items() if not math.isfinite(value)]
     if nonfinite:
         raise ValueError(f"parameter {nonfinite[0]} = {p[nonfinite[0]]!r} is not finite")
-    k = float(p.get("k", 2.0))
-    horizon = float(p.get("horizon", 4.0))
-    sigma0 = float(p.get("sigma", 1.0))
+    return {**defaults, **p}
+
+
+def build_family(family: str, **p) -> ModelSpec:
+    """Construct a model from a named coefficient family (see :func:`family_params`)."""
+    p = family_params(family, **p)
+    k, horizon, sigma0 = float(p["k"]), float(p["horizon"]), float(p["sigma"])
     if family == "affine":
-        d = int(p.get("d", 1))
-        drift = affine_drift(d, float(p.get("a", 0.0)), float(p.get("kappa", 0.0)))
+        d = int(p["d"])
+        drift = affine_drift(d, float(p["a"]), float(p["kappa"]))
         return ModelSpec(d=d, m=d, k=k, meanfield_drift=drift,
                          diffusion=constant_diffusion(d, d, sigma0),
                          horizon=horizon)
     if family == "trig":
-        drift = trig_drift(float(p.get("a", 1.0)), float(p.get("c_nl", 0.5)))
-        diff = trig_diffusion(sigma0, float(p.get("amp", 0.25)))
+        drift = trig_drift(float(p["a"]), float(p["c_nl"]))
+        diff = trig_diffusion(sigma0, float(p["amp"]))
         return ModelSpec(d=1, m=1, k=k, meanfield_drift=drift, diffusion=diff,
                          horizon=horizon)
     if family == "meanfield_sine":
-        drift = sine_coupling_drift(float(p.get("a", 1.0)), float(p.get("kappa", 0.5)))
+        drift = sine_coupling_drift(float(p["a"]), float(p["kappa"]))
         return ModelSpec(d=1, m=1, k=k, meanfield_drift=drift,
                          diffusion=constant_diffusion(1, 1, sigma0),
                          horizon=horizon)
     if family == "singular":
-        drift = affine_drift(1, float(p.get("a", 0.5)), 0.0)
-        sing = regularized_singular_drift(float(p.get("delta", 1e-3)),
-                                          float(p.get("strength", 1.0)))
+        drift = affine_drift(1, float(p["a"]), 0.0)
+        sing = regularized_singular_drift(float(p["delta"]), float(p["strength"]))
         return ModelSpec(d=1, m=1, k=k, meanfield_drift=drift,
                          diffusion=constant_diffusion(1, 1, sigma0),
                          horizon=horizon, singular_drift=sing)
@@ -262,15 +262,17 @@ def dual_dictionary(d: int) -> list:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Registry entry: model recipe plus the checks it exercises."""
+    """One resolved model: family, every parameter, initial law and checks."""
 
     name: str
     description: str
     family: str
     params: dict
-    d: int
     initial_law: dict
     checks: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", family_params(self.family, **self.params))
 
     def build(self) -> ModelSpec:
         return build_family(self.family, **self.params)
@@ -287,7 +289,7 @@ _register(Scenario(
     name="brownian",
     description="driftless unit-noise baseline with Gaussian start",
     family="affine", params={"d": 1, "a": 0.0, "kappa": 0.0, "sigma": 1.0},
-    d=1, initial_law={"family": "gaussian", "mean": [0.0], "cov": 1.0},
+    initial_law={"family": "gaussian", "mean": [0.0], "cov": 1.0},
     checks=("classical_gradient", "intrinsic_vs_fd", "intrinsic_closed_form",
             "beta_invariance", "linearity", "dual_norm_scaling", "tv_scaling",
             "determinism"),
@@ -297,7 +299,7 @@ _register(Scenario(
     name="brownian2d",
     description="planar driftless baseline (exercises matrix-valued plumbing)",
     family="affine", params={"d": 2, "a": 0.0, "kappa": 0.0, "sigma": 1.0},
-    d=2, initial_law={"family": "gaussian", "mean": [0.0, 0.0], "cov": 1.0},
+    initial_law={"family": "gaussian", "mean": [0.0, 0.0], "cov": 1.0},
     checks=("intrinsic_vs_fd", "linearity", "determinism"),
 ))
 
@@ -305,7 +307,7 @@ _register(Scenario(
     name="ou",
     description="linear mean-reverting drift, constant noise",
     family="affine", params={"d": 1, "a": 1.0, "kappa": 0.0, "sigma": 1.0},
-    d=1, initial_law={"family": "gaussian", "mean": [0.0], "cov": 1.0},
+    initial_law={"family": "gaussian", "mean": [0.0], "cov": 1.0},
     checks=("classical_gradient", "intrinsic_vs_fd", "moment_bound",
             "linearity", "determinism"),
 ))
@@ -314,7 +316,7 @@ _register(Scenario(
     name="meanfield_ou",
     description="mean-reverting drift coupled to the running mean",
     family="affine", params={"d": 1, "a": 1.0, "kappa": 0.5, "sigma": 1.0},
-    d=1, initial_law={"family": "gaussian", "mean": [0.0], "cov": 1.0},
+    initial_law={"family": "gaussian", "mean": [0.0], "cov": 1.0},
     checks=("intrinsic_vs_fd", "beta_invariance", "wasserstein_lipschitz",
             "moment_bound", "linearity", "determinism"),
 ))
@@ -323,7 +325,7 @@ _register(Scenario(
     name="trig",
     description="nonlinear drift with trigonometric state-dependent noise",
     family="trig", params={"a": 1.0, "c_nl": 0.5, "sigma": 1.0, "amp": 0.25},
-    d=1, initial_law={"family": "gaussian", "mean": [0.0], "cov": 1.0},
+    initial_law={"family": "gaussian", "mean": [0.0], "cov": 1.0},
     checks=("tangent_fd_order", "intrinsic_vs_fd", "determinism"),
 ))
 
@@ -331,7 +333,7 @@ _register(Scenario(
     name="meanfield_sine",
     description="smooth nonlinear coupling through the running mean",
     family="meanfield_sine", params={"a": 1.0, "kappa": 0.5, "sigma": 1.0},
-    d=1, initial_law={"family": "gaussian", "mean": [0.0], "cov": 1.0},
+    initial_law={"family": "gaussian", "mean": [0.0], "cov": 1.0},
     checks=("tangent_fd_order", "intrinsic_vs_fd", "linearity", "determinism"),
 ))
 
@@ -340,7 +342,7 @@ _register(Scenario(
     description="regularized integrable singularity at the origin (heuristic mode)",
     family="singular",
     params={"a": 0.5, "delta": 1e-3, "sigma": 1.0, "strength": 1.0},
-    d=1, initial_law={"family": "gaussian", "mean": [1.0], "cov": 0.25},
+    initial_law={"family": "gaussian", "mean": [1.0], "cov": 0.25},
     checks=("moment_bound", "intrinsic_estimate", "intrinsic_vs_fd", "determinism"),
 ))
 

@@ -68,7 +68,7 @@ def test_criterion_01_classical_gradient_closed_form():
         model = scen.build()
         est = estimate_classical(model, [0.0], [1.0], f, T_DESK, GRID_DESK,
                                  linear_schedule(T_DESK), seed=2024,
-                                 n_particles=N_DESK, scenario=scen_name)
+                                 n_particles=N_DESK)
         ref = affine_reference(scen.family, scen.params, f.name, T_DESK,
                                np.zeros((1, 1)), np.ones((1, 1)))
         gap = abs(est.value - ref)
@@ -129,7 +129,7 @@ def test_criterion_03_schedule_invariance():
                      sine_schedule(T_DESK)]
         rep = beta_invariance_check(model, mu0, const_e1, coord_observable(0),
                                     T_DESK, GRID_DESK, seeds=(101, 202, 303),
-                                    schedules=schedules, scenario=scen_name)
+                                    schedules=schedules)
         for a, b, gap, tol, ok in rep.pairs:
             report("criterion-03 schedule invariance", ok,
                    f"[{scen_name}] {a} vs {b}: gap={gap:.2g} tol={tol:.2g}")
@@ -189,7 +189,7 @@ def test_criterion_06_dual_norm_time_scaling():
         grid = TimeGrid(t_end=t, n_steps=max(1, int(round(t / DT_DESK))))
         est = dual_norm_lower_bound(model, mu0, f, t, grid,
                                     linear_schedule(t), [const_e1, neg_e1],
-                                    seed=61, scenario="brownian")
+                                    seed=61)
         values.append(est.value)
     slope = fit_loglog_slope(ts, values)
     ok = -0.65 <= slope <= -0.35
@@ -199,12 +199,13 @@ def test_criterion_06_dual_norm_time_scaling():
 
 
 def test_criterion_07_tv_scaling_matches_quadrature():
-    model = get_scenario("brownian").build()
+    scen = get_scenario("brownian")
+    model = scen.build()
     c = 0.5
     ts = (0.05, 0.1, 0.2, 0.4)
     rep = tv_gradient_scaling(model, point_cloud(0.0), point_cloud(c), ts,
                               [sign_observable(c / 2.0)], dt=DT_DESK, seed=71)
-    exact = [tv_sign_reference(c, 1.0, t) for t in ts]
+    exact = [tv_sign_reference(scen.family, scen.params, c, t) for t in ts]
     exact_slope = fit_loglog_slope(ts, exact)
     gap = abs(rep.slope - exact_slope)
     ok = gap <= 0.15

@@ -10,9 +10,12 @@ from mvgrad.bismut import (Estimate, beta_invariance_check, dual_norm_lower_boun
 from mvgrad.errors import (GridMismatch, MeasureDependence, MemoryBudgetExceeded,
                            NonFinite, ScheduleMismatch)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
-from mvgrad.model import PerturbationField, linear_schedule, quadratic_schedule
-from mvgrad.scenarios import (constant_observable, coord_observable,
-                              coordinate_field, get_scenario, identity_field,
+from mvgrad.model import (Diffusion, ModelSpec, PerturbationField, linear_schedule,
+                          quadratic_schedule)
+from mvgrad.oracle import richardson_intrinsic
+from mvgrad.scenarios import (affine_drift, constant_observable, coord_observable,
+                              coordinate_field, default_observables,
+                              default_perturbations, get_scenario, identity_field,
                               sign_observable, sin_observable)
 from mvgrad.simulate import MEMORY_BUDGET_ENV, TimeGrid, simulate_particles
 from mvgrad.tangent import frozen_tangent, meanfield_tangent
@@ -331,3 +334,61 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * 8 * N * (n + 1) * model.d
+
+
+def _planar_trig_sigma(t, x):
+    """d = 2, m = 3 state-dependent noise; rows stay nearly orthonormal."""
+    s0, c0 = np.sin(x[:, 0]), np.cos(x[:, 0])
+    s1, c1 = np.sin(x[:, 1]), np.cos(x[:, 1])
+    out = np.empty((x.shape[0], 2, 3))
+    out[:, 0, 0] = 1.0 + 0.25 * s0
+    out[:, 0, 1] = 0.2 * c1
+    out[:, 0, 2] = 0.3
+    out[:, 1, 0] = 0.2 * s1
+    out[:, 1, 1] = 1.0 + 0.25 * c0
+    out[:, 1, 2] = 0.3 * s0
+    return out
+
+
+def _planar_trig_grad_sigma(t, x):
+    """Entry [i, a, b, j] = d sigma_ab / dx_j of :func:`_planar_trig_sigma`."""
+    s0, c0 = np.sin(x[:, 0]), np.cos(x[:, 0])
+    s1, c1 = np.sin(x[:, 1]), np.cos(x[:, 1])
+    out = np.zeros((x.shape[0], 2, 3, 2))
+    out[:, 0, 0, 0] = 0.25 * c0
+    out[:, 0, 1, 1] = -0.2 * s1
+    out[:, 1, 0, 1] = 0.2 * c1
+    out[:, 1, 1, 0] = -0.25 * s0
+    out[:, 1, 2, 0] = 0.3 * c0
+    return out
+
+
+def planar_trig_model() -> ModelSpec:
+    """d = 2 state, m = 3 noise: runs the per-particle zeta solve with m > d."""
+    diff = Diffusion(sigma=_planar_trig_sigma, grad_sigma=_planar_trig_grad_sigma)
+    return ModelSpec(d=2, m=3, k=2.0, meanfield_drift=affine_drift(2, 1.0, 0.5),
+                     diffusion=diff, horizon=4.0)
+
+
+class TestPlanarStateDependentNoise:
+    def test_grad_sigma_is_exact(self):
+        x = np.random.default_rng(0).normal(size=(50, 2))
+        h = 1e-6
+        for j in range(2):
+            step = np.zeros(2)
+            step[j] = h
+            fd = (_planar_trig_sigma(0.0, x + step) - _planar_trig_sigma(0.0, x - step)) / (2 * h)
+            assert np.max(np.abs(fd - _planar_trig_grad_sigma(0.0, x)[..., j])) < 1e-8
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("f_name,p_name", [("coord1", "const_e1"), ("sin", "sine_field")])
+    def test_estimate_agrees_with_richardson(self, f_name, p_name, seed):
+        # the runner's intrinsic_vs_fd rule: gap within 3 combined stderrs
+        model = planar_trig_model()
+        f, phi = default_observables(2)[f_name], default_perturbations(2)[p_name]
+        mu0 = sample_initial({"family": "gaussian", "mean": [0.0, 0.0], "cov": 1.0},
+                             2000, seed)
+        grid = TimeGrid(1.0, 200)
+        est = estimate_intrinsic(model, mu0, phi, f, 1.0, grid, linear_schedule(1.0), seed)
+        rich = richardson_intrinsic(model, mu0, phi, f, 1.0, grid, 0.05, seed)
+        assert abs(est.value - rich.value) <= 3.0 * math.hypot(est.stderr, rich.stderr)

@@ -16,8 +16,8 @@ from mvgrad.cli import main
 from mvgrad.config import ExperimentConfig, load_config
 from mvgrad.model import SCHEDULE_FACTORIES
 from mvgrad.runner import CHECKS
-from mvgrad.scenarios import (all_scenarios, default_observables,
-                              default_perturbations, scenario_names)
+from mvgrad.scenarios import (FAMILY_PARAMS, all_scenarios, default_observables,
+                              default_perturbations, get_scenario, scenario_names)
 
 SMALL_CONFIG = """\
 [experiment]
@@ -285,6 +285,8 @@ BAD_INPUTS = {
                                 only_check("classical_gradient")), None),
     "closed-form-on-trig": ((("scenario = brownian", "scenario = trig"),
                              only_check("intrinsic_closed_form")), None),
+    "tv-on-trig": ((("scenario = brownian", "scenario = trig"), only_check("tv_scaling"),
+                    oracle_line("t_grid = 0.1, 0.2")), None),
     "transport-above-cap": ((("scenario = brownian", "scenario = brownian2d"),
                              ("n_particles = 400", "n_particles = 4097"),
                              only_check("wasserstein_lipschitz"),
@@ -344,6 +346,14 @@ def test_check_needs_are_known():
             assert need in runner.NAMED_NEEDS or need in fields, (check, need)
 
 
+@pytest.mark.parametrize("name", scenario_names())
+def test_registry_entry_resolves_with_its_checks(name):
+    # a registry entry whose declared checks need what its model lacks fails here
+    bundle = runner.resolve_bundle(ExperimentConfig(scenario=name))
+    assert bundle.checks == get_scenario(name).checks
+    assert set(bundle.scenario.params) == set(FAMILY_PARAMS[bundle.scenario.family])
+
+
 def test_classical_gradient_without_closed_form_is_ok(tmp_path):
     text = (SMALL_CONFIG.replace("scenario = brownian", "scenario = trig")
             .replace(CHECKS_LINE, "checks = classical_gradient"))
@@ -374,6 +384,32 @@ def test_closed_form_on_every_affine_scenario(scenario, tmp_path):
                  "--out", str(out)]) == 0
     assert [(r["label"], r["status"]) for r in read_rows(out)] == [
         (f"coord1|{p}|exact", "pass") for p in ("const_e1", "identity", "sine_field")]
+
+
+TV_CONFIG = """\
+[experiment]
+scenario = {scenario}
+n_particles = 4000
+n_steps = 400
+t = 1.0
+seed = 3
+
+[estimator]
+checks = tv_scaling
+
+[oracle]
+t_grid = 0.25, 0.5, 1, 2
+tv_shift = 1
+"""
+
+
+@pytest.mark.parametrize("scenario", ["ou", "meanfield_ou"])
+def test_tv_slope_of_a_mean_reverting_flow_passes(scenario, tmp_path):
+    # the exact slope is that of the scenario's own affine flow, not Brownian motion's
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, TV_CONFIG.format(scenario=scenario))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [(r["label"], r["status"]) for r in read_rows(out)][-1] == ("slope", "pass")
 
 
 def test_degenerate_oracle_is_ok_not_pass(tmp_path):

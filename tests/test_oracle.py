@@ -15,7 +15,7 @@ from mvgrad.oracle import (affine_reference, finite_difference_intrinsic,
                            tv_gradient_scaling, tv_sign_reference)
 from mvgrad.scenarios import (build_family, constant_observable,
                               coord_observable, coordinate_field,
-                              default_perturbations, get_scenario,
+                              default_perturbations, family_params, get_scenario,
                               identity_field, sign_observable, sine_field,
                               tanh_observable)
 from mvgrad.simulate import TimeGrid
@@ -192,6 +192,11 @@ class TestQuadratureReference:
         assert sine == pytest.approx(float(np.mean(expect)), rel=1e-12)
 
 
+def brownian_tv(shift, sigma, t):
+    """tv_sign_reference of the driftless affine flow with noise scale sigma."""
+    return tv_sign_reference("affine", family_params("affine", sigma=sigma), shift, t)
+
+
 class TestTvSignReference:
     def test_matches_direct_quadrature(self):
         c, sigma, t = 0.5, 1.0, 0.2
@@ -206,17 +211,39 @@ class TestTvSignReference:
                                     points=[theta])
             return abs(lhs - rhs)
 
-        assert tv_sign_reference(c, sigma, t) == pytest.approx(gap_by_quad(), abs=1e-10)
+        assert brownian_tv(c, sigma, t) == pytest.approx(gap_by_quad(), abs=1e-10)
 
     def test_never_exceeds_tv_range(self):
         for t in (1e-4, 0.01, 1.0, 10.0):
-            assert tv_sign_reference(1.0, 1.0, t) <= 2.0
+            assert brownian_tv(1.0, 1.0, t) <= 2.0
 
     def test_diffusive_slope_for_large_t(self):
         ts = [10.0, 20.0, 40.0]
-        vals = [tv_sign_reference(0.5, 1.0, t) for t in ts]
+        vals = [brownian_tv(0.5, 1.0, t) for t in ts]
         slope = fit_loglog_slope(ts, vals)
         assert slope == pytest.approx(-0.5, abs=0.01)
+
+    @pytest.mark.parametrize("scenario", ["ou", "meanfield_ou"])
+    def test_mean_reverting_flow_matches_direct_quadrature(self, scenario):
+        # from a point mass x the law at t is N(e^{-a t} x, s^2) with
+        # s^2 = sigma^2 (1 - e^{-2 (a + kappa) t}) / (2 (a + kappa))
+        scen = get_scenario(scenario)
+        a, kappa = scen.params["a"], scen.params["kappa"]
+        c, t = 1.0, 0.5
+        theta = c / 2.0
+        s = math.sqrt((1.0 - math.exp(-2.0 * (a + kappa) * t)) / (2.0 * (a + kappa)))
+        f = lambda x: math.copysign(1.0, x - theta)
+        lhs, _ = integrate.quad(lambda x: f(x) * norm.pdf(x, 0.0, s), -12, 12,
+                                points=[theta])
+        rhs, _ = integrate.quad(lambda x: f(x) * norm.pdf(x, math.exp(-a * t) * c, s),
+                                -12, 12, points=[theta])
+        assert tv_sign_reference(scen.family, scen.params, c, t) == pytest.approx(
+            abs(lhs - rhs), abs=1e-10)
+
+    def test_other_family_unsupported(self):
+        scen = get_scenario("trig")
+        with pytest.raises(UnsupportedScenario):
+            tv_sign_reference(scen.family, scen.params, 1.0, 0.5)
 
 
 class TestFitSlope:
@@ -336,7 +363,7 @@ class TestTvScaling:
         ts = (0.05, 0.1, 0.2, 0.4)
         rep = tv_gradient_scaling(model, mu0, nu0, ts, [sign_observable(c / 2.0)],
                                   dt=1e-3, seed=24)
-        exact = [tv_sign_reference(c, 1.0, t) for t in ts]
+        exact = [brownian_tv(c, 1.0, t) for t in ts]
         exact_slope = fit_loglog_slope(ts, exact)
         assert rep.slope == pytest.approx(exact_slope, abs=0.15)
 
