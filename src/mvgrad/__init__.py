@@ -25,10 +25,10 @@ from .model import (BismutSchedule, CylindricalDrift, Diffusion, ModelSpec,
                     Observable, PerturbationField, SingularDrift,
                     linear_schedule, quadratic_schedule, schedule_by_name,
                     sine_schedule, validate_ellipticity, zeta)
-from .oracle import (MomentReport, StabilityReport, TVScalingReport,
-                     affine_reference, finite_difference_intrinsic,
-                     fit_loglog_slope, moment_report, richardson_intrinsic,
-                     stability_report, tv_gradient_scaling, tv_sign_reference)
+from .oracle import (MomentReport, StabilityReport, affine_reference,
+                     finite_difference_intrinsic, fit_loglog_slope,
+                     moment_report, richardson_intrinsic, stability_report,
+                     tv_gradient_scaling, tv_sign_reference)
 from .scenarios import (Scenario, all_scenarios, build_family, get_scenario,
                         scenario_names)
 from .simulate import (ParticlePaths, TimeGrid, brownian_increments,

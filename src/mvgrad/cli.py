@@ -8,9 +8,12 @@ Subcommands:
 * ``validate --config FILE`` parses and validates without running.
 
 Exit codes: 0 success, 1 a declared check failed, 2 configuration error,
-3 numerical failure.  ``validate`` and ``run`` check a config alike.  An
+3 numerical failure.  ``validate`` and ``run`` check a config alike, and
+``validate`` writes nothing; ``run`` then creates its output directory
+before the first check, and a directory it cannot create exits 2.  An
 unknown section or key, an unknown name, an unmet check need
-(``runner.CHECK_NEEDS``) or an MVGRAD_MEMORY_BUDGET_MB (the cap on retained
+(``runner.CHECK_NEEDS``), noise that is not elliptic at the initial law's
+mean (such as sigma = 0) or an MVGRAD_MEMORY_BUDGET_MB (the cap on retained
 trajectories: states plus increments, and tangents with their coupling
 terms) that is not a finite positive number all exit 2.
 """
@@ -21,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError
@@ -62,9 +66,13 @@ def _checked_config(path, **overrides):
             cfg.validate()
         resolve_bundle(cfg)  # surfaces name, needs, horizon and budget problems
     except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
+        _config_error(str(exc))
         return None
     return cfg, text
+
+
+def _config_error(message: str) -> None:
+    print(json.dumps({"error": "config", "message": message}), file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
@@ -73,6 +81,12 @@ def _cmd_run(args) -> int:
     if checked is None:
         return 2
     cfg, text = checked
+    try:
+        # before the first check, so a bad directory costs no run time
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _config_error(f"cannot create output directory {cfg.out_dir}: {exc}")
+        return 2
     result = run_experiment(cfg, text, cfg.out_dir)
     print(f"wrote {result.csv_path} ({len(result.rows)} rows), exit {result.exit_code}")
     if result.errors:

@@ -124,29 +124,13 @@ class Diffusion:
 
 @dataclass(frozen=True)
 class Observable:
-    """Scalar test function f paired against terminal particle states.
-
-    ``bound`` is the declared sup of |f|, None for an unbounded f.
-    """
+    """Scalar test function f paired against terminal particle states."""
 
     f: Callable[[Array], Array]
-    bound: Optional[float] = None
     name: str = ""
 
     def __call__(self, x: Array) -> Array:
         return np.asarray(self.f(x), dtype=float)
-
-    def check_bound(self, x: Array, tol: float = 1e-9) -> None:
-        """Verify |f| <= bound on the supplied probe points."""
-        if self.bound is None:
-            return
-        b = float(self.bound)
-        worst = float(np.max(np.abs(self(x)))) if len(x) else 0.0
-        if worst > b + tol:
-            raise ValueError(
-                f"observable {self.name or '<anon>'} declared |f|<={b} "
-                f"but reached {worst:.6g} on probes"
-            )
 
 
 @dataclass(frozen=True)

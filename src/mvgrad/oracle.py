@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import norm as _norm
@@ -121,17 +121,22 @@ def affine_reference(family: str, params: dict, f_name: str, t: float,
     return float(np.mean(fprime * (alpha * phi + gamma * np.mean(phi))))
 
 
-def tv_sign_reference(family: str, params: dict, shift: float, t: float) -> float:
-    """Exact separation |E f(X_t^0) - E f(X_t^shift)| for f = sign(. - theta).
+def tv_sign_reference(family: str, params: dict, shift: float,
+                      t: float) -> tuple[float, float]:
+    """(theta, exact gap) of the step f = sign(. - theta) between two flows.
 
-    The flows start at the point masses 0 and ``shift``, and theta is their
-    midpoint.  From a point mass x an ``affine`` flow is X_t = (alpha +
-    gamma) x + G with G ~ N(0, v); another family raises UnsupportedScenario.
+    The flows start at the point masses 0 and ``shift``.  From a point mass
+    x an ``affine`` flow is X_t = (alpha + gamma) x + G with G ~ N(0, v), so
+    the two laws are Gaussians of equal variance, and theta = (alpha +
+    gamma) shift / 2 is the midpoint of their means.  There the step's gap
+    |E f(X_t^0) - E f(X_t^shift)| equals the total-variation distance
+    int |p - q| of the two laws.  Another family raises UnsupportedScenario.
     """
     alpha, gamma, var = _affine_flow(family, params, t)
-    theta = shift / 2.0
+    theta = (alpha + gamma) * shift / 2.0
     s = math.sqrt(var)
-    return abs(2.0 * (_norm.cdf(theta / s) - _norm.cdf((theta - (alpha + gamma) * shift) / s)))
+    gap = abs(2.0 * (_norm.cdf(theta / s) - _norm.cdf((theta - (alpha + gamma) * shift) / s)))
+    return theta, gap
 
 
 def fit_loglog_slope(ts: Sequence[float], values: Sequence[float]) -> float:
@@ -221,56 +226,23 @@ def moment_report(model: ModelSpec, mu0_ladder: Sequence[EmpiricalMeasure],
                         ratios=tuple(ratios))
 
 
-@dataclass(frozen=True)
-class TVScalingReport:
-    """Dictionary lower bound on total-variation separation across times.
-
-    ``slope`` is the fitted log-log decay exponent; the diffusive
-    prediction for short times is -1/2.  The bound never exceeds the
-    total-variation range 2 and can only grow under dictionary
-    enlargement.
-    """
-
-    ts: tuple
-    gaps: tuple
-    slope: Optional[float]
-
-    def rows(self) -> list:
-        return [(f"t={t:g}", g) for t, g in zip(self.ts, self.gaps)]
-
-
 def tv_gradient_scaling(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeasure,
-                        t_grid: Sequence[float], dictionary: Sequence[Observable],
-                        dt: float, seed: int) -> TVScalingReport:
-    """Lower-bound the total-variation gap with a dictionary of |f| <= 1.
+                        grids: Sequence[TimeGrid], thetas: Sequence[float],
+                        seed: int) -> list:
+    """Per grid, the gap |mean sign(X_1 - theta) - mean sign(Y_1 - theta)|.
 
-    For each time the two laws are simulated at the common step size and
-    the largest absolute mean gap over the dictionary is recorded; the gap
-    is a genuine lower bound on the total-variation distance because every
-    dictionary member must declare a bound of at most 1 and is verified to
-    keep it on the realized samples.
+    X and Y start at mu0 and nu0 and ride identical noise on each grid, and
+    the step at that grid's theta is read on the first coordinate.  As
+    |sign| <= 1, each gap is a lower bound on the total-variation distance
+    of the two laws; :func:`tv_sign_reference` gives the theta at which an
+    affine flow attains it.
     """
     if mu0.N != nu0.N:
         raise UnequalSupport("tv scaling needs equal sample counts")
-    for f in dictionary:
-        if f.bound is None or f.bound > 1.0:
-            raise ValueError(f"dictionary member {f.name or '<anon>'} must be bounded "
-                             f"by 1, not {f.bound}")
-    ts, gaps = [], []
-    for t in t_grid:
-        n_steps = max(1, int(round(t / dt)))
-        grid = TimeGrid(t_end=t, n_steps=n_steps)
-        run1 = simulate_particles(model, mu0, grid, seed)
-        run2 = simulate_particles(model, nu0, grid, seed)
-        x1, x2 = run1.terminal(), run2.terminal()
-        best = 0.0
-        for f in dictionary:
-            f.check_bound(x1)
-            f.check_bound(x2)
-            best = max(best, abs(float(np.mean(f(x1))) - float(np.mean(f(x2)))))
-        ts.append(float(t))
-        gaps.append(best)
-    slope: Optional[float] = None
-    if all(g > 0 for g in gaps) and len(gaps) >= 2:
-        slope = fit_loglog_slope(ts, gaps)
-    return TVScalingReport(ts=tuple(ts), gaps=tuple(gaps), slope=slope)
+    gaps = []
+    for grid, theta in zip(grids, thetas, strict=True):
+        x1 = simulate_particles(model, mu0, grid, seed).terminal()[:, 0]
+        x2 = simulate_particles(model, nu0, grid, seed).terminal()[:, 0]
+        gaps.append(abs(float(np.mean(np.sign(x1 - theta)))
+                        - float(np.mean(np.sign(x2 - theta)))))
+    return gaps

@@ -196,21 +196,19 @@ def coord_observable(j: int = 0) -> Observable:
 
 
 def sin_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.sin(x[:, j]), bound=1.0, name="sin")
+    return Observable(f=lambda x: np.sin(x[:, j]), name="sin")
 
 
 def sign_observable(theta: float = 0.0, j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.sign(x[:, j] - theta), bound=1.0,
-                      name=f"sign@{theta:g}")
+    return Observable(f=lambda x: np.sign(x[:, j] - theta), name=f"sign@{theta:g}")
 
 
 def tanh_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.tanh(x[:, j]), bound=1.0, name="tanh")
+    return Observable(f=lambda x: np.tanh(x[:, j]), name="tanh")
 
 
 def constant_observable(c: float = 1.0) -> Observable:
-    return Observable(f=lambda x: np.full(x.shape[0], c), bound=abs(c) or 1.0,
-                      name=f"const{c:g}")
+    return Observable(f=lambda x: np.full(x.shape[0], c), name=f"const{c:g}")
 
 
 def identity_field() -> PerturbationField:

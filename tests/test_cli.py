@@ -308,6 +308,10 @@ BAD_INPUTS = {
                            only_check("intrinsic_estimate"),
                            ("[oracle]\n", "[custom]\nfamily = singular\ndelta = 0\n\n[oracle]\n")),
                           None),
+    "custom-zero-sigma": ((("scenario = brownian", "scenario = custom"),
+                           only_check("intrinsic_estimate"),
+                           ("[oracle]\n", "[custom]\nfamily = affine\nsigma = 0\n\n[oracle]\n")),
+                          None),
 }
 
 
@@ -335,6 +339,21 @@ def test_bad_input_is_config_error(case, tmp_path, monkeypatch, capsys):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def test_out_under_a_regular_file_is_config_error(tmp_path):
+    # run creates its output directory before the first check: a path it
+    # cannot create exits 2 with a config record, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvgrad.cli", "run", "--config", str(write_config(tmp_path)),
+         "--out", str(blocker / "sub")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["error"] == "config"
 
 
 def test_check_needs_are_known():

@@ -8,7 +8,7 @@ from scipy.stats import norm
 from mvgrad.bismut import estimate_intrinsic
 from mvgrad.errors import GridMismatch, UnequalSupport, UnsupportedScenario
 from mvgrad.measure import EmpiricalMeasure
-from mvgrad.model import Observable, linear_schedule
+from mvgrad.model import linear_schedule
 from mvgrad.oracle import (affine_reference, finite_difference_intrinsic,
                            fit_loglog_slope, moment_report,
                            richardson_intrinsic, stability_report,
@@ -16,8 +16,7 @@ from mvgrad.oracle import (affine_reference, finite_difference_intrinsic,
 from mvgrad.scenarios import (build_family, constant_observable,
                               coord_observable, coordinate_field,
                               default_perturbations, family_params, get_scenario,
-                              identity_field, sign_observable, sine_field,
-                              tanh_observable)
+                              identity_field, sine_field)
 from mvgrad.simulate import TimeGrid
 
 from conftest import brownian_model, gaussian_cloud, mfou_model
@@ -193,8 +192,8 @@ class TestQuadratureReference:
 
 
 def brownian_tv(shift, sigma, t):
-    """tv_sign_reference of the driftless affine flow with noise scale sigma."""
-    return tv_sign_reference("affine", family_params("affine", sigma=sigma), shift, t)
+    """tv_sign_reference's gap for the driftless affine flow with noise scale sigma."""
+    return tv_sign_reference("affine", family_params("affine", sigma=sigma), shift, t)[1]
 
 
 class TestTvSignReference:
@@ -230,15 +229,33 @@ class TestTvSignReference:
         scen = get_scenario(scenario)
         a, kappa = scen.params["a"], scen.params["kappa"]
         c, t = 1.0, 0.5
-        theta = c / 2.0
+        theta = math.exp(-a * t) * c / 2.0      # the midpoint of the two laws' means
         s = math.sqrt((1.0 - math.exp(-2.0 * (a + kappa) * t)) / (2.0 * (a + kappa)))
         f = lambda x: math.copysign(1.0, x - theta)
         lhs, _ = integrate.quad(lambda x: f(x) * norm.pdf(x, 0.0, s), -12, 12,
                                 points=[theta])
         rhs, _ = integrate.quad(lambda x: f(x) * norm.pdf(x, math.exp(-a * t) * c, s),
                                 -12, 12, points=[theta])
-        assert tv_sign_reference(scen.family, scen.params, c, t) == pytest.approx(
+        assert tv_sign_reference(scen.family, scen.params, c, t)[1] == pytest.approx(
             abs(lhs - rhs), abs=1e-10)
+
+    @pytest.mark.parametrize("scenario", ["brownian", "ou", "meanfield_ou"])
+    @pytest.mark.parametrize("c, t", [(1.0, 0.5), (1.0, 2.0)])
+    def test_midpoint_step_attains_tv_distance(self, scenario, c, t):
+        # from the point masses 0 and c the laws are N(0, v) and N((alpha +
+        # gamma) c, v); the step at their midpoint reaches int |p - q|
+        scen = get_scenario(scenario)
+        a, kappa, sigma = (scen.params[key] for key in ("a", "kappa", "sigma"))
+        rate = a + kappa
+        mean = math.exp(-a * t) * c
+        s = sigma * math.sqrt(t if rate == 0.0 else
+                              (1.0 - math.exp(-2.0 * rate * t)) / (2.0 * rate))
+        tv, _ = integrate.quad(lambda x: abs(norm.pdf(x, 0.0, s) - norm.pdf(x, mean, s)),
+                               -12.0 * s, mean + 12.0 * s, points=[mean / 2.0],
+                               epsabs=1e-12)
+        theta, gap = tv_sign_reference(scen.family, scen.params, c, t)
+        assert theta == pytest.approx(mean / 2.0, rel=1e-12)
+        assert gap == pytest.approx(tv, abs=1e-10)
 
     def test_other_family_unsupported(self):
         scen = get_scenario("trig")
@@ -331,64 +348,24 @@ class TestTvScaling:
     def test_identical_laws_zero_gap(self):
         model = brownian_model()
         mu0, _ = self._point_pair(500, 0.5)
-        rep = tv_gradient_scaling(model, mu0, mu0, (0.1, 0.2), [sign_observable(0.3)],
-                                  dt=0.01, seed=21)
-        assert all(g == 0.0 for g in rep.gaps)
-        assert rep.slope is None
-
-    def test_constant_dictionary_cannot_separate(self):
-        model = brownian_model()
-        mu0, nu0 = self._point_pair(500, 0.5)
-        rep = tv_gradient_scaling(model, mu0, nu0, (0.1, 0.2),
-                                  [constant_observable(1.0)], dt=0.01, seed=22)
-        assert all(g == 0.0 for g in rep.gaps)
-
-    def test_bounded_by_tv_range_and_monotone_in_dictionary(self):
-        model = brownian_model()
-        mu0, nu0 = self._point_pair(2000, 0.5)
-        small = [sign_observable(0.25)]
-        large = small + [tanh_observable(), sign_observable(0.1)]
-        rep_small = tv_gradient_scaling(model, mu0, nu0, (0.05, 0.1, 0.2), small,
-                                        dt=0.005, seed=23)
-        rep_large = tv_gradient_scaling(model, mu0, nu0, (0.05, 0.1, 0.2), large,
-                                        dt=0.005, seed=23)
-        for gs, gl in zip(rep_small.gaps, rep_large.gaps):
-            assert gs <= 2.0 and gl <= 2.0
-            assert gl >= gs
+        gaps = tv_gradient_scaling(model, mu0, mu0, [TimeGrid(0.1, 10), TimeGrid(0.2, 20)],
+                                   (0.3, 0.3), seed=21)
+        assert gaps == [0.0, 0.0]
 
     def test_slope_matches_reference(self):
         model = brownian_model()
         c = 0.5
         mu0, nu0 = self._point_pair(4000, c)
         ts = (0.05, 0.1, 0.2, 0.4)
-        rep = tv_gradient_scaling(model, mu0, nu0, ts, [sign_observable(c / 2.0)],
-                                  dt=1e-3, seed=24)
+        grids = [TimeGrid(t, max(1, int(round(t / 1e-3)))) for t in ts]
+        gaps = tv_gradient_scaling(model, mu0, nu0, grids, [c / 2.0] * len(ts), seed=24)
+        assert all(g <= 2.0 for g in gaps)
         exact = [brownian_tv(c, 1.0, t) for t in ts]
         exact_slope = fit_loglog_slope(ts, exact)
-        assert rep.slope == pytest.approx(exact_slope, abs=0.15)
+        assert fit_loglog_slope(ts, gaps) == pytest.approx(exact_slope, abs=0.15)
 
-    def test_unbounded_dictionary_rejected(self):
+    def test_unequal_sizes_rejected(self):
         model = brownian_model()
-        mu0, nu0 = self._point_pair(100, 0.5)
-        with pytest.raises(ValueError):
-            tv_gradient_scaling(model, mu0, nu0, (0.1,), [coord_observable(0)],
-                                dt=0.01, seed=25)
-
-    def test_member_beyond_its_declared_bound_rejected(self):
-        model = brownian_model()
-        mu0, nu0 = self._point_pair(100, 0.5)
-        twice_sign = Observable(f=lambda x: 2.0 * np.sign(x[:, 0]), bound=1.0,
-                                name="twice_sign")
-        with pytest.raises(ValueError, match="twice_sign declared"):
-            tv_gradient_scaling(model, mu0, nu0, (0.1,), [twice_sign],
-                                dt=0.01, seed=25)
-
-    def test_member_declared_beyond_one_rejected(self):
-        # a gap of 5*sign would read 10 here, beyond the TV range 2
-        model = brownian_model()
-        mu0, nu0 = self._point_pair(400, 3.0)
-        five_sign = Observable(f=lambda x: 5.0 * np.sign(x[:, 0] - 1.5), bound=5.0,
-                               name="five_sign")
-        with pytest.raises(ValueError, match="five_sign must be bounded by 1"):
-            tv_gradient_scaling(model, mu0, nu0, (0.05, 0.1), [five_sign],
-                                dt=0.01, seed=26)
+        with pytest.raises(UnequalSupport):
+            tv_gradient_scaling(model, gaussian_cloud(8, seed=0), gaussian_cloud(9, seed=1),
+                                [TimeGrid(0.1, 5)], (0.0,), seed=25)
