@@ -27,7 +27,7 @@ from .errors import (GridMismatch, MeasureDependence, NonFinite,
                      ScheduleMismatch)
 from .measure import EmpiricalMeasure, lk_norm
 from .model import (BismutSchedule, ModelSpec, Observable, PerturbationField,
-                    zeta)
+                    validate_ellipticity, zeta)
 from .simulate import ParticlePaths, TimeGrid, simulate_particles
 from .tangent import frozen_tangent, meanfield_tangent
 
@@ -85,8 +85,11 @@ def _ito_weight(paths: ParticlePaths, directions: Array, model: ModelSpec,
     With a schedule the same loop accumulates the quadratic variation
     <w>_i = sum_s beta'(t_s)^2 |zeta(t_s, X_si) D_si|^2 dt; without one,
     beta' = 1 (exact in floating point) and no quadratic variation is kept.
-    Returns the per-particle (w, qv); raises NonFinite if w is not finite.
+    zeta needs elliptic noise, which is checked first on up to 64 of the
+    starting points.  Returns the per-particle (w, qv); raises NonFinite if
+    w is not finite.
     """
+    validate_ellipticity(model.diffusion, paths.states[0][:: max(1, paths.N // 64)])
     n = paths.grid.n_steps
     dt = paths.grid.dt
     w = np.zeros(paths.N)
@@ -253,7 +256,6 @@ class BetaInvarianceReport:
     means: tuple
     stderrs: tuple
     pairs: tuple          # (name_a, name_b, |diff|, 3*combined stderr, passed)
-    n_seeds: int
 
 
 def beta_invariance_check(model: ModelSpec, mu0: EmpiricalMeasure, phi: PerturbationField,
@@ -281,7 +283,7 @@ def beta_invariance_check(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturba
             se = ests[0].stderr
         means.append(mean)
         ses.append(se)
-        names.append(sched.name or f"schedule{j}")
+        names.append(sched.name)
     pairs = []
     for a in range(len(schedules)):
         for b in range(a + 1, len(schedules)):
@@ -289,5 +291,4 @@ def beta_invariance_check(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturba
             tol = 3.0 * math.hypot(ses[a], ses[b])
             pairs.append((names[a], names[b], gap, tol, bool(gap <= tol)))
     return BetaInvarianceReport(schedule_names=tuple(names), means=tuple(means),
-                                stderrs=tuple(ses), pairs=tuple(pairs),
-                                n_seeds=len(seeds))
+                                stderrs=tuple(ses), pairs=tuple(pairs))

@@ -71,8 +71,8 @@ class TransportPlan:
         object.__setattr__(self, "pairing", pairing)
 
 
-def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, k: float,
-                method: str = "auto") -> tuple[float, TransportPlan]:
+def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure,
+                k: float) -> tuple[float, TransportPlan]:
     """Exact k-Wasserstein distance between two equal-size point clouds.
 
     For d=1 the sorted pairing is optimal for any convex cost |x-y|^k and
@@ -80,8 +80,6 @@ def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, k: float,
     exact O(N^3) assignment solver, guarded by :data:`ASSIGNMENT_CAP`.
     Returns the distance (mean cost to the 1/k) together with the optimal
     pairing.
-
-    ``method`` forces a specific path: "sorted" (d=1 only) or "assignment".
     """
     if a.N != b.N:
         raise UnequalSupport(f"cannot transport between N={a.N} and N={b.N} samples")
@@ -89,30 +87,27 @@ def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, k: float,
         raise ValueError("Wasserstein exponent k must be finite and >= 1")
     if a.d != b.d:
         raise ValueError("point clouds must share the ambient dimension")
+    if a.d != 1:
+        return _assignment(a, b, k)
+    ia = np.argsort(a.points[:, 0], kind="stable")
+    ib = np.argsort(b.points[:, 0], kind="stable")
+    pairing = np.empty(a.N, dtype=np.intp)
+    pairing[ia] = ib
+    cost = float(np.mean(np.abs(a.points[ia, 0] - b.points[ib, 0]) ** k))
+    return cost ** (1.0 / k), TransportPlan(pairing=pairing)
 
-    if method == "auto":
-        method = "sorted" if a.d == 1 else "assignment"
-    if method == "sorted":
-        if a.d != 1:
-            raise ValueError("sorted pairing is only optimal in dimension 1")
-        ia = np.argsort(a.points[:, 0], kind="stable")
-        ib = np.argsort(b.points[:, 0], kind="stable")
-        pairing = np.empty(a.N, dtype=np.intp)
-        pairing[ia] = ib
-        cost = float(np.mean(np.abs(a.points[ia, 0] - b.points[ib, 0]) ** k))
-    elif method == "assignment":
-        if a.N > ASSIGNMENT_CAP:
-            raise SizeCap(f"assignment requested for N={a.N} above cap {ASSIGNMENT_CAP}")
-        cost_matrix = cdist(a.points, b.points) ** k
-        rows, cols = linear_sum_assignment(cost_matrix)
-        pairing = np.empty(a.N, dtype=np.intp)
-        pairing[rows] = cols
-        cost = float(cost_matrix[rows, cols].mean())
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
-    distance = cost ** (1.0 / k)
-    return distance, TransportPlan(pairing=pairing)
+def _assignment(a: EmpiricalMeasure, b: EmpiricalMeasure,
+                k: float) -> tuple[float, TransportPlan]:
+    """:func:`wasserstein` through the assignment solver, in any dimension."""
+    if a.N > ASSIGNMENT_CAP:
+        raise SizeCap(f"assignment requested for N={a.N} above cap {ASSIGNMENT_CAP}")
+    cost_matrix = cdist(a.points, b.points) ** k
+    rows, cols = linear_sum_assignment(cost_matrix)
+    pairing = np.empty(a.N, dtype=np.intp)
+    pairing[rows] = cols
+    cost = float(cost_matrix[rows, cols].mean())
+    return cost ** (1.0 / k), TransportPlan(pairing=pairing)
 
 
 def pushforward(mu: EmpiricalMeasure, phi, eps: float) -> EmpiricalMeasure:

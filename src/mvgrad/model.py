@@ -74,14 +74,10 @@ class CylindricalDrift:
 
     def moment_vector(self, points: Array) -> Array:
         """Empirical moments (mu(h_1), ..., mu(h_n)) of a point cloud."""
-        if self.n == 0:
-            return np.zeros(0)
         return np.array([float(np.mean(hl(points))) for hl in self.h])
 
     def is_measure_free(self, x: Array) -> bool:
         """Whether the z-gradient of F vanishes at time 0 on x and x +- 1."""
-        if self.n == 0:
-            return True
         probes = np.vstack([x, x + 1.0, x - 1.0])
         gz = np.asarray(self.grad_z_F(0.0, probes, self.moment_vector(probes)), dtype=float)
         return bool(np.max(np.abs(gz), initial=0.0) <= 1e-12)

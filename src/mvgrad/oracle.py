@@ -203,18 +203,12 @@ class MomentReport:
 
 
 def moment_report(model: ModelSpec, mu0_ladder: Sequence[EmpiricalMeasure],
-                  grid: TimeGrid, seed: int,
-                  check_ellipticity: bool = True) -> MomentReport:
-    """Tabulate sup_s E|X_s|^k against 1 + E|X_0|^k over initial laws.
-
-    ``check_ellipticity=False`` admits degenerate noise (useful for frozen
-    or deterministic comparison dynamics).
-    """
+                  grid: TimeGrid, seed: int) -> MomentReport:
+    """Tabulate sup_s E|X_s|^k against 1 + E|X_0|^k over initial laws."""
     k = model.k
     inits, sups, ratios = [], [], []
     for mu0 in mu0_ladder:
-        paths = simulate_particles(model, mu0, grid, seed,
-                                   check_ellipticity=check_ellipticity)
+        paths = simulate_particles(model, mu0, grid, seed)
         norms_k = np.linalg.norm(paths.states, axis=2) ** k    # (n+1, N)
         per_slice = norms_k.mean(axis=1)
         i0 = float(per_slice[0])

@@ -284,7 +284,7 @@ def check_beta_invariance(bundle: RunBundle):
                                    bundle.obs(f_name), cfg.t, bundle.grid(),
                                    cfg.ci_seeds, scheds)
     rows = [_row(bundle, "beta_check", f"schedule={name}", mean, se, "ok",
-                 cfg.ci_seeds[0], n_seeds=report.n_seeds)
+                 cfg.ci_seeds[0], n_seeds=len(cfg.ci_seeds))
             for name, mean, se in zip(report.schedule_names, report.means, report.stderrs)]
     return rows + [_row(bundle, "beta_check", f"{a}-vs-{b}", gap, None,
                         "pass" if ok else "fail", cfg.ci_seeds[0], tol=tol)
@@ -572,6 +572,8 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
     if errors:
         with open(out_dir / "errors.json", "w") as fh:
             json.dump(errors, fh, indent=2, sort_keys=True)
+    else:
+        (out_dir / "errors.json").unlink(missing_ok=True)   # a previous run's
 
     manifest = {
         "version": __version__,

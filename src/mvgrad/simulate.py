@@ -23,7 +23,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, GridMismatch, MemoryBudgetExceeded, NonFinite
 from .measure import EmpiricalMeasure
-from .model import BLOWUP_THRESHOLD, ModelSpec, validate_ellipticity
+from .model import BLOWUP_THRESHOLD, ModelSpec
 
 Array = np.ndarray
 
@@ -169,7 +169,7 @@ def _step_guard(X: Array, step: int) -> None:
 
 
 def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
-                       seed: int, check_ellipticity: bool = True) -> ParticlePaths:
+                       seed: int) -> ParticlePaths:
     """Integrate the N-particle interacting system.
 
     Each step computes the empirical drift moments of the current slice
@@ -181,9 +181,6 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
         raise GridMismatch(f"grid end {grid.t_end} exceeds model horizon {model.horizon}")
     if mu0.d != model.d:
         raise ValueError(f"initial measure dimension {mu0.d} != model dimension {model.d}")
-    if check_ellipticity:
-        probes = mu0.points[:: max(1, mu0.N // 64)]
-        validate_ellipticity(model.diffusion, probes)
     N, d = mu0.points.shape
     n = grid.n_steps
     dt = grid.dt

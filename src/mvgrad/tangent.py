@@ -103,8 +103,6 @@ def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
     particle's tangent: first the n scalars g_l = mean_j grad_h_l(X_j).V_j,
     then the per-particle contraction dF/dz(t, X_i, z) @ g.
     """
-    if drift.n == 0:
-        return np.zeros_like(V)
     g = np.empty(drift.n)
     for l, gl in enumerate(drift.grad_h):
         g[l] = float(np.mean(np.sum(np.asarray(gl(X), dtype=float) * V, axis=1)))

@@ -24,7 +24,7 @@ import pytest
 
 from mvgrad.bismut import (beta_invariance_check, dual_norm_lower_bound,
                            estimate_classical, estimate_intrinsic)
-from mvgrad.measure import EmpiricalMeasure, sample_initial, wasserstein
+from mvgrad.measure import EmpiricalMeasure, _assignment, sample_initial, wasserstein
 from mvgrad.model import (linear_schedule, quadratic_schedule, sine_schedule,
                           zeta)
 from mvgrad.oracle import (affine_reference, fit_loglog_slope,
@@ -255,7 +255,7 @@ def test_criterion_10_exact_micro_oracles():
     for n, d, k in itertools.product((2, 3, 4, 5, 6), (1, 2), (1.0, 2.0)):
         a = EmpiricalMeasure(rng.standard_normal((n, d)))
         b = EmpiricalMeasure(rng.standard_normal((n, d)))
-        dist, _ = wasserstein(a, b, k, method="assignment")
+        dist, _ = _assignment(a, b, k)
         best = min(
             np.mean(np.linalg.norm(a.points - b.points[list(perm)], axis=1) ** k)
             for perm in itertools.permutations(range(n)))
@@ -265,8 +265,8 @@ def test_criterion_10_exact_micro_oracles():
     for n in (64, 512):
         a = EmpiricalMeasure(rng.standard_normal((n, 1)))
         b = EmpiricalMeasure(rng.standard_normal((n, 1)))
-        ds, _ = wasserstein(a, b, 2.0, method="sorted")
-        da, _ = wasserstein(a, b, 2.0, method="assignment")
+        ds, _ = wasserstein(a, b, 2.0)
+        da, _ = _assignment(a, b, 2.0)
         assert abs(ds - da) <= 1e-10
 
     # diffusion pseudo-inverse identity on 100 well-conditioned draws

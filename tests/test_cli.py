@@ -1,6 +1,7 @@
 import collections
 import csv
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from mvgrad import runner, simulate
 from mvgrad.cli import main
 from mvgrad.config import ExperimentConfig, load_config
 from mvgrad.model import SCHEDULE_FACTORIES
-from mvgrad.runner import CHECKS
+from mvgrad.runner import CHECKS, run_experiment
 from mvgrad.scenarios import (FAMILY_PARAMS, all_scenarios, default_observables,
                               default_perturbations, get_scenario, scenario_names)
 
@@ -85,6 +86,22 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(b), "--seed", "8"]) == 0
         assert (a / "results.csv").read_bytes() != (b / "results.csv").read_bytes()
+
+    def test_clean_rerun_removes_previous_errors(self, tmp_path, monkeypatch):
+        text = (SMALL_CONFIG.replace("n_particles = 400", "n_particles = 100")
+                .replace("n_steps = 50", "n_steps = 20")
+                .replace(CHECKS_LINE, "checks = linearity"))
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        monkeypatch.setenv("MVGRAD_MEMORY_BUDGET_MB", "0.001")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert (out / "errors.json").exists()
+        monkeypatch.delenv("MVGRAD_MEMORY_BUDGET_MB")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert not (out / "errors.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 0
+        assert manifest["outputs"]["errors_json"] is None
 
     def test_invalid_particle_count_exits_2(self, tmp_path, capsys):
         bad = SMALL_CONFIG.replace("n_particles = 400", "n_particles = 0")
@@ -490,6 +507,27 @@ def test_parallel_run_leaves_warning_filters_alone(tmp_path):
                          ids=lambda p: p.name)
 def test_shipped_configs_validate(path):
     assert main(["validate", "--config", str(path)]) == 0
+
+
+# sha256 of results.csv for each shipped config at N = 200, n = 100.  The pins
+# hold for Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; a change may re-pin
+# one only when it names the rows that move.
+RESULTS_SHA256 = {
+    ("brownian.cfg", 7): "a5ad74f6f375fbfd80f5dcea0c377253ccf313d2a236831a71a6d37b566c7f51",
+    ("brownian.cfg", 1): "d43ccff524f3d38a44fefe4bc1e88444e717f1222a12e2555e134e7e9c95b3f2",
+    ("meanfield_ou.cfg", 7): "e80d013656f0198ee5b8b72495e807edfa02cc328dcd3496f945c9e51cfc804f",
+    ("meanfield_ou.cfg", 1): "af6051a965a3f1ac10aef764d8dfc511dc3edc8b61b74c333b28f7cb5271aec6",
+}
+
+
+@pytest.mark.parametrize("config, seed", sorted(RESULTS_SHA256))
+def test_shipped_config_results_are_pinned(config, seed, tmp_path):
+    """results.csv of a shipped config, byte for byte (see RESULTS_SHA256)."""
+    cfg, text = load_config(Path(__file__).parent.parent / "configs" / config)
+    cfg = dataclasses.replace(cfg, n_particles=200, n_steps=100, seed=seed)
+    result = run_experiment(cfg, text, tmp_path)
+    digest = hashlib.sha256(result.csv_path.read_bytes()).hexdigest()
+    assert digest == RESULTS_SHA256[config, seed]
 
 
 # Noise tensors each check builds: one per distinct noise key its

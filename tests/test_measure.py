@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from mvgrad.errors import NonFinite, SizeCap, UnequalSupport, UnknownFamily
 from mvgrad.measure import (ASSIGNMENT_CAP, EmpiricalMeasure, TransportPlan,
-                            lk_norm, pushforward, sample_initial, wasserstein)
+                            _assignment, lk_norm, pushforward, sample_initial,
+                            wasserstein)
 from mvgrad.model import CylindricalDrift, PerturbationField
 
 identity = PerturbationField(phi=lambda x: np.array(x, copy=True), name="id")
@@ -67,8 +68,8 @@ class TestWasserstein:
     def test_sorted_equals_assignment_1d(self, n, rng):
         a = EmpiricalMeasure(rng.standard_normal((n, 1)))
         b = EmpiricalMeasure(rng.standard_normal((n, 1)))
-        d_sorted, _ = wasserstein(a, b, 2.0, method="sorted")
-        d_assign, _ = wasserstein(a, b, 2.0, method="assignment")
+        d_sorted, _ = wasserstein(a, b, 2.0)
+        d_assign, _ = _assignment(a, b, 2.0)
         assert d_sorted == pytest.approx(d_assign, abs=1e-10)
 
     def test_symmetry_and_multiset_identity(self, rng):

@@ -185,6 +185,22 @@ class TestLionsDerivative:
         twice = cylindrical_coupling(doubled, 0.0, X, z, V)
         assert np.array_equal(twice, 2.0 * base)
 
+    def test_no_moments_take_the_general_path(self):
+        drift = CylindricalDrift(
+            n=0, F=lambda t, x, z: -x,
+            grad_x_F=lambda t, x, z: -np.ones((x.shape[0], 1, 1)),
+            grad_z_F=lambda t, x, z: np.zeros((x.shape[0], 1, 0)),
+            h=(), grad_h=(),
+        )
+        X = gaussian_cloud(12, seed=7).points
+        V = gaussian_cloud(12, seed=8).points
+        z = drift.moment_vector(X)
+        assert z.dtype == np.float64 and z.shape == (0,)
+        assert drift.is_measure_free(X)
+        out = cylindrical_coupling(drift, 0.0, X, z, V)
+        assert out.shape == V.shape
+        assert np.all(out == 0.0)
+
 
 class TestDriftEval:
     """The drift as the integrator evaluates it: F(t, x, mu(h)) plus b0."""
@@ -233,8 +249,8 @@ class TestDriftEval:
         mu2 = EmpiricalMeasure(np.array([[0.25], [0.0], [0.5], [2.5]]))
         assert np.mean(mu1.points) == np.mean(mu2.points)
         grid = TimeGrid(t_end=0.1, n_steps=1)
-        p1 = simulate_particles(model, mu1, grid, 0, check_ellipticity=False)
-        p2 = simulate_particles(model, mu2, grid, 0, check_ellipticity=False)
+        p1 = simulate_particles(model, mu1, grid, 0)
+        p2 = simulate_particles(model, mu2, grid, 0)
         assert p1.states[1, 0, 0] == p2.states[1, 0, 0]
 
     def test_nonfinite_detected(self):

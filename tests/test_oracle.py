@@ -313,8 +313,7 @@ class TestMomentReport:
         model = build_family("affine", d=1, a=0.0, kappa=0.0, sigma=0.0)
         clouds = [gaussian_cloud(128, std=s, seed=15) for s in (0.5, 2.0)]
         # zero drift and noise: sup equals the initial moment exactly
-        rep = moment_report(model, clouds, TimeGrid(0.2, 10), 16,
-                            check_ellipticity=False)
+        rep = moment_report(model, clouds, TimeGrid(0.2, 10), 16)
         for i0, sup, ratio in zip(rep.initial_moments, rep.sup_moments, rep.ratios):
             assert sup == pytest.approx(i0, abs=1e-12)
             assert ratio == pytest.approx(i0 / (1.0 + i0), abs=1e-12)

@@ -1,16 +1,18 @@
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mvgrad.bismut import estimate_classical, estimate_intrinsic
 from mvgrad.errors import (GridMismatch, MemoryBudgetExceeded, NonFinite,
                            SingularDiffusion)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
-from mvgrad.model import CylindricalDrift, ModelSpec
+from mvgrad.model import CylindricalDrift, Diffusion, ModelSpec, linear_schedule
 from mvgrad.simulate import (MEMORY_BUDGET_ENV, TimeGrid, brownian_increments,
                              particle_increments, reusing_noise, simulate_particles)
-from mvgrad.scenarios import build_family
+from mvgrad.scenarios import build_family, coord_observable, coordinate_field
 
 from conftest import brownian_model, gaussian_cloud, mfou_model
 
@@ -116,7 +118,7 @@ class TestSimulateParticles:
         model = zero_noise_model()
         mu0 = gaussian_cloud(20, seed=1)
         grid = TimeGrid(t_end=1.0, n_steps=10)
-        paths = simulate_particles(model, mu0, grid, 0, check_ellipticity=False)
+        paths = simulate_particles(model, mu0, grid, 0)
         assert np.array_equal(paths.states[-1], paths.states[0])
 
     def test_linear_decay_matches_euler_recursion(self):
@@ -124,7 +126,7 @@ class TestSimulateParticles:
         model = zero_noise_model(a=1.0)
         mu0 = EmpiricalMeasure(np.array([[1.0]]))
         grid = TimeGrid(t_end=1.0, n_steps=1000)
-        paths = simulate_particles(model, mu0, grid, 0, check_ellipticity=False)
+        paths = simulate_particles(model, mu0, grid, 0)
         terminal = paths.states[-1, 0, 0]
         assert terminal == pytest.approx((1.0 - grid.dt) ** 1000, rel=1e-12)
         assert terminal == pytest.approx(math.exp(-1.0), abs=1e-3)
@@ -175,7 +177,7 @@ class TestSimulateParticles:
         errs = []
         for n_steps in (250, 500, 1000):
             grid = TimeGrid(t_end=1.0, n_steps=n_steps)
-            paths = simulate_particles(model, mu0, grid, 0, check_ellipticity=False)
+            paths = simulate_particles(model, mu0, grid, 0)
             errs.append(abs(paths.states[-1, 0, 0] - math.exp(-1.0)))
         orders = [math.log(errs[i] / errs[i + 1]) / math.log(2.0) for i in range(2)]
         assert min(orders) >= 0.8
@@ -213,10 +215,27 @@ class TestSimulateParticles:
         assert str(err.value).startswith("blow-up guard tripped at step ")
 
     def test_degenerate_diffusion_rejected_by_precheck(self):
+        # the Euler scheme integrates zero noise; the weight's zeta rejects it
         model = zero_noise_model()
         mu0 = gaussian_cloud(8, seed=0)
+        grid, f, sched = TimeGrid(1.0, 10), coord_observable(0), linear_schedule(1.0)
+        paths = simulate_particles(model, mu0, grid, 0)
+        assert np.array_equal(paths.states[-1], paths.states[0])
         with pytest.raises(SingularDiffusion):
-            simulate_particles(model, mu0, TimeGrid(1.0, 10), 0)
+            estimate_intrinsic(model, mu0, coordinate_field(0), f, 1.0, grid, sched, 0)
+        with pytest.raises(SingularDiffusion):
+            estimate_classical(model, [0.0], [1.0], f, 1.0, grid, sched, 0, 8)
+
+    def test_condition_cap_enforced_before_the_weight(self):
+        # sigma = diag(1e4 (1 + 1e-6), 1): condition of sigma sigma* just above COND_CAP
+        mat = np.diag([1e4 * (1 + 1e-6), 1.0])
+        diffusion = Diffusion(sigma=lambda t, x: np.broadcast_to(mat, (x.shape[0], 2, 2)),
+                              constant_in_x=True)
+        model = replace(brownian_model(d=2), diffusion=diffusion)
+        grid = TimeGrid(1.0, 10)
+        with pytest.raises(SingularDiffusion):
+            estimate_intrinsic(model, gaussian_cloud(8, d=2, seed=0), coordinate_field(0),
+                               coord_observable(0), 1.0, grid, linear_schedule(1.0), 0)
 
     def test_horizon_enforced(self):
         model = brownian_model()
