@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override [experiment] seed")
     run_p.add_argument("--out", default=None, help="override output directory")
     run_p.add_argument("--parallel", type=int, default=None,
-                       help="run checks concurrently with this many workers")
+                       help="run checks concurrently on this many worker processes")
 
     sub.add_parser("list-scenarios", help="print the scenario registry")
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
 import platform
 import resource
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -502,8 +504,16 @@ class RunResult:
     csv_path: Optional[Path] = None
 
 
+def _error_result(bundle: RunBundle, name: str, exc: BaseException, wall: float):
+    """(rows, error records, wall s) of a check that raised ``exc``."""
+    kind = type(exc).__name__
+    rows = [_row(bundle, "intrinsic_estimate", name, None, None, "error",
+                 bundle.cfg.seed, error=kind)]
+    return rows, [{"check": name, "type": kind, "message": str(exc)}], wall
+
+
 def _run_one_check(bundle: RunBundle, name: str):
-    """Run one check in the calling thread; returns (rows, error records, wall s).
+    """Run one check in the calling process; returns (rows, error records, wall s).
 
     Unless the check is in NOISE_REGENERATING_CHECKS, its simulations share
     noise tensors; checks never share them with each other.
@@ -512,25 +522,61 @@ def _run_one_check(bundle: RunBundle, name: str):
     reuse = nullcontext() if name in NOISE_REGENERATING_CHECKS else reusing_noise()
     try:
         with reuse:
-            rows, errors = CHECKS[name](bundle), []
+            rows = CHECKS[name](bundle)
     except (MVGradError, FloatingPointError) as exc:
-        rows = [_row(bundle, "intrinsic_estimate", name, None, None, "error",
-                     bundle.cfg.seed, error=type(exc).__name__)]
-        errors = [{"check": name, "type": type(exc).__name__, "message": str(exc)}]
-    return rows, errors, time.perf_counter() - start
+        return _error_result(bundle, name, exc, time.perf_counter() - start)
+    return rows, [], time.perf_counter() - start
+
+
+# The run's bundle inside a check worker.  Its model's coefficients are
+# closures, which do not pickle, so workers are forked and inherit it from
+# the pool's initializer; only check names and results cross the pipe.
+_worker_bundle: Optional[RunBundle] = None
+
+
+def _adopt_bundle(bundle: RunBundle) -> None:
+    global _worker_bundle
+    _worker_bundle = bundle
+
+
+def _run_in_worker(name: str):
+    return _run_one_check(_worker_bundle, name)
+
+
+def _run_in_workers(bundle: RunBundle, names: list, workers: int) -> list:
+    """_run_one_check of every name on ``workers`` forked processes, in order.
+
+    A worker that dies (killed, say, by the kernel's OOM killer) breaks the
+    pool: each check whose result was lost gets an error record instead.
+    """
+    start = time.perf_counter()
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt_bundle, initargs=(bundle,)) as pool:
+        futures = [pool.submit(_run_in_worker, name) for name in names]
+        results = []
+        for name, fut in zip(names, futures):
+            try:
+                results.append(fut.result())
+            except BrokenProcessPool as exc:
+                results.append(_error_result(bundle, name, exc,
+                                             time.perf_counter() - start))
+    return results
 
 
 def run_suite(cfg: ExperimentConfig) -> tuple[list, list, list]:
     """Execute all declared checks; returns (rows, error records, check walls).
 
-    The walls are {"name", "wall_s"} records in declaration order.
+    With ``parallel`` W > 1 the checks run on min(W, checks) forked worker
+    processes, one check at a time each; the results are gathered in
+    declaration order, so the rows are those of a serial run.  The walls
+    are {"name", "wall_s"} records in declaration order.
     """
     bundle = resolve_bundle(cfg)
     names = list(bundle.checks)
-    if cfg.parallel > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            futures = [pool.submit(_run_one_check, bundle, name) for name in names]
-            results = [fut.result() for fut in futures]
+    workers = min(cfg.parallel, len(names))
+    if workers > 1:
+        results = _run_in_workers(bundle, names, workers)
     else:
         results = [_run_one_check(bundle, name) for name in names]
     rows = [r for chunk, _, _ in results for r in chunk]
@@ -583,8 +629,12 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
         "failed_checks": failed,
         "exit_code": exit_code,
         "wall_clock_s": wall_clock,
-        # ru_maxrss is in KiB on Linux: the process's peak so far, in MiB
+        # ru_maxrss is in KiB on Linux: the process's peak so far, in MiB,
+        # and the largest peak among its finished child processes (the
+        # check workers of a parallel run)
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "workers_peak_rss_mb":
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
         "checks": check_walls,
         "versions": _versions(),
         "outputs": {"results_csv": csv_path.name,

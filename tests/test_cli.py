@@ -1,8 +1,10 @@
 import collections
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -147,6 +149,16 @@ class TestRun:
             "intrinsic_vs_fd", "intrinsic_closed_form", "linearity", "determinism"]
         assert all(c["wall_s"] > 0 for c in manifest["checks"])
         assert manifest["peak_rss_mb"] > 0
+        assert manifest["workers_peak_rss_mb"] >= 0
+        # a fresh process, whose only children are the run's check workers
+        par = tmp_path / "par"
+        src = str(Path(runner.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-m", "mvgrad.cli", "run", "--config", str(cfg),
+                        "--out", str(par), "--parallel", "2"], env=env, check=True,
+                       capture_output=True, timeout=600)
+        assert json.loads((par / "manifest.json").read_text())["workers_peak_rss_mb"] > 0
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # explosive custom drift trips the blow-up guard mid-run
@@ -501,6 +513,77 @@ def test_parallel_run_leaves_warning_filters_alone(tmp_path):
     assert code == 0
     assert after == before
     assert not caught
+
+
+TWO_CHECKS = (SMALL_CONFIG.replace("n_particles = 400", "n_particles = 100")
+              .replace("n_steps = 50", "n_steps = 20")
+              .replace(CHECKS_LINE, "checks = linearity, determinism"))
+
+
+def two_check_config(tmp_path, parallel):
+    cfg, _ = load_config(write_config(tmp_path, TWO_CHECKS))
+    return dataclasses.replace(cfg, parallel=parallel, out_dir=str(tmp_path / "out"))
+
+
+def test_parallel_never_starts_more_workers_than_checks(tmp_path, monkeypatch):
+    recorded = []
+
+    class InlineExecutor:
+        """Records the pool size it is asked for and runs every call at once."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            recorded.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(runner, "_worker_bundle", None)
+    rows, errors, _ = runner.run_suite(two_check_config(tmp_path, 64))
+    assert recorded == [2]
+    assert not errors and [r.status for r in rows] == ["pass", "pass"]
+
+
+def test_checks_run_in_worker_processes(tmp_path, monkeypatch):
+    def reporting_pid(name):
+        def check(bundle):
+            return [runner.ResultRow(scenario="brownian", quantity="pid", label=name,
+                                     value=None, stderr=None, status="ok",
+                                     params=f"pid={os.getpid()}", seed=0)]
+        return check
+
+    for name in ("linearity", "determinism"):
+        monkeypatch.setitem(CHECKS, name, reporting_pid(name))
+    rows, errors, _ = runner.run_suite(two_check_config(tmp_path, 2))
+    assert not errors and [r.label for r in rows] == ["linearity", "determinism"]
+    pids = {int(r.params.removeprefix("pid=")) for r in rows}
+    assert os.getpid() not in pids
+    assert len(pids) <= 2
+
+
+def test_dead_worker_is_an_error_row(tmp_path, monkeypatch, capfd):
+    def dying(bundle):
+        os._exit(1)
+
+    monkeypatch.setitem(CHECKS, "linearity", dying)
+    cfg = write_config(tmp_path, TWO_CHECKS)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == 3
+    records = json.loads((out / "errors.json").read_text())
+    assert {"check": "linearity", "type": "BrokenProcessPool"} in [
+        {"check": r["check"], "type": r["type"]} for r in records]
+    assert all(r["message"] for r in records)
+    assert read_rows(out)[0]["status"] == "error"
+    assert "Traceback" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("configs/*.cfg")),
