@@ -9,10 +9,12 @@ tangent itself and carrying no schedule factor.
 
 One particle system supplies everything at once: the initial samples, the
 driving noise of the decoupled processes, and the frozen-law surrogate.
-That reuse saves an O(N) factor and costs an O(N^{-1/2}) bias absorbed into
-the acceptance tolerances.  Everything downstream of the paths is linear in
-the perturbation, so rescaling phi by a power of two rescales the estimate
-bit-exactly.
+That reuse saves an O(N) factor, and no bias from it has been resolved: on
+``meanfield_ou`` with f = sin, n = 100 and 400 seeds per size, the mean of
+the estimate minus the exact value at the cloud lay within 1.5 sigma of 0 at
+N = 25, 100, 400 and 1600, for phi = identity and const_e1.  Everything
+downstream of the paths is linear in the perturbation, so rescaling phi by a
+power of two rescales the estimate bit-exactly.
 """
 
 from __future__ import annotations

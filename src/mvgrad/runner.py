@@ -39,8 +39,8 @@ from .oracle import (affine_reference, fit_loglog_slope,
                      tv_gradient_scaling, tv_sign_reference)
 from .scenarios import (Scenario, build_family, default_observables,
                         default_perturbations, dual_dictionary, get_scenario)
-from .simulate import (TimeGrid, memory_budget_bytes, reusing_noise,
-                       simulate_particles)
+from .simulate import (MEMORY_BUDGET_ENV, TimeGrid, memory_budget_bytes,
+                       reusing_noise, simulate_particles)
 from .tangent import meanfield_tangent
 
 CSV_HEADER = ("scenario", "quantity", "label", "value", "stderr", "status",
@@ -48,8 +48,8 @@ CSV_HEADER = ("scenario", "quantity", "label", "value", "stderr", "status",
 
 MOMENT_RATIO_CAP = 2.0
 LIPSCHITZ_VARIATION_CAP = 0.20
-DUAL_SLOPE_BAND = (-0.65, -0.35)
-TV_SLOPE_TOL = 0.15
+# A scaling check's fitted log-log slope passes within this of the exact one
+SLOPE_TOL = 0.15
 TANGENT_ORDER_MIN = 0.8
 # Finite-difference errors at or below this on every ladder entry mean an
 # exact tangent (an affine flow): they are rounding noise, with no order to fit.
@@ -80,8 +80,9 @@ class ResultRow:
 
 
 def _params_echo(**kv) -> str:
-    return "|".join(f"{key}={kv[key]!r}" if isinstance(kv[key], float) else f"{key}={kv[key]}"
-                    for key in sorted(kv))
+    # float() so that a numpy scalar echoes as a plain number
+    return "|".join(f"{key}={float(kv[key])!r}" if isinstance(kv[key], float)
+                    else f"{key}={kv[key]}" for key in sorted(kv))
 
 
 @dataclass
@@ -171,7 +172,13 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
                        perturbations=perturbations, checks=checks)
     for check in checks:
         _require_needs(bundle, check)
-    memory_budget_bytes()  # an invalid MVGRAD_MEMORY_BUDGET_MB raises ConfigError here
+    # an invalid MVGRAD_MEMORY_BUDGET_MB raises ConfigError here; so does a
+    # starting cloud that alone exceeds the budget, before any draw allocates it
+    budget, cloud = memory_budget_bytes(), 8 * cfg.n_particles * model.d
+    if cloud > budget:
+        raise ConfigError(f"a starting cloud of {cfg.n_particles} particles needs "
+                          f"{cloud / 1e6:.0f} MB, budget is {budget / 1e6:.0f} MB "
+                          f"(set {MEMORY_BUDGET_ENV} to raise it)")
     return bundle
 
 
@@ -243,7 +250,7 @@ def check_intrinsic_closed_form(bundle: RunBundle):
         gap = abs(est.value - ref)
         tol = 3.0 * est.stderr
         status = "pass" if gap <= tol else "fail"
-        rows.append(_row(bundle, "quadrature", f"coord1|{p_name}|exact",
+        rows.append(_row(bundle, "closed_form", f"coord1|{p_name}|exact",
                          est.value, est.stderr, status, cfg.seed,
                          reference=ref, gap=gap, tol=tol))
     return rows
@@ -266,13 +273,13 @@ def check_classical_gradient(bundle: RunBundle):
                                x0[None, :], v[None, :])
     except MVGradError:
         # nothing to compare against: the estimate stands, the run is not failed
-        rows.append(_row(bundle, "quadrature", f"classical|{f_name}",
+        rows.append(_row(bundle, "closed_form", f"classical|{f_name}",
                          None, None, "ok", cfg.seed, reason="no-closed-form"))
         return rows
     gap = abs(est.value - ref)
     tol = 3.0 * est.stderr + 2.0 * cfg.dt
     status = "pass" if gap <= tol else "fail"
-    rows.append(_row(bundle, "quadrature", f"classical|{f_name}",
+    rows.append(_row(bundle, "closed_form", f"classical|{f_name}",
                      ref, 0.0, status, cfg.seed, estimate=est.value,
                      gap=gap, tol=tol))
     return rows
@@ -316,29 +323,37 @@ def check_determinism(bundle: RunBundle):
                  "pass" if same else "fail", cfg.seed)]
 
 
-def check_dual_norm_scaling(bundle: RunBundle):
-    """Point-mass start with a step payoff: bound should decay like t^{-1/2}."""
+def _scaling_rows(bundle, quantity, values, stderrs, exact, reason, **params) -> list:
+    """One ``ok`` row per t_grid horizon, then a slope row carrying ``params``:
+    it passes when the log-log slope of ``values`` is within SLOPE_TOL of that
+    of ``exact``, and a value that is not positive fails it with ``reason``."""
     cfg = bundle.cfg
-    mu0 = bundle.point_mass(0.0)
-    f = bundle.obs("sign0")
-    dictionary = dual_dictionary(bundle.model.d)
-    rows, values = [], []
-    for t in cfg.t_grid:
-        est = dual_norm_lower_bound(bundle.model, mu0, f, t, bundle.grid(t),
-                                    bundle.sched(t=t), dictionary, cfg.seed)
-        values.append(est.value)
-        rows.append(_row(bundle, "dual_norm", f"t={t:g}", est.value, est.stderr,
-                         "ok", cfg.seed))
-    if all(v > 0 for v in values):
-        slope = fit_loglog_slope(cfg.t_grid, values)
-        lo, hi = DUAL_SLOPE_BAND
-        status = "pass" if lo <= slope <= hi else "fail"
-        rows.append(_row(bundle, "dual_norm", "slope", slope, None, status,
-                         cfg.seed, band_lo=lo, band_hi=hi))
-    else:
-        rows.append(_row(bundle, "dual_norm", "slope", None, None, "fail",
-                         cfg.seed, reason="nonpositive-bound"))
-    return rows
+    rows = [_row(bundle, quantity, f"t={t:g}", value, se, "ok", cfg.seed, exact=ref)
+            for t, value, se, ref in zip(cfg.t_grid, values, stderrs, exact, strict=True)]
+    if not all(v > 0 for v in values):
+        return rows + [_row(bundle, quantity, "slope", None, None, "fail", cfg.seed,
+                            reason=reason)]
+    slope = fit_loglog_slope(cfg.t_grid, values)
+    exact_slope = fit_loglog_slope(cfg.t_grid, exact)
+    status = "pass" if abs(slope - exact_slope) <= SLOPE_TOL else "fail"
+    return rows + [_row(bundle, quantity, "slope", slope, None, status, cfg.seed,
+                        exact=exact_slope, tol=SLOPE_TOL, **params)]
+
+
+def check_dual_norm_scaling(bundle: RunBundle):
+    """Point-mass start with a step payoff, where the +-e_j dictionary attains
+    the dual norm: its decay (t^{-1/2} for Brownian motion) is fitted against
+    that of the exact derivative along e1 of the scenario's affine flow."""
+    cfg, scen, d = bundle.cfg, bundle.scenario, bundle.model.d
+    mu0, f, dictionary = bundle.point_mass(0.0), bundle.obs("sign0"), dual_dictionary(d)
+    ests = [dual_norm_lower_bound(bundle.model, mu0, f, t, bundle.grid(t),
+                                  bundle.sched(t=t), dictionary, cfg.seed)
+            for t in cfg.t_grid]
+    exact = [abs(affine_reference(scen.family, scen.params, "sign0", t,
+                                  np.zeros((1, d)), np.eye(d)[:1]))
+             for t in cfg.t_grid]
+    return _scaling_rows(bundle, "dual_norm", [e.value for e in ests],
+                         [e.stderr for e in ests], exact, "nonpositive-bound")
 
 
 def check_tv_scaling(bundle: RunBundle):
@@ -350,19 +365,8 @@ def check_tv_scaling(bundle: RunBundle):
                           for t in cfg.t_grid))
     gaps = tv_gradient_scaling(bundle.model, bundle.point_mass(0.0), bundle.point_mass(c),
                                [bundle.grid(t) for t in cfg.t_grid], thetas, cfg.seed)
-    rows = [_row(bundle, "tv_slope", f"t={t:g}", gap, None, "ok", cfg.seed)
-            for t, gap in zip(cfg.t_grid, gaps)]
-    if not all(g > 0 for g in gaps):
-        rows.append(_row(bundle, "tv_slope", "slope", None, None, "fail",
-                         cfg.seed, reason="zero-gap"))
-        return rows
-    slope = fit_loglog_slope(cfg.t_grid, gaps)
-    exact_slope = fit_loglog_slope(cfg.t_grid, exact)
-    gap = abs(slope - exact_slope)
-    status = "pass" if gap <= TV_SLOPE_TOL else "fail"
-    rows.append(_row(bundle, "tv_slope", "slope", slope, None, status,
-                     cfg.seed, exact=exact_slope, tol=TV_SLOPE_TOL, shift=c))
-    return rows
+    return _scaling_rows(bundle, "tv_slope", gaps, [None] * len(gaps), exact,
+                         "zero-gap", shift=c)
 
 
 def check_wasserstein_lipschitz(bundle: RunBundle):
@@ -469,7 +473,7 @@ CHECK_NEEDS: dict[str, dict] = {
     "intrinsic_closed_form": {"affine_family": True},
     "classical_gradient": {"measure_free_drift": True},
     "beta_invariance": {"schedules": 2},
-    "dual_norm_scaling": {"t_grid": 2},
+    "dual_norm_scaling": {"t_grid": 2, "affine_family": True},
     "tv_scaling": {"t_grid": 2, "affine_family": True},
     "wasserstein_lipschitz": {"stability_shifts": 2, "assignment_cap": True},
     "moment_bound": {"moment_variances": 1},

@@ -235,23 +235,15 @@ def default_observables(d: int) -> dict:
     return obs
 
 
-def default_perturbations(d: int) -> dict:
-    fields = {"identity": identity_field(), "sine_field": sine_field()}
-    for j in range(d):
-        plus = coordinate_field(j, +1.0)
-        minus = coordinate_field(j, -1.0)
-        fields[plus.name] = plus
-        fields[minus.name] = minus
-    return fields
-
-
 def dual_dictionary(d: int) -> list:
     """Signed coordinate fields, the default dictionary for dual-norm bounds."""
-    out = []
-    for j in range(d):
-        out.append(coordinate_field(j, +1.0))
-        out.append(coordinate_field(j, -1.0))
-    return out
+    return [coordinate_field(j, sign) for j in range(d) for sign in (+1.0, -1.0)]
+
+
+def default_perturbations(d: int) -> dict:
+    fields = {"identity": identity_field(), "sine_field": sine_field()}
+    fields.update((phi.name, phi) for phi in dual_dictionary(d))
+    return fields
 
 
 # ---------------------------------------------------------------------------

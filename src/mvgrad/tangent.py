@@ -115,8 +115,8 @@ def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi) -> tuple[Arra
 
     Starts from V_0 = phi(X_0) and adds the measure-derivative coupling to
     the frozen recursion each step.  The expectation in the coupling is the
-    in-system empirical average (the propagation-of-chaos surrogate), which
-    introduces an O(N^{-1/2}) bias absorbed into downstream tolerances.
+    in-system empirical average (the propagation-of-chaos surrogate); see
+    :mod:`mvgrad.bismut` for what its bias measured.
     Returns the (n_steps+1, N, d) values and the (n_steps, N, d) coupling
     terms psi, which the second stochastic-integral weight reuses.
     """

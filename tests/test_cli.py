@@ -316,6 +316,12 @@ BAD_INPUTS = {
                              only_check("intrinsic_closed_form")), None),
     "tv-on-trig": ((("scenario = brownian", "scenario = trig"), only_check("tv_scaling"),
                     oracle_line("t_grid = 0.1, 0.2")), None),
+    "dual-norm-on-trig": ((("scenario = brownian", "scenario = trig"),
+                           only_check("dual_norm_scaling"), oracle_line("t_grid = 0.1, 0.2")),
+                          None),
+    # the starting cloud alone (8 TB) exceeds the budget: refused before any draw
+    "cloud-above-budget": ((("n_particles = 400", "n_particles = 1000000000000"),
+                            only_check("linearity")), "4096"),
     "transport-above-cap": ((("scenario = brownian", "scenario = brownian2d"),
                              ("n_particles = 400", "n_particles = 4097"),
                              only_check("wasserstein_lipschitz"),
@@ -352,10 +358,19 @@ def test_bad_input_is_config_error(case, tmp_path, monkeypatch, capsys):
         assert old in text
         text = text.replace(old, new)
     assert text != SMALL_CONFIG or budget is not None
-    cfg = write_config(tmp_path, text)
-    out = tmp_path / "out"
     if budget is not None:
         monkeypatch.setenv("MVGRAD_MEMORY_BUDGET_MB", budget)
+    assert_config_error(write_config(tmp_path, text), tmp_path / "out", capsys)
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("[experiment]\nscenario = brownian\n# caf\xe9\n".encode("latin-1"))
+    assert_config_error(cfg, tmp_path / "out", capsys)
+
+
+def assert_config_error(cfg, out, capsys):
+    """validate and run (in process and as a subprocess) exit 2 with a config record."""
     assert main(["validate", "--config", str(cfg)]) == 2
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
@@ -402,6 +417,16 @@ def test_registry_entry_resolves_with_its_checks(name):
     assert set(bundle.scenario.params) == set(FAMILY_PARAMS[bundle.scenario.family])
 
 
+@pytest.mark.parametrize("name", scenario_names())
+def test_registry_entry_runs_its_checks(name, tmp_path):
+    # singular_demo's explicit tangent needs dt <= 2 delta / strength
+    n_steps = 1000 if name == "singular_demo" else 100
+    cfg = ExperimentConfig(scenario=name, n_particles=100, n_steps=n_steps)
+    result = run_experiment(cfg, "", tmp_path)
+    assert result.exit_code == 0
+    assert all(r.status != "error" for r in result.rows)
+
+
 def test_classical_gradient_without_closed_form_is_ok(tmp_path):
     text = (SMALL_CONFIG.replace("scenario = brownian", "scenario = trig")
             .replace(CHECKS_LINE, "checks = classical_gradient"))
@@ -411,7 +436,7 @@ def test_classical_gradient_without_closed_form_is_ok(tmp_path):
     with open(out / "results.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["quantity"], r["status"]) for r in rows] == [
-        ("intrinsic_estimate", "ok"), ("quadrature", "ok")]
+        ("intrinsic_estimate", "ok"), ("closed_form", "ok")]
     assert rows[1]["params"] == "reason=no-closed-form"
     assert not (out / "errors.json").exists()
 
@@ -443,7 +468,7 @@ t = 1.0
 seed = 3
 
 [estimator]
-checks = tv_scaling
+checks = dual_norm_scaling, tv_scaling
 
 [oracle]
 t_grid = 0.25, 0.5, 1, 2
@@ -453,11 +478,13 @@ tv_shift = 1
 
 @pytest.mark.parametrize("scenario", ["ou", "meanfield_ou"])
 def test_tv_slope_of_a_mean_reverting_flow_passes(scenario, tmp_path):
-    # the exact slope is that of the scenario's own affine flow, not Brownian motion's
+    # both scaling checks fit against the exact slope of the scenario's own
+    # affine flow, not Brownian motion's t^{-1/2}
     out = tmp_path / "out"
     cfg = write_config(tmp_path, TV_CONFIG.format(scenario=scenario))
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert [(r["label"], r["status"]) for r in read_rows(out)][-1] == ("slope", "pass")
+    assert [(r["quantity"], r["status"]) for r in read_rows(out) if r["label"] == "slope"] == [
+        ("dual_norm", "pass"), ("tv_slope", "pass")]
 
 
 def test_degenerate_oracle_is_ok_not_pass(tmp_path):
@@ -596,8 +623,8 @@ def test_shipped_configs_validate(path):
 # hold for Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; a change may re-pin
 # one only when it names the rows that move.
 RESULTS_SHA256 = {
-    ("brownian.cfg", 7): "a5ad74f6f375fbfd80f5dcea0c377253ccf313d2a236831a71a6d37b566c7f51",
-    ("brownian.cfg", 1): "d43ccff524f3d38a44fefe4bc1e88444e717f1222a12e2555e134e7e9c95b3f2",
+    ("brownian.cfg", 7): "bebf31010bcdac87b3d8d62efe63123d19d4f187e37c34e6e38a11b2d9364258",
+    ("brownian.cfg", 1): "10b017a20b5f7fd589d765c0876b438f1e0e20c5ce4137e9b89a48893f2843d6",
     ("meanfield_ou.cfg", 7): "e80d013656f0198ee5b8b72495e807edfa02cc328dcd3496f945c9e51cfc804f",
     ("meanfield_ou.cfg", 1): "af6051a965a3f1ac10aef764d8dfc511dc3edc8b61b74c333b28f7cb5271aec6",
 }
