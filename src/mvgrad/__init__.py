@@ -12,8 +12,7 @@ moment bounds.
 
 __version__ = "0.1.0"
 
-from .bismut import (BetaInvarianceReport, Estimate, beta_invariance_check,
-                     dual_norm_lower_bound, estimate_classical,
+from .bismut import (Estimate, dual_norm_lower_bound, estimate_classical,
                      estimate_intrinsic, weight_frozen, weight_meanfield)
 from .errors import (ConfigError, GridMismatch, MeasureDependence,
                      MemoryBudgetExceeded, MissingGradSigma, MVGradError,
@@ -25,10 +24,9 @@ from .model import (BismutSchedule, CylindricalDrift, Diffusion, ModelSpec,
                     Observable, PerturbationField, SingularDrift,
                     linear_schedule, quadratic_schedule, schedule_by_name,
                     sine_schedule, validate_ellipticity, zeta)
-from .oracle import (MomentReport, StabilityReport, affine_reference,
-                     finite_difference_intrinsic, fit_loglog_slope,
-                     moment_report, richardson_intrinsic, stability_report,
-                     tv_gradient_scaling, tv_sign_reference)
+from .oracle import (StabilityReport, affine_reference, finite_difference_intrinsic,
+                     fit_loglog_slope, moment_report, richardson_intrinsic,
+                     stability_report, tv_gradient_scaling, tv_sign_reference)
 from .scenarios import (Scenario, all_scenarios, build_family, get_scenario,
                         scenario_names)
 from .simulate import (ParticlePaths, TimeGrid, brownian_increments,

@@ -43,13 +43,11 @@ class Estimate:
     ``stderr`` treats per-particle products as i.i.d., which ignores the
     weak coupling between particles.  For :func:`estimate_classical` it is
     the standard error of the residuals left after the quadratic-variation
-    control variate.  ``mode`` is "heuristic" exactly when the model carried
-    a singular drift component.
+    control variate.
     """
 
     value: float
     stderr: float
-    mode: str = "certified"
     scenario: str = ""
     term1: Optional[float] = None
     term2: Optional[float] = None
@@ -132,10 +130,6 @@ def weight_meanfield(paths: ParticlePaths, psi: Array, model: ModelSpec) -> Arra
     return _ito_weight(paths, psi, model, None)[0]
 
 
-def _mode(model: ModelSpec) -> str:
-    return "heuristic" if model.has_singular_part else "certified"
-
-
 def _mean_stderr(samples: Array) -> tuple[float, float]:
     n = samples.shape[0]
     mean = float(np.mean(samples))
@@ -186,7 +180,7 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturbatio
     fx = f(paths.terminal())
     g = fx * (w1 + w2)
     value, stderr = _mean_stderr(g)
-    return Estimate(value=value, stderr=stderr, mode=_mode(model), scenario=scenario,
+    return Estimate(value=value, stderr=stderr, scenario=scenario,
                     term1=float(np.mean(fx * w1)), term2=float(np.mean(fx * w2)))
 
 
@@ -221,8 +215,7 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
     w, qv = weight_frozen(paths, frozen_tangent(paths, model, v0), sched, model)
     g = f(paths.terminal()) * w
     value, stderr = _controlled_mean_stderr(g, w * w - qv)
-    return Estimate(value=value, stderr=stderr, mode=_mode(model),
-                    term1=value, term2=0.0)
+    return Estimate(value=value, stderr=stderr, term1=value, term2=0.0)
 
 
 def dual_norm_lower_bound(model: ModelSpec, mu0: EmpiricalMeasure, f: Observable,
@@ -249,48 +242,3 @@ def dual_norm_lower_bound(model: ModelSpec, mu0: EmpiricalMeasure, f: Observable
         raise ValueError("all dictionary fields have zero norm under mu0")
     return best
 
-
-@dataclass(frozen=True)
-class BetaInvarianceReport:
-    """Pairwise schedule comparison at matched seeds."""
-
-    schedule_names: tuple
-    means: tuple
-    stderrs: tuple
-    pairs: tuple          # (name_a, name_b, |diff|, 3*combined stderr, passed)
-
-
-def beta_invariance_check(model: ModelSpec, mu0: EmpiricalMeasure, phi: PerturbationField,
-                          f: Observable, t: float, grid: TimeGrid,
-                          seeds: Sequence[int],
-                          schedules: Sequence[BismutSchedule]) -> BetaInvarianceReport:
-    """Verify the estimate does not depend on the admissible schedule.
-
-    All schedules are run on the same seed list (identical schedules are
-    then bit-identical); the pairwise criterion still uses the conservative
-    independent combination of batch standard errors.  Seeds run outer and
-    schedules inner, so consecutive estimates share their noise.
-    """
-    if len(schedules) < 2:
-        raise ValueError("need at least two schedules to compare")
-    by_seed = [[estimate_intrinsic(model, mu0, phi, f, t, grid, sched, int(s))
-                for sched in schedules]
-               for s in seeds]
-    means, ses, names = [], [], []
-    for j, sched in enumerate(schedules):
-        ests = [row[j] for row in by_seed]
-        mean, se = _mean_stderr(np.array([e.value for e in ests]))
-        if len(seeds) == 1:
-            # single seed: fall back on the per-particle stderr
-            se = ests[0].stderr
-        means.append(mean)
-        ses.append(se)
-        names.append(sched.name)
-    pairs = []
-    for a in range(len(schedules)):
-        for b in range(a + 1, len(schedules)):
-            gap = abs(means[a] - means[b])
-            tol = 3.0 * math.hypot(ses[a], ses[b])
-            pairs.append((names[a], names[b], gap, tol, bool(gap <= tol)))
-    return BetaInvarianceReport(schedule_names=tuple(names), means=tuple(means),
-                                stderrs=tuple(ses), pairs=tuple(pairs))

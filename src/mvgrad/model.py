@@ -156,7 +156,6 @@ class BismutSchedule:
     beta: Callable[[Array], Array]
     beta_prime: Callable[[Array], Array]
     t: float
-    name: str = ""
 
     def __post_init__(self):
         if not self.t > 0:
@@ -170,20 +169,18 @@ class BismutSchedule:
 def linear_schedule(t: float) -> BismutSchedule:
     return BismutSchedule(beta=lambda s: np.asarray(s) / t,
                           beta_prime=lambda s: np.full_like(np.asarray(s, dtype=float), 1.0 / t),
-                          t=t, name="linear")
+                          t=t)
 
 
 def quadratic_schedule(t: float) -> BismutSchedule:
     return BismutSchedule(beta=lambda s: (np.asarray(s) / t) ** 2,
-                          beta_prime=lambda s: 2.0 * np.asarray(s) / t ** 2,
-                          t=t, name="quadratic")
+                          beta_prime=lambda s: 2.0 * np.asarray(s) / t ** 2, t=t)
 
 
 def sine_schedule(t: float) -> BismutSchedule:
     w = math.pi / (2.0 * t)
     return BismutSchedule(beta=lambda s: np.sin(w * np.asarray(s)),
-                          beta_prime=lambda s: w * np.cos(w * np.asarray(s)),
-                          t=t, name="sine")
+                          beta_prime=lambda s: w * np.cos(w * np.asarray(s)), t=t)
 
 
 SCHEDULE_FACTORIES = {

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .bismut import Estimate, _check_grid, _mean_stderr, _mode
+from .bismut import Estimate, _check_grid, _mean_stderr
 from .errors import UnequalSupport, UnsupportedScenario
 from .measure import EmpiricalMeasure, pushforward, wasserstein
 from .model import ModelSpec, Observable, PerturbationField
@@ -53,7 +53,7 @@ def finite_difference_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
         raise ValueError("eps must be positive")
     _check_grid(grid, t)
     value, stderr = _mean_stderr(_fd_samples(model, mu0, phi, f, grid, eps, seed))
-    return Estimate(value=value, stderr=stderr, mode=_mode(model))
+    return Estimate(value=value, stderr=stderr)
 
 
 def richardson_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
@@ -68,7 +68,7 @@ def richardson_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
     d_full = _fd_samples(model, mu0, phi, f, grid, eps, seed, base=base)
     d_half = _fd_samples(model, mu0, phi, f, grid, eps / 2.0, seed, base=base)
     value, stderr = _mean_stderr(2.0 * d_half - d_full)
-    return Estimate(value=value, stderr=stderr, mode=_mode(model), scenario=scenario)
+    return Estimate(value=value, stderr=stderr, scenario=scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def fit_loglog_slope(ts: Sequence[float], values: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Empirical bound reports
+# Empirical stability and moment figures
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -186,38 +186,15 @@ def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeas
                            terminal_ratio=wt / w0)
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """sup-in-time moment growth across a ladder of initial laws."""
-
-    initial_moments: tuple    # E-hat |X_0|^k per ladder entry
-    sup_moments: tuple        # sup_s E-hat |X_s|^k
-    ratios: tuple             # sup / (1 + initial)
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.ratios)
-
-    def rows(self) -> list:
-        return [(f"init={i0:.6g}", r) for i0, r in zip(self.initial_moments, self.ratios)]
-
-
 def moment_report(model: ModelSpec, mu0_ladder: Sequence[EmpiricalMeasure],
-                  grid: TimeGrid, seed: int) -> MomentReport:
-    """Tabulate sup_s E|X_s|^k against 1 + E|X_0|^k over initial laws."""
-    k = model.k
-    inits, sups, ratios = [], [], []
+                  grid: TimeGrid, seed: int) -> list:
+    """Per initial law, (E-hat |X_0|^k, sup_s E-hat |X_s|^k) of its run."""
+    pairs = []
     for mu0 in mu0_ladder:
         paths = simulate_particles(model, mu0, grid, seed)
-        norms_k = np.linalg.norm(paths.states, axis=2) ** k    # (n+1, N)
-        per_slice = norms_k.mean(axis=1)
-        i0 = float(per_slice[0])
-        sup = float(per_slice.max())
-        inits.append(i0)
-        sups.append(sup)
-        ratios.append(sup / (1.0 + i0))
-    return MomentReport(initial_moments=tuple(inits), sup_moments=tuple(sups),
-                        ratios=tuple(ratios))
+        per_slice = (np.linalg.norm(paths.states, axis=2) ** model.k).mean(axis=1)
+        pairs.append((float(per_slice[0]), float(per_slice.max())))
+    return pairs
 
 
 def tv_gradient_scaling(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeasure,

@@ -9,13 +9,15 @@ failure (with a machine-readable record in errors.json).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import platform
 import resource
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -26,10 +28,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bismut import (beta_invariance_check, dual_norm_lower_bound,
-                     estimate_classical, estimate_intrinsic)
+from .bismut import (_mean_stderr, dual_norm_lower_bound, estimate_classical,
+                     estimate_intrinsic)
 from .config import ExperimentConfig
-from .errors import ConfigError, MVGradError, SingularDiffusion
+from .errors import ConfigError, MVGradError
 from .measure import ASSIGNMENT_CAP, EmpiricalMeasure, pushforward, sample_initial
 from .model import (SCHEDULE_FACTORIES, ModelSpec, schedule_by_name,
                     validate_ellipticity)
@@ -37,8 +39,8 @@ from .oracle import (affine_reference, fit_loglog_slope,
                      finite_difference_intrinsic, moment_report,
                      richardson_intrinsic, stability_report,
                      tv_gradient_scaling, tv_sign_reference)
-from .scenarios import (Scenario, build_family, default_observables,
-                        default_perturbations, dual_dictionary, get_scenario)
+from .scenarios import (Scenario, default_observables, default_perturbations,
+                        dual_dictionary, family_params, get_scenario)
 from .simulate import (MEMORY_BUDGET_ENV, TimeGrid, memory_budget_bytes,
                        reusing_noise, simulate_particles)
 from .tangent import meanfield_tangent
@@ -100,6 +102,11 @@ class RunBundle:
     def scenario_name(self) -> str:
         return self.scenario.name
 
+    @property
+    def mode(self) -> str:
+        """The mode= label of estimate rows: heuristic with a singular drift."""
+        return "heuristic" if self.model.has_singular_part else "certified"
+
     def mu0(self, seed: Optional[int] = None) -> EmpiricalMeasure:
         return sample_initial(self.scenario.initial_law, self.cfg.n_particles,
                               self.cfg.seed if seed is None else seed)
@@ -140,19 +147,31 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
         params = dict(cfg.custom or {})
         family = params.pop("family", None)
         try:
-            d = build_family(family, **params).d
+            # only the affine family reads d; the others are one-dimensional
+            d = int(family_params(family, **params).get("d", 1))
+            law = {"family": "gaussian", "mean": [0.0] * d, "cov": 1.0}
+            scen = Scenario(name="custom", description="[custom] section", family=family,
+                            params=params, initial_law=law,
+                            checks=("intrinsic_estimate", "determinism"))
         except (MVGradError, ValueError) as exc:
             raise ConfigError(f"[custom] {exc}") from exc
-        law = {"family": "gaussian", "mean": [0.0] * d, "cov": 1.0}
-        scen = Scenario(name="custom", description="[custom] section", family=family,
-                        params=params, initial_law=law,
-                        checks=("intrinsic_estimate", "determinism"))
     else:
         scen = get_scenario(cfg.scenario)
-    model = scen.build()
+    # an invalid MVGRAD_MEMORY_BUDGET_MB raises ConfigError here; so does a
+    # starting cloud, or the d x d matrices that the build and the ellipticity
+    # check hold (drift, diffusion, sigma sigma* and the eigensolver's copy),
+    # that alone exceed the budget, before anything allocates them
+    d, budget = int(scen.params.get("d", 1)), memory_budget_bytes()
+    for what, need in ((f"a starting cloud of {cfg.n_particles} particles",
+                        8 * cfg.n_particles * d),
+                       (f"a model of dimension d = {d}", 4 * 8 * d * d)):
+        if need > budget:
+            raise ConfigError(f"{what} needs {need / 1e6:.0f} MB, budget is "
+                              f"{budget / 1e6:.0f} MB (set {MEMORY_BUDGET_ENV} to raise it)")
     try:
+        model = scen.build()
         validate_ellipticity(model.diffusion, np.atleast_1d(scen.initial_law["mean"]))
-    except SingularDiffusion as exc:
+    except (MVGradError, ValueError) as exc:
         raise ConfigError(f"scenario {scen.name}: {exc}") from exc
     checks = cfg.checks or scen.checks
     if cfg.t > model.horizon + 1e-12:
@@ -172,13 +191,6 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
                        perturbations=perturbations, checks=checks)
     for check in checks:
         _require_needs(bundle, check)
-    # an invalid MVGRAD_MEMORY_BUDGET_MB raises ConfigError here; so does a
-    # starting cloud that alone exceeds the budget, before any draw allocates it
-    budget, cloud = memory_budget_bytes(), 8 * cfg.n_particles * model.d
-    if cloud > budget:
-        raise ConfigError(f"a starting cloud of {cfg.n_particles} particles needs "
-                          f"{cloud / 1e6:.0f} MB, budget is {budget / 1e6:.0f} MB "
-                          f"(set {MEMORY_BUDGET_ENV} to raise it)")
     return bundle
 
 
@@ -199,7 +211,7 @@ def check_intrinsic_estimate(bundle: RunBundle):
         est = bundle.estimate(bundle.field(p_name), bundle.obs(f_name))
         rows.append(_row(bundle, "intrinsic_estimate", f"{f_name}|{p_name}",
                          est.value, est.stderr, "ok", cfg.seed,
-                         mode=est.mode, term1=est.term1, term2=est.term2))
+                         mode=bundle.mode, term1=est.term1, term2=est.term2))
     return rows
 
 
@@ -212,7 +224,7 @@ def check_intrinsic_vs_fd(bundle: RunBundle):
         mu0 = bundle.mu0()
         est = bundle.estimate(phi, f, mu0)
         rows.append(_row(bundle, "intrinsic_estimate", f"{f_name}|{p_name}",
-                         est.value, est.stderr, "ok", cfg.seed, mode=est.mode))
+                         est.value, est.stderr, "ok", cfg.seed, mode=bundle.mode))
         for eps in cfg.eps_ladder:
             fd = finite_difference_intrinsic(bundle.model, mu0, phi, f, cfg.t,
                                              bundle.grid(), eps, cfg.seed)
@@ -286,18 +298,30 @@ def check_classical_gradient(bundle: RunBundle):
 
 
 def check_beta_invariance(bundle: RunBundle):
+    """Each schedule's mean estimate over the ci seeds; a pair of schedules
+    passes when its gap is within 3 sigma of their combined standard errors.
+    Seeds run outer and schedules inner, so consecutive estimates share their
+    noise, and identical schedules give bit-identical means."""
     cfg = bundle.cfg
-    scheds = [bundle.sched(name) for name in cfg.schedules]
     f_name, p_name = cfg.observables[0], cfg.perturbations[0]
-    report = beta_invariance_check(bundle.model, bundle.mu0(), bundle.field(p_name),
-                                   bundle.obs(f_name), cfg.t, bundle.grid(),
-                                   cfg.ci_seeds, scheds)
+    args = (bundle.mu0(), bundle.field(p_name), bundle.obs(f_name), cfg.t, bundle.grid())
+    scheds = [bundle.sched(name) for name in cfg.schedules]
+    by_seed = [[estimate_intrinsic(bundle.model, *args, sched, seed) for sched in scheds]
+               for seed in cfg.ci_seeds]
+    stats = []
+    for ests in zip(*by_seed):
+        mean, se = _mean_stderr(np.array([e.value for e in ests]))
+        # one seed has no spread across seeds: its per-particle stderr stands in
+        stats.append((mean, ests[0].stderr if len(ests) == 1 else se))
     rows = [_row(bundle, "beta_check", f"schedule={name}", mean, se, "ok",
                  cfg.ci_seeds[0], n_seeds=len(cfg.ci_seeds))
-            for name, mean, se in zip(report.schedule_names, report.means, report.stderrs)]
-    return rows + [_row(bundle, "beta_check", f"{a}-vs-{b}", gap, None,
-                        "pass" if ok else "fail", cfg.ci_seeds[0], tol=tol)
-                   for a, b, gap, tol, ok in report.pairs]
+            for name, (mean, se) in zip(cfg.schedules, stats)]
+    for (a, (mean_a, se_a)), (b, (mean_b, se_b)) in itertools.combinations(
+            zip(cfg.schedules, stats), 2):
+        gap, tol = abs(mean_a - mean_b), 3.0 * math.hypot(se_a, se_b)
+        rows.append(_row(bundle, "beta_check", f"{a}-vs-{b}", gap, None,
+                         "pass" if gap <= tol else "fail", cfg.ci_seeds[0], tol=tol))
+    return rows
 
 
 def check_linearity(bundle: RunBundle):
@@ -396,11 +420,14 @@ def check_moment_bound(bundle: RunBundle):
     ladder = [sample_initial({"family": "gaussian", "mean": mean, "cov": v},
                              cfg.n_particles, cfg.seed + j)
               for j, v in enumerate(cfg.moment_variances)]
-    rep = moment_report(bundle.model, ladder, bundle.grid(), cfg.seed)
-    rows = [_row(bundle, "moment", label, ratio, None, "ok", cfg.seed)
-            for label, ratio in rep.rows()]
-    status = "pass" if rep.max_ratio <= MOMENT_RATIO_CAP else "fail"
-    rows.append(_row(bundle, "moment", "max-ratio", rep.max_ratio, None, status,
+    # sup_s E|X_s|^k against 1 + E|X_0|^k for each initial law of the ladder
+    ratios = [(i0, sup / (1.0 + i0))
+              for i0, sup in moment_report(bundle.model, ladder, bundle.grid(), cfg.seed)]
+    rows = [_row(bundle, "moment", f"init={i0:.6g}", ratio, None, "ok", cfg.seed)
+            for i0, ratio in ratios]
+    worst = max(ratio for _, ratio in ratios)
+    status = "pass" if worst <= MOMENT_RATIO_CAP else "fail"
+    rows.append(_row(bundle, "moment", "max-ratio", worst, None, status,
                      cfg.seed, cap=MOMENT_RATIO_CAP))
     return rows
 
@@ -551,13 +578,22 @@ def _run_in_workers(bundle: RunBundle, names: list, workers: int) -> list:
     """_run_one_check of every name on ``workers`` forked processes, in order.
 
     A worker that dies (killed, say, by the kernel's OOM killer) breaks the
-    pool: each check whose result was lost gets an error record instead.
+    pool: each check whose result was lost, or that could no longer be
+    submitted, gets an error record instead.
     """
     start = time.perf_counter()
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt_bundle, initargs=(bundle,)) as pool:
-        futures = [pool.submit(_run_in_worker, name) for name in names]
+        futures = []
+        for name in names:
+            try:
+                futures.append(pool.submit(_run_in_worker, name))
+            except BrokenProcessPool as exc:
+                lost = Future()
+                lost.set_exception(exc)
+                futures += [lost] * (len(names) - len(futures))
+                break
         results = []
         for name, fut in zip(names, futures):
             try:

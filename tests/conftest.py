@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mvgrad import runner
+from mvgrad.config import ExperimentConfig
 from mvgrad.measure import EmpiricalMeasure
 from mvgrad.scenarios import build_family
 
@@ -20,6 +22,14 @@ def mfou_model(a=1.0, kappa=0.5, d=1, sigma=1.0):
 def gaussian_cloud(n, d=1, mean=0.0, std=1.0, seed=0):
     rng = np.random.default_rng(seed)
     return EmpiricalMeasure(mean + std * rng.standard_normal((n, d)))
+
+
+def csv_modes(scenario):
+    """The mode= params of a scenario's intrinsic_estimate rows in results.csv."""
+    cfg = ExperimentConfig(scenario=scenario, n_particles=8, n_steps=10, t=0.1,
+                           checks=("intrinsic_estimate",))
+    rows = runner.check_intrinsic_estimate(runner.resolve_bundle(cfg))
+    return {dict(kv.split("=") for kv in r.params.split("|"))["mode"] for r in rows}
 
 
 @pytest.fixture

@@ -1,17 +1,18 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mvgrad.bismut import (Estimate, beta_invariance_check, dual_norm_lower_bound,
-                           estimate_classical, estimate_intrinsic, weight_frozen,
-                           weight_meanfield)
+from mvgrad import runner
+from mvgrad.bismut import (Estimate, dual_norm_lower_bound, estimate_classical,
+                           estimate_intrinsic, weight_frozen, weight_meanfield)
+from mvgrad.config import ExperimentConfig
 from mvgrad.errors import (GridMismatch, MeasureDependence, MemoryBudgetExceeded,
                            NonFinite, ScheduleMismatch)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
-from mvgrad.model import (Diffusion, ModelSpec, PerturbationField, linear_schedule,
-                          quadratic_schedule)
+from mvgrad.model import Diffusion, ModelSpec, PerturbationField, linear_schedule
 from mvgrad.oracle import richardson_intrinsic
 from mvgrad.scenarios import (affine_drift, constant_observable, coord_observable,
                               coordinate_field, default_observables,
@@ -20,7 +21,7 @@ from mvgrad.scenarios import (affine_drift, constant_observable, coord_observabl
 from mvgrad.simulate import MEMORY_BUDGET_ENV, TimeGrid, simulate_particles
 from mvgrad.tangent import frozen_tangent, meanfield_tangent
 
-from conftest import brownian_model, gaussian_cloud, mfou_model, ou_model
+from conftest import brownian_model, csv_modes, gaussian_cloud, mfou_model, ou_model
 
 const_e1 = coordinate_field(0, 1.0)
 
@@ -128,7 +129,7 @@ class TestEstimateIntrinsic:
                                  1.0, grid, linear_schedule(1.0), 14)
         assert abs(est.value - 1.0) < 3.0 * est.stderr
         assert est.term2 == 0.0
-        assert est.mode == "certified"
+        assert csv_modes("brownian") == {"certified"}
 
     def test_brownian_identity_direction_is_initial_mean(self):
         model = brownian_model()
@@ -269,34 +270,39 @@ class TestDualNorm:
                                   TimeGrid(0.5, 5), linear_schedule(0.5), [], 0)
 
 
+def beta_bundle(n, n_steps, seed, ci_seeds, schedules):
+    """A brownian run at t = 0.5 whose beta_invariance compares ``schedules``
+    (set after resolution, so a schedule may repeat)."""
+    cfg = ExperimentConfig(scenario="brownian", n_particles=n, n_steps=n_steps, t=0.5,
+                           seed=seed, ci_seeds=ci_seeds, checks=("beta_invariance",))
+    bundle = runner.resolve_bundle(cfg)
+    return dataclasses.replace(bundle, cfg=dataclasses.replace(cfg, schedules=schedules))
+
+
 class TestBetaInvariance:
     def test_two_schedules_agree(self):
-        model = brownian_model()
-        mu0 = gaussian_cloud(1500, seed=33)
-        grid = TimeGrid(0.5, 100)
-        report = beta_invariance_check(
-            model, mu0, const_e1, coord_observable(0), 0.5, grid,
-            seeds=(1, 2, 3), schedules=[linear_schedule(0.5), quadratic_schedule(0.5)])
-        assert all(passed for *_, passed in report.pairs)
-        assert len(report.pairs) == 1
+        rows = runner.check_beta_invariance(
+            beta_bundle(1500, 100, 33, (1, 2, 3), ("linear", "quadratic")))
+        pairs = [r for r in rows if "-vs-" in r.label]
+        assert all(r.status == "pass" for r in pairs)
+        assert len(pairs) == 1
 
     def test_identical_schedules_bit_identical(self):
-        model = brownian_model()
-        mu0 = gaussian_cloud(400, seed=35)
-        grid = TimeGrid(0.5, 50)
-        report = beta_invariance_check(
-            model, mu0, const_e1, coord_observable(0), 0.5, grid,
-            seeds=(5, 6), schedules=[linear_schedule(0.5), linear_schedule(0.5)])
-        assert report.means[0] == report.means[1]
-        assert report.pairs[0][2] == 0.0
+        rows = runner.check_beta_invariance(
+            beta_bundle(400, 50, 35, (5, 6), ("linear", "linear")))
+        assert rows[0].value == rows[1].value
+        assert rows[2].label == "linear-vs-linear" and rows[2].value == 0.0
 
-    def test_needs_two_schedules(self):
-        model = brownian_model()
-        mu0 = gaussian_cloud(16, seed=0)
-        with pytest.raises(ValueError):
-            beta_invariance_check(model, mu0, const_e1, coord_observable(0),
-                                  0.5, TimeGrid(0.5, 5), seeds=(1,),
-                                  schedules=[linear_schedule(0.5)])
+    def test_single_seed_uses_estimate_stderr(self):
+        # one ci seed has no spread across seeds: each schedule's stderr is
+        # its estimate's own, and the pair tolerance is 3 sigma of those
+        bundle = beta_bundle(300, 40, 37, (5,), ("linear", "quadratic"))
+        ses = [estimate_intrinsic(bundle.model, bundle.mu0(), const_e1, coord_observable(0),
+                                  0.5, bundle.grid(), bundle.sched(name), 5).stderr
+               for name in ("linear", "quadratic")]
+        rows = runner.check_beta_invariance(bundle)
+        assert [r.stderr for r in rows[:2]] == ses
+        assert rows[2].params == f"tol={3.0 * math.hypot(*ses)!r}"
 
 
 class TestEstimateType:

@@ -5,10 +5,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -322,6 +324,13 @@ BAD_INPUTS = {
     # the starting cloud alone (8 TB) exceeds the budget: refused before any draw
     "cloud-above-budget": ((("n_particles = 400", "n_particles = 1000000000000"),
                             only_check("linearity")), "4096"),
+    # the d x d coefficient matrices alone (8 TB each) exceed the budget:
+    # refused before the model is built
+    "custom-d-above-budget": ((("scenario = brownian", "scenario = custom"),
+                               only_check("intrinsic_estimate"),
+                               ("[oracle]\n",
+                                "[custom]\nfamily = affine\nd = 1000000\n\n[oracle]\n")),
+                              "4096"),
     "transport-above-cap": ((("scenario = brownian", "scenario = brownian2d"),
                              ("n_particles = 400", "n_particles = 4097"),
                              only_check("wasserstein_lipschitz"),
@@ -580,6 +589,39 @@ def test_parallel_never_starts_more_workers_than_checks(tmp_path, monkeypatch):
     assert not errors and [r.status for r in rows] == ["pass", "pass"]
 
 
+def test_pool_broken_at_submit_is_an_error_row(tmp_path, monkeypatch, capfd):
+    class BreakingExecutor:
+        """Runs the first call at once; the pool is broken at the second submit."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            initializer(*initargs)
+            self.submitted = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.submitted += 1
+            if self.submitted > 1:
+                raise BrokenProcessPool("a worker died before this check was submitted")
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", BreakingExecutor)
+    monkeypatch.setattr(runner, "_worker_bundle", None)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, TWO_CHECKS)),
+                 "--out", str(out), "--parallel", "2"]) == 3
+    records = json.loads((out / "errors.json").read_text())
+    assert [(r["check"], r["type"]) for r in records] == [("determinism", "BrokenProcessPool")]
+    assert [r["status"] for r in read_rows(out)] == ["pass", "error"]
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_checks_run_in_worker_processes(tmp_path, monkeypatch):
     def reporting_pid(name):
         def check(bundle):
@@ -751,6 +793,14 @@ def test_generated_configs_exit_cleanly(text):
     assert validated in (0, 2)
     assert ran in (0, 1, 2, 3)
     assert (validated == 2) == (ran == 2)
+
+
+def test_readme_library_example_runs(capsys):
+    # README's python block, executed as written: it must keep to the public API
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "| oracle:" in capsys.readouterr().out
 
 
 class TestOtherCommands:

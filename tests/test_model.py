@@ -382,7 +382,7 @@ class TestSchedules:
                            t=2.0)
 
     def test_by_name(self):
-        assert schedule_by_name("linear", 1.0).name == "linear"
+        assert schedule_by_name("linear", 1.0).t == 1.0
         with pytest.raises(KeyError):
             schedule_by_name("nope", 1.0)
 

@@ -13,7 +13,7 @@ from mvgrad.scenarios import (build_family, coord_observable, identity_field,
 from mvgrad.simulate import TimeGrid, simulate_particles
 from mvgrad.tangent import cylindrical_coupling, frozen_tangent, meanfield_tangent
 
-from conftest import brownian_model, gaussian_cloud, mfou_model, ou_model
+from conftest import brownian_model, csv_modes, gaussian_cloud, mfou_model, ou_model
 
 const_field = PerturbationField(phi=lambda x: np.ones_like(x), name="ones")
 
@@ -117,7 +117,8 @@ class TestFrozenTangent:
         assert all(np.all(np.isfinite(a)) for a in meanfield_tangent(paths, model, const_field))
         est = estimate_intrinsic(model, mu0, const_field, coord_observable(), 0.1,
                                  grid, linear_schedule(0.1), 0)
-        assert est.mode == "heuristic"
+        assert np.isfinite(est.value)
+        assert csv_modes("singular_demo") == {"heuristic"}
 
     def test_v0_shape_checked(self):
         model = brownian_model()
