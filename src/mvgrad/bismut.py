@@ -29,7 +29,7 @@ from .errors import (GridMismatch, MeasureDependence, NonFinite,
                      ScheduleMismatch)
 from .measure import EmpiricalMeasure, lk_norm
 from .model import (BismutSchedule, ModelSpec, Observable, PerturbationField,
-                    validate_ellipticity, zeta)
+                    _single_term, validate_ellipticity, zeta)
 from .simulate import ParticlePaths, TimeGrid, simulate_particles
 from .tangent import frozen_tangent, meanfield_tangent
 
@@ -59,11 +59,16 @@ class Estimate:
 
 def _zeta_apply(model: ModelSpec, t: float, X: Array, direction: Array) -> Array:
     """zeta(t, X) applied per particle to a (N, d) direction -> (N, m)."""
-    if model.diffusion.constant_in_x:
-        z = zeta(model.diffusion, t, X[:1])        # (1, m, d)
-        return direction @ z[0].T
-    z = zeta(model.diffusion, t, X)                # (N, m, d)
-    return np.einsum("amd,ad->am", z, direction)
+    const = model.diffusion.constant_in_x
+    z = zeta(model.diffusion, t, X[:1] if const else X)    # (1 or N, m, d)
+    if model.d == 1:
+        return _single_term(z[:, :, 0], direction)
+    return direction @ z[0].T if const else np.einsum("amd,ad->am", z, direction)
+
+
+def _sum_over_m(a: Array, b: Array) -> Array:
+    """Per-particle sum of a * b over the noise axis of two (N, m) arrays."""
+    return _single_term(a[:, 0], b[:, 0]) if a.shape[1] == 1 else np.sum(a * b, axis=1)
 
 
 def _check_grid(grid: TimeGrid, t: float) -> None:
@@ -98,9 +103,9 @@ def _ito_weight(paths: ParticlePaths, directions: Array, model: ModelSpec,
         t = s * dt
         bp = 1.0 if sched is None else float(sched.beta_prime(np.array(t)))
         zv = _zeta_apply(model, t, paths.states[s], directions[s])
-        w += bp * np.sum(zv * paths.noise[s], axis=1)
+        w += bp * _sum_over_m(zv, paths.noise[s])
         if qv is not None:
-            qv += (bp * bp * dt) * np.sum(zv * zv, axis=1)
+            qv += (bp * bp * dt) * _sum_over_m(zv, zv)
     if not np.all(np.isfinite(w)):
         raise NonFinite("weight vector contains non-finite entries")
     return w, qv

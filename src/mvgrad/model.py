@@ -40,6 +40,11 @@ BLOWUP_THRESHOLD = 1e8
 COND_CAP = 1e8
 
 
+def _single_term(a, b) -> Array:
+    """A sum over a length-one axis as its one product, + 0.0 as sums start at +0.0."""
+    return a * b + 0.0
+
+
 def _batch(x) -> tuple[Array, bool]:
     """Promote a single point (d,) to a batch (1, d); report if promoted."""
     arr = np.asarray(x, dtype=float)
@@ -259,11 +264,12 @@ def zeta(diffusion: Diffusion, t: float, x) -> Array:
     """
     xb, single = _batch(x)
     sig = diffusion(t, xb)                      # (N, d, m)
-    a = sig @ np.swapaxes(sig, 1, 2)            # (N, d, d)
+    sig_t = np.swapaxes(sig, 1, 2)
+    a = _single_term(sig, sig_t) if sig.shape[2] == 1 else sig @ sig_t   # (N, d, d)
     if sig.shape[1] == 1:
         if not np.all(a):
             raise SingularDiffusion(f"sigma sigma* vanishes at t={t}")
-        out = np.swapaxes(sig, 1, 2) / a        # sigma* a^{-1}: (N, m, 1)
+        out = sig_t / a                         # sigma* a^{-1}: (N, m, 1)
     else:
         try:
             z = np.linalg.solve(a, sig)         # a^{-1} sigma: (N, d, m)

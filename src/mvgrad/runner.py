@@ -56,8 +56,8 @@ TANGENT_ORDER_MIN = 0.8
 # Finite-difference errors at or below this on every ladder entry mean an
 # exact tangent (an affine flow): they are rounding noise, with no order to fit.
 TANGENT_EXACT_TOL = 1e-10
-# A Richardson row fails when the estimate's stderr exceeds this multiple of
-# the oracle's scale max(|value|, stderr): a diverged estimate's own stderr
+# A Richardson or closed-form row fails when the estimate's stderr exceeds
+# this multiple of the reference's scale: a diverged estimate's own stderr
 # would otherwise widen the 3-sigma tolerance until any gap passes.
 ESTIMATE_SPREAD_CAP = 100.0
 # determinism compares two regenerations of its run, so it never shares noise
@@ -257,11 +257,15 @@ def check_intrinsic_closed_form(bundle: RunBundle):
     for p_name in cfg.perturbations:
         phi = bundle.field(p_name)
         est = bundle.estimate(phi, bundle.obs("coord1"), mu0)
-        ref = affine_reference(scen.family, scen.params, "coord1", cfg.t,
-                               mu0.points, phi(mu0.points))
+        v0 = phi(mu0.points)
+        ref = affine_reference(scen.family, scen.params, "coord1", cfg.t, mu0.points, v0)
+        # the derivative along |phi| bounds |ref| and is 0 only where phi = 0
+        scale = affine_reference(scen.family, scen.params, "coord1", cfg.t, mu0.points,
+                                 np.abs(v0))
         gap = abs(est.value - ref)
         tol = 3.0 * est.stderr
-        status = "pass" if gap <= tol else "fail"
+        spread = est.stderr > ESTIMATE_SPREAD_CAP * scale
+        status = "pass" if gap <= tol and not spread else "fail"
         rows.append(_row(bundle, "closed_form", f"coord1|{p_name}|exact",
                          est.value, est.stderr, status, cfg.seed,
                          reference=ref, gap=gap, tol=tol))

@@ -1,14 +1,17 @@
 """Euler integration of the interacting particle system.
 
 Owns all path randomness.  Brownian increments come from counter-based
-streams keyed by (seed, particle index) with the step index addressing the
-position inside the stream, so output is bit-identical for any parallel
-schedule and any single particle's noise can be regenerated in isolation.
-Increments are retained in memory (they are the raw material for every
-stochastic-integral weight); a budget guard, which the tangent flows also
-call, errors out instead of spilling to disk.  Inside a
-:func:`reusing_noise` block, consecutive simulations on the same noise
-(common random numbers) share one read-only tensor.
+(Philox) streams keyed by (seed, particle index) with the step index
+addressing the position inside the stream, so output is bit-identical for
+any parallel schedule and any single particle's noise can be regenerated in
+isolation.  A tensor is built in blocks of particles from one generator,
+re-keyed per particle, with one normal transform per block.  Increments are
+retained in memory (they are the raw material for every stochastic-integral
+weight); a budget guard, which the tangent flows also call, errors out
+instead of spilling to disk.  Inside a :func:`reusing_noise` block,
+consecutive simulations on the same noise (common random numbers) share one
+read-only tensor.  With m = 1 the Euler step's sum over the noise axis is
+its one product (:func:`mvgrad.model._single_term`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, GridMismatch, MemoryBudgetExceeded, NonFinite
 from .measure import EmpiricalMeasure
-from .model import BLOWUP_THRESHOLD, ModelSpec
+from .model import BLOWUP_THRESHOLD, ModelSpec, _single_term
 
 Array = np.ndarray
 
@@ -35,6 +38,7 @@ DEFAULT_MEMORY_BUDGET_MB = 4096
 _U_FLOOR = 2.0 ** -60
 
 _MASK64 = 2**64 - 1
+_BLOCK = 128    # particles per normal transform when a tensor is built
 
 
 @dataclass(frozen=True)
@@ -82,11 +86,29 @@ def _guard_memory(need: int) -> None:
         )
 
 
+def _noise_tensor(grid: TimeGrid, seed: int, particles: range, m: int) -> Array:
+    """Increments of ``particles``, (n_steps, len(particles), m): one Philox is
+    set per particle to counter 0 and an empty buffer, the state of
+    ``Philox(key=[seed, particle])``, and ``ndtri`` runs once per block."""
+    out = np.empty((grid.n_steps, len(particles), m))
+    u = np.empty((min(_BLOCK, len(particles)), grid.n_steps, m))
+    gen = np.random.Generator(np.random.Philox(0))
+    state = dict(bit_generator="Philox", buffer=(0,) * 4, buffer_pos=4, has_uint32=0, uinteger=0)
+    for lo in range(0, len(particles), _BLOCK):
+        block = u[:len(particles) - lo]
+        for j, row in enumerate(block):
+            key = (seed & _MASK64, particles[lo + j] & _MASK64)
+            gen.bit_generator.state = dict(state, state={"counter": (0,) * 4, "key": key})
+            gen.random(out=row)
+        ndtri(np.maximum(block, _U_FLOOR, out=block), out=block)
+        block *= np.sqrt(grid.dt)
+        out[:, lo:lo + len(block), :] = block.transpose(1, 0, 2)
+    return out
+
+
 def particle_increments(seed: int, particle: int, grid: TimeGrid, m: int) -> Array:
     """Increments of one particle's stream, reproducible in isolation."""
-    gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, particle & _MASK64]))
-    u = gen.random((grid.n_steps, m))
-    return ndtri(np.maximum(u, _U_FLOOR)) * np.sqrt(grid.dt)
+    return _noise_tensor(grid, seed, range(particle, particle + 1), m)[:, 0, :]
 
 
 _reuse = threading.local()     # .entry: [key, tensor] inside reusing_noise()
@@ -121,9 +143,7 @@ def brownian_increments(grid: TimeGrid, N: int, m: int, seed: int) -> Array:
         if entry[0] == key:
             return entry[1]
         entry[:] = [None, None]
-    out = np.empty((grid.n_steps, N, m))
-    for i in range(N):
-        out[:, i, :] = particle_increments(seed, i, grid, m)
+    out = _noise_tensor(grid, seed, range(N), m)
     out.flags.writeable = False
     if entry is not None:
         entry[:] = [key, out]
@@ -199,7 +219,9 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
         flow[s] = z
         b = model.drift(t, X, z)
         sig = model.diffusion(t, X if not model.diffusion.constant_in_x else X[:1])
-        if sig.shape[0] == 1 and N > 1:
+        if model.m == 1:
+            incr = _single_term(sig[:, :, 0], dW[s])
+        elif sig.shape[0] == 1 and N > 1:
             incr = dW[s] @ sig[0].T
         else:
             incr = np.einsum("idm,im->id", sig, dW[s])

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import MissingGradSigma, NonFinite
-from .model import BLOWUP_THRESHOLD, CylindricalDrift, ModelSpec
+from .model import BLOWUP_THRESHOLD, CylindricalDrift, ModelSpec, _single_term
 from .simulate import ParticlePaths, _guard_memory
 
 Array = np.ndarray
@@ -41,8 +41,10 @@ def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) 
             "tangent integration needs grad_sigma for a state-dependent diffusion"
         )
     S = np.asarray(diff.grad_sigma(t, X), dtype=float)      # (N, d, m, j)
-    directional = np.einsum("admj,aj->adm", S, V)           # (N, d, m)
-    return np.einsum("adm,am->ad", directional, dW)
+    directional = (_single_term(S[..., 0], V[:, :, None]) if S.shape[3] == 1
+                   else np.einsum("admj,aj->adm", S, V))    # (N, d, m)
+    return (_single_term(directional[:, :, 0], dW) if dW.shape[1] == 1
+            else np.einsum("adm,am->ad", directional, dW))
 
 
 def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
@@ -72,7 +74,8 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
         X = paths.states[s]
         z = paths.moment_flow[s]
         G = model.drift_grad_x(t, X, z)
-        drift_term = np.einsum("aij,aj->ai", G, V)
+        drift_term = (_single_term(G[:, :, 0], V) if paths.d == 1
+                      else np.einsum("aij,aj->ai", G, V))
         if coupled:
             psi[s] = cylindrical_coupling(drift, t, X, z, V)
             drift_term = drift_term + psi[s]
@@ -107,7 +110,7 @@ def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
     for l, gl in enumerate(drift.grad_h):
         g[l] = float(np.mean(np.sum(np.asarray(gl(X), dtype=float) * V, axis=1)))
     gz = np.asarray(drift.grad_z_F(t, X, z), dtype=float)   # (N, d, n)
-    return gz @ g
+    return _single_term(gz[:, :, 0], g) if drift.n == 1 else gz @ g
 
 
 def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi) -> tuple[Array, Array]:

@@ -12,7 +12,8 @@ from mvgrad.config import ExperimentConfig
 from mvgrad.errors import (GridMismatch, MeasureDependence, MemoryBudgetExceeded,
                            NonFinite, ScheduleMismatch)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
-from mvgrad.model import Diffusion, ModelSpec, PerturbationField, linear_schedule
+from mvgrad.model import (Diffusion, ModelSpec, PerturbationField, linear_schedule,
+                          quadratic_schedule)
 from mvgrad.oracle import richardson_intrinsic
 from mvgrad.scenarios import (affine_drift, constant_observable, coord_observable,
                               coordinate_field, default_observables,
@@ -398,3 +399,22 @@ class TestPlanarStateDependentNoise:
         est = estimate_intrinsic(model, mu0, phi, f, 1.0, grid, linear_schedule(1.0), seed)
         rich = richardson_intrinsic(model, mu0, phi, f, 1.0, grid, 0.05, seed)
         assert abs(est.value - rich.value) <= 3.0 * math.hypot(est.stderr, rich.stderr)
+
+    # (value, stderr) as float.hex at N = 500, n = 50.  At d = 2, m = 3 every
+    # contraction takes the general einsum/matmul path, which the length-one
+    # products for d = m = 1 must leave bit for bit as it was.
+    PINNED = {
+        (1, "coord1", "const_e1"): ("0x1.814c950bf3c54p-2", "0x1.fe11d07e6518ep-6"),
+        (1, "sin", "sine_field"): ("-0x1.7f63bde0dcc7ep-10", "0x1.465c387ed6f03p-7"),
+        (2, "coord1", "const_e1"): ("0x1.620fbbbe4c63dp-2", "0x1.91f59fbaf2678p-6"),
+        (2, "sin", "sine_field"): ("-0x1.338d169ba0639p-8", "0x1.4828159245e5dp-7"),
+    }
+
+    @pytest.mark.parametrize("seed, f_name, p_name", sorted(PINNED))
+    def test_estimate_bits_are_pinned(self, seed, f_name, p_name):
+        f, phi = default_observables(2)[f_name], default_perturbations(2)[p_name]
+        mu0 = sample_initial({"family": "gaussian", "mean": [0.0, 0.0], "cov": 1.0},
+                             500, seed)
+        est = estimate_intrinsic(planar_trig_model(), mu0, phi, f, 1.0, TimeGrid(1.0, 50),
+                                 quadratic_schedule(1.0), seed)
+        assert (est.value.hex(), est.stderr.hex()) == self.PINNED[seed, f_name, p_name]

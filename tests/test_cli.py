@@ -247,6 +247,27 @@ delta = 3e-4
         assert [r["status"] for r in rich] == ["fail"]
         assert not (out / "errors.json").exists()
 
+    def test_diverged_estimate_fails_its_closed_form_row(self, tmp_path):
+        # at t = 1e-12 the weight's 1/t blows the estimate up to about
+        # -7.1e4 +- 6.9e4 against the exact 1.0; 3 sigma alone would pass it
+        text = """\
+[experiment]
+scenario = brownian
+n_particles = 200
+n_steps = 100
+t = 1e-12
+seed = 7
+
+[estimator]
+perturbations = const_e1
+checks = intrinsic_closed_form
+"""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        assert [(r["label"], r["status"]) for r in read_rows(out)] == [
+            ("coord1|const_e1|exact", "fail")]
+
     def test_custom_scenario(self, tmp_path):
         text = """\
 [experiment]
@@ -699,12 +720,11 @@ TENSORS_PER_CHECK = {
 def test_noise_tensors_built_per_check(config, monkeypatch):
     built = collections.Counter()
     running = []
-    draw = simulate.particle_increments
+    build = simulate._noise_tensor
 
-    def counting(seed, particle, grid, m):
-        if particle == 0:
-            built[running[-1]] += 1
-        return draw(seed, particle, grid, m)
+    def counting(grid, seed, particles, m):
+        built[running[-1]] += 1
+        return build(grid, seed, particles, m)
 
     def tagged(name, check):
         def run(bundle):
@@ -715,7 +735,7 @@ def test_noise_tensors_built_per_check(config, monkeypatch):
                 running.pop()
         return run
 
-    monkeypatch.setattr(simulate, "particle_increments", counting)
+    monkeypatch.setattr(simulate, "_noise_tensor", counting)
     for name, check in list(CHECKS.items()):
         monkeypatch.setitem(CHECKS, name, tagged(name, check))
     cfg, _ = load_config(Path(__file__).parent.parent / "configs" / config)

@@ -7,7 +7,7 @@ import pytest
 
 from mvgrad.errors import NonFinite, SingularDiffusion
 from mvgrad.measure import EmpiricalMeasure
-from mvgrad.model import (BismutSchedule, CylindricalDrift, Diffusion,
+from mvgrad.model import (BismutSchedule, CylindricalDrift, Diffusion, _single_term,
                           linear_schedule, quadratic_schedule, schedule_by_name,
                           sine_schedule, validate_ellipticity, zeta)
 from mvgrad.scenarios import (affine_drift, build_family,
@@ -33,6 +33,59 @@ def const_diffusion_matrix(mat):
         return np.broadcast_to(mat, (x.shape[0],) + mat.shape)
 
     return Diffusion(sigma=sigma, constant_in_x=True)
+
+
+def _swap(a):
+    return np.swapaxes(a, 1, 2)
+
+
+# Each contraction the package computes as one product when the contracted
+# axis has length 1: (the expression it replaces, its length-one form, the
+# operand shapes at that site with N = 7).
+LENGTH_ONE_SITES = {
+    "simulate euler, shared sigma": (lambda sig, dw: dw @ sig[0].T,
+                                     lambda sig, dw: _single_term(sig[:, :, 0], dw),
+                                     [(1, 2, 1), (7, 1)]),
+    "simulate euler": (lambda sig, dw: np.einsum("idm,im->id", sig, dw),
+                       lambda sig, dw: _single_term(sig[:, :, 0], dw), [(7, 2, 1), (7, 1)]),
+    "tangent drift": (lambda G, V: np.einsum("aij,aj->ai", G, V),
+                      lambda G, V: _single_term(G[:, :, 0], V), [(7, 1, 1), (7, 1)]),
+    "tangent grad sigma": (lambda S, V: np.einsum("admj,aj->adm", S, V),
+                           lambda S, V: _single_term(S[..., 0], V[:, :, None]),
+                           [(7, 1, 3, 1), (7, 1)]),
+    "tangent noise": (lambda D, dw: np.einsum("adm,am->ad", D, dw),
+                      lambda D, dw: _single_term(D[:, :, 0], dw), [(7, 2, 1), (7, 1)]),
+    "tangent coupling": (lambda gz, g: gz @ g, lambda gz, g: _single_term(gz[:, :, 0], g),
+                         [(7, 2, 1), (1,)]),
+    "bismut zeta, shared": (lambda z, v: v @ z[0].T,
+                            lambda z, v: _single_term(z[:, :, 0], v), [(1, 3, 1), (7, 1)]),
+    "bismut zeta": (lambda z, v: np.einsum("amd,ad->am", z, v),
+                    lambda z, v: _single_term(z[:, :, 0], v), [(7, 3, 1), (7, 1)]),
+    "bismut ito sum": (lambda zv, dw: np.sum(zv * dw, axis=1),
+                       lambda zv, dw: _single_term(zv[:, 0], dw[:, 0]), [(7, 1), (7, 1)]),
+    "bismut qv": (lambda zv, _: np.sum(zv * zv, axis=1),
+                  lambda zv, _: _single_term(zv[:, 0], zv[:, 0]), [(7, 1), (7, 1)]),
+    "model a, d = 1": (lambda sig, _: sig @ _swap(sig),
+                       lambda sig, _: _single_term(sig, _swap(sig)), [(7, 1, 1), (1,)]),
+    "model a, d = 2": (lambda sig, _: sig @ _swap(sig),
+                       lambda sig, _: _single_term(sig, _swap(sig)), [(7, 2, 1), (1,)]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LENGTH_ONE_SITES))
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("signed_zeros", [False, True])
+def test_length_one_contraction_is_bit_exact(site, seed, signed_zeros):
+    replaced, fast, shapes = LENGTH_ONE_SITES[site]
+    rng = np.random.default_rng(seed)
+    if signed_zeros:
+        # products of these hold -0.0 as well as +0.0, which the sums make +0.0
+        a, b = (rng.choice([-0.0, 0.0, -1.5, 2.0], size=shape) for shape in shapes)
+    else:
+        a, b = (rng.normal(size=shape) for shape in shapes)
+    want, got = replaced(a, b), fast(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 class TestZeta:

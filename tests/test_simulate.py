@@ -1,16 +1,18 @@
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from mvgrad.bismut import estimate_classical, estimate_intrinsic
 from mvgrad.errors import (GridMismatch, MemoryBudgetExceeded, NonFinite,
                            SingularDiffusion)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
 from mvgrad.model import CylindricalDrift, Diffusion, ModelSpec, linear_schedule
-from mvgrad.simulate import (MEMORY_BUDGET_ENV, TimeGrid, brownian_increments,
+from mvgrad.simulate import (_BLOCK, MEMORY_BUDGET_ENV, TimeGrid, brownian_increments,
                              particle_increments, reusing_noise, simulate_particles)
 from mvgrad.scenarios import build_family, coord_observable, coordinate_field
 
@@ -111,6 +113,37 @@ class TestBrownianIncrements:
         dw = brownian_increments(grid, 10, 3, 77)
         for i in (0, 4, 9):
             assert np.array_equal(dw[:, i, :], particle_increments(77, i, grid, 3))
+
+    def test_block_edges_match_single_particle_streams(self):
+        # the first and last particle of each block, with a short last block,
+        # against a fresh Philox(key=[seed, i]) per particle, the streams' definition
+        grid = TimeGrid(t_end=0.5, n_steps=7)
+        N = 2 * _BLOCK + 5
+        dw = brownian_increments(grid, N, 2, 31)
+        for i in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, N - 1):
+            u = np.random.Generator(np.random.Philox(key=[31, i])).random((7, 2))
+            want = ndtri(np.maximum(u, 2.0 ** -60)) * np.sqrt(grid.dt)
+            assert dw[:, i, :].tobytes() == want.tobytes()
+            assert particle_increments(31, i, grid, 2).tobytes() == want.tobytes()
+
+    def test_seed_is_keyed_as_a_64_bit_word(self):
+        # seed -1 is the word 2^64 - 1, not seed 0 after a round trip through float
+        grid = TimeGrid(t_end=1.0, n_steps=8)
+        minus_one = particle_increments(-1, 3, grid, 1)
+        assert np.array_equal(minus_one, particle_increments(2**64 - 1, 3, grid, 1))
+        assert not np.array_equal(minus_one, particle_increments(0, 3, grid, 1))
+
+    def test_builder_holds_one_tensor(self):
+        # the guard counts 8 n N m bytes of noise: the builder may not hold a
+        # second full-size copy while it fills the tensor
+        grid = TimeGrid(t_end=1.0, n_steps=1000)
+        tracemalloc.start()
+        try:
+            dw = brownian_increments(grid, 5000, 1, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * dw.nbytes
 
 
 class TestSimulateParticles:
