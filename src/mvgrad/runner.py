@@ -259,9 +259,9 @@ def check_intrinsic_closed_form(bundle: RunBundle):
         est = bundle.estimate(phi, bundle.obs("coord1"), mu0)
         v0 = phi(mu0.points)
         ref = affine_reference(scen.family, scen.params, "coord1", cfg.t, mu0.points, v0)
-        # the derivative along |phi| bounds |ref| and is 0 only where phi = 0
+        # (alpha + gamma) mean ||phi||_1 bounds |ref| and is 0 only where phi = 0
         scale = affine_reference(scen.family, scen.params, "coord1", cfg.t, mu0.points,
-                                 np.abs(v0))
+                                 np.abs(v0).sum(axis=1, keepdims=True))
         gap = abs(est.value - ref)
         tol = 3.0 * est.stderr
         spread = est.stderr > ESTIMATE_SPREAD_CAP * scale

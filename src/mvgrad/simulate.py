@@ -4,14 +4,14 @@ Owns all path randomness.  Brownian increments come from counter-based
 (Philox) streams keyed by (seed, particle index) with the step index
 addressing the position inside the stream, so output is bit-identical for
 any parallel schedule and any single particle's noise can be regenerated in
-isolation.  A tensor is built in blocks of particles from one generator,
-re-keyed per particle, with one normal transform per block.  Increments are
-retained in memory (they are the raw material for every stochastic-integral
-weight); a budget guard, which the tangent flows also call, errors out
-instead of spilling to disk.  Inside a :func:`reusing_noise` block,
-consecutive simulations on the same noise (common random numbers) share one
-read-only tensor.  With m = 1 the Euler step's sum over the noise axis is
-its one product (:func:`mvgrad.model._single_term`).
+isolation.  A tensor is built from one generator, re-keyed per particle to
+the state a fresh stream starts in.  Increments are retained in memory
+(they are the raw material for every stochastic-integral weight); a budget
+guard, which the tangent flows also call, errors out instead of spilling to
+disk.  Inside a :func:`reusing_noise` block, consecutive simulations on the
+same noise (common random numbers) share one read-only tensor.  With m = 1
+the Euler step's sum over the noise axis is its one product
+(:func:`mvgrad.model._single_term`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ DEFAULT_MEMORY_BUDGET_MB = 4096
 _U_FLOOR = 2.0 ** -60
 
 _MASK64 = 2**64 - 1
-_BLOCK = 128    # particles per normal transform when a tensor is built
 
 
 @dataclass(frozen=True)
@@ -87,22 +86,17 @@ def _guard_memory(need: int) -> None:
 
 
 def _noise_tensor(grid: TimeGrid, seed: int, particles: range, m: int) -> Array:
-    """Increments of ``particles``, (n_steps, len(particles), m): one Philox is
-    set per particle to counter 0 and an empty buffer, the state of
-    ``Philox(key=[seed, particle])``, and ``ndtri`` runs once per block."""
+    """Increments of ``particles``, (n_steps, len(particles), m), from one
+    Philox set per particle to counter 0 and an empty buffer, the state of
+    ``Philox(key=[seed, particle])``."""
     out = np.empty((grid.n_steps, len(particles), m))
-    u = np.empty((min(_BLOCK, len(particles)), grid.n_steps, m))
     gen = np.random.Generator(np.random.Philox(0))
     state = dict(bit_generator="Philox", buffer=(0,) * 4, buffer_pos=4, has_uint32=0, uinteger=0)
-    for lo in range(0, len(particles), _BLOCK):
-        block = u[:len(particles) - lo]
-        for j, row in enumerate(block):
-            key = (seed & _MASK64, particles[lo + j] & _MASK64)
-            gen.bit_generator.state = dict(state, state={"counter": (0,) * 4, "key": key})
-            gen.random(out=row)
-        ndtri(np.maximum(block, _U_FLOOR, out=block), out=block)
-        block *= np.sqrt(grid.dt)
-        out[:, lo:lo + len(block), :] = block.transpose(1, 0, 2)
+    for j, i in enumerate(particles):
+        key = (seed & _MASK64, i & _MASK64)
+        gen.bit_generator.state = dict(state, state={"counter": (0,) * 4, "key": key})
+        u = gen.random((grid.n_steps, m))
+        out[:, j, :] = ndtri(np.maximum(u, _U_FLOOR)) * np.sqrt(grid.dt)
     return out
 
 

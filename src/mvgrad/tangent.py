@@ -41,10 +41,8 @@ def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) 
             "tangent integration needs grad_sigma for a state-dependent diffusion"
         )
     S = np.asarray(diff.grad_sigma(t, X), dtype=float)      # (N, d, m, j)
-    directional = (_single_term(S[..., 0], V[:, :, None]) if S.shape[3] == 1
-                   else np.einsum("admj,aj->adm", S, V))    # (N, d, m)
-    return (_single_term(directional[:, :, 0], dW) if dW.shape[1] == 1
-            else np.einsum("adm,am->ad", directional, dW))
+    directional = np.einsum("admj,aj->adm", S, V)           # (N, d, m)
+    return np.einsum("adm,am->ad", directional, dW)
 
 
 def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
@@ -74,8 +72,7 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
         X = paths.states[s]
         z = paths.moment_flow[s]
         G = model.drift_grad_x(t, X, z)
-        drift_term = (_single_term(G[:, :, 0], V) if paths.d == 1
-                      else np.einsum("aij,aj->ai", G, V))
+        drift_term = np.einsum("aij,aj->ai", G, V)
         if coupled:
             psi[s] = cylindrical_coupling(drift, t, X, z, V)
             drift_term = drift_term + psi[s]

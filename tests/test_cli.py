@@ -268,6 +268,29 @@ checks = intrinsic_closed_form
         assert [(r["label"], r["status"]) for r in read_rows(out)] == [
             ("coord1|const_e1|exact", "fail")]
 
+    def test_closed_form_along_a_second_coordinate_passes(self, tmp_path):
+        # the exact derivative along +-e2 is 0, but the estimate has a spread;
+        # the spread cap's scale must still see phi's second coordinate
+        text = """\
+[experiment]
+scenario = brownian2d
+n_particles = 200
+n_steps = 50
+t = 1.0
+seed = 7
+
+[estimator]
+perturbations = const_e2, neg_const_e2
+checks = intrinsic_closed_form
+"""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [(r["label"], r["status"]) for r in rows] == [
+            ("coord1|const_e2|exact", "pass"), ("coord1|neg_const_e2|exact", "pass")]
+        assert all(float(r["stderr"]) > 0 for r in rows)
+
     def test_custom_scenario(self, tmp_path):
         text = """\
 [experiment]

@@ -48,13 +48,6 @@ LENGTH_ONE_SITES = {
                                      [(1, 2, 1), (7, 1)]),
     "simulate euler": (lambda sig, dw: np.einsum("idm,im->id", sig, dw),
                        lambda sig, dw: _single_term(sig[:, :, 0], dw), [(7, 2, 1), (7, 1)]),
-    "tangent drift": (lambda G, V: np.einsum("aij,aj->ai", G, V),
-                      lambda G, V: _single_term(G[:, :, 0], V), [(7, 1, 1), (7, 1)]),
-    "tangent grad sigma": (lambda S, V: np.einsum("admj,aj->adm", S, V),
-                           lambda S, V: _single_term(S[..., 0], V[:, :, None]),
-                           [(7, 1, 3, 1), (7, 1)]),
-    "tangent noise": (lambda D, dw: np.einsum("adm,am->ad", D, dw),
-                      lambda D, dw: _single_term(D[:, :, 0], dw), [(7, 2, 1), (7, 1)]),
     "tangent coupling": (lambda gz, g: gz @ g, lambda gz, g: _single_term(gz[:, :, 0], g),
                          [(7, 2, 1), (1,)]),
     "bismut zeta, shared": (lambda z, v: v @ z[0].T,
