@@ -99,14 +99,16 @@ def _ito_weight(paths: ParticlePaths, directions: Array, model: ModelSpec,
     dt = paths.grid.dt
     w = np.zeros(paths.N)
     qv = None if sched is None else np.zeros(paths.N)
-    for s in range(n):
+    # beta' over the whole grid at once; each entry equals its one-point value
+    bps = [1.0] * n if sched is None else np.broadcast_to(
+        sched.beta_prime(np.arange(n) * dt), n).tolist()
+    for s, bp in enumerate(bps):
         t = s * dt
-        bp = 1.0 if sched is None else float(sched.beta_prime(np.array(t)))
         zv = _zeta_apply(model, t, paths.states[s], directions[s])
         w += bp * _sum_over_m(zv, paths.noise[s])
         if qv is not None:
             qv += (bp * bp * dt) * _sum_over_m(zv, zv)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NonFinite("weight vector contains non-finite entries")
     return w, qv
 

@@ -127,7 +127,9 @@ def lk_norm(phi, mu: EmpiricalMeasure, k: float) -> float:
 
 
 def _rng_for_seed(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), _INIT_STREAM_TAG]))
+    # exact uint64 words: a list would send any word >= 2^63 through float64
+    key = np.array([seed & (2**64 - 1), _INIT_STREAM_TAG], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_initial(dist_spec: dict, N: int, seed: int) -> EmpiricalMeasure:

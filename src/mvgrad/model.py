@@ -42,7 +42,9 @@ COND_CAP = 1e8
 
 def _single_term(a, b) -> Array:
     """A sum over a length-one axis as its one product, + 0.0 as sums start at +0.0."""
-    return a * b + 0.0
+    out = a * b
+    out += 0.0
+    return out
 
 
 def _batch(x) -> tuple[Array, bool]:
@@ -79,7 +81,7 @@ class CylindricalDrift:
 
     def moment_vector(self, points: Array) -> Array:
         """Empirical moments (mu(h_1), ..., mu(h_n)) of a point cloud."""
-        return np.array([float(np.mean(hl(points))) for hl in self.h])
+        return np.array([np.add.reduce(hl(points)) / len(points) for hl in self.h])
 
     def is_measure_free(self, x: Array) -> bool:
         """Whether the z-gradient of F vanishes at time 0 on x and x +- 1."""
@@ -267,7 +269,7 @@ def zeta(diffusion: Diffusion, t: float, x) -> Array:
     sig_t = np.swapaxes(sig, 1, 2)
     a = _single_term(sig, sig_t) if sig.shape[2] == 1 else sig @ sig_t   # (N, d, d)
     if sig.shape[1] == 1:
-        if not np.all(a):
+        if not a.all():
             raise SingularDiffusion(f"sigma sigma* vanishes at t={t}")
         out = sig_t / a                         # sigma* a^{-1}: (N, m, 1)
     else:

@@ -24,16 +24,38 @@ Array = np.ndarray
 # Coefficient families
 # ---------------------------------------------------------------------------
 
+def _read_only_per_key(build):
+    """``build(key)`` built once per key and returned read-only from then on.
+
+    Constant coefficients go through this so the hot loops do not rebuild
+    the same array every step; being read-only, no caller can corrupt it.
+    """
+    cache = {}
+
+    def get(key):
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = build(key)
+            out.flags.writeable = False
+        return out
+
+    return get
+
+
 def _identity_moments(d: int):
     """Coordinate means as the moment functionals: h_l(x) = x_l."""
     hs, grads = [], []
     for l in range(d):
         def hl(x, l=l):
             return x[:, l]
-        def gl(x, l=l):
-            out = np.zeros_like(x)
+
+        def unit(shape, l=l):
+            out = np.zeros(shape)
             out[:, l] = 1.0
             return out
+
+        def gl(x, units=_read_only_per_key(unit)):
+            return units(x.shape)
         hs.append(hl)
         grads.append(gl)
     return tuple(hs), tuple(grads)
@@ -43,15 +65,17 @@ def affine_drift(d: int, a: float, kappa: float) -> CylindricalDrift:
     """F(x, z) = -a x + kappa (z - x) with z the coordinate-mean vector."""
     hs, grads = _identity_moments(d)
     eye = np.eye(d)
+    gx = _read_only_per_key(lambda N: np.broadcast_to(-(a + kappa) * eye, (N, d, d)))
+    gz = _read_only_per_key(lambda N: np.broadcast_to(kappa * eye, (N, d, d)))
 
     def F(t, x, z):
         return -a * x + kappa * (z[None, :] - x)
 
     def grad_x_F(t, x, z):
-        return np.broadcast_to(-(a + kappa) * eye, (x.shape[0], d, d))
+        return gx(x.shape[0])
 
     def grad_z_F(t, x, z):
-        return np.broadcast_to(kappa * eye, (x.shape[0], d, d))
+        return gz(x.shape[0])
 
     return CylindricalDrift(n=d, F=F, grad_x_F=grad_x_F, grad_z_F=grad_z_F,
                             h=hs, grad_h=grads)
@@ -93,9 +117,10 @@ def trig_drift(a: float, c_nl: float) -> CylindricalDrift:
 
 def constant_diffusion(d: int, m: int, sigma0: float) -> Diffusion:
     base = sigma0 * np.eye(d, m)
+    per_n = _read_only_per_key(lambda N: np.broadcast_to(base, (N, d, m)))
 
     def sigma(t, x):
-        return np.broadcast_to(base, (x.shape[0], d, m))
+        return per_n(x.shape[0])
 
     return Diffusion(sigma=sigma, constant_in_x=True)
 

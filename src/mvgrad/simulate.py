@@ -175,7 +175,7 @@ class ParticlePaths:
 
 def _step_guard(X: Array, step: int) -> None:
     # one reduction per step: a nan or inf entry also fails the comparison
-    peak = np.max(np.abs(X))
+    peak = np.abs(X).max()
     if not peak <= BLOWUP_THRESHOLD:
         if not np.isfinite(peak):
             raise NonFinite(f"non-finite state at step {step}", step=step)
@@ -206,7 +206,7 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     drift = model.meanfield_drift
     flow = np.empty((n + 1, drift.n))
 
-    X = np.array(mu0.points, copy=True)
+    X = states[0]
     for s in range(n):
         t = s * dt
         z = drift.moment_vector(X)
@@ -219,8 +219,8 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
             incr = dW[s] @ sig[0].T
         else:
             incr = np.einsum("idm,im->id", sig, dW[s])
-        X = X + b * dt + incr
+        X = np.add(X, b * dt, out=states[s + 1])
+        X += incr
         _step_guard(X, s + 1)
-        states[s + 1] = X
     flow[n] = drift.moment_vector(X)
     return ParticlePaths(states=states, noise=dW, grid=grid, moment_flow=flow)

@@ -66,7 +66,7 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
     values = np.empty_like(paths.states)
     values[0] = V0
     psi = np.empty((n, paths.N, paths.d)) if coupled else None
-    V = np.array(V0, copy=True)
+    V = values[0]
     for s in range(n):
         t = s * dt
         X = paths.states[s]
@@ -75,11 +75,12 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
         drift_term = np.einsum("aij,aj->ai", G, V)
         if coupled:
             psi[s] = cylindrical_coupling(drift, t, X, z, V)
-            drift_term = drift_term + psi[s]
-        V = V + drift_term * dt + _diffusion_terms(model, t, X, V, paths.noise[s])
-        if not np.max(np.abs(V)) <= BLOWUP_THRESHOLD:
+            drift_term += psi[s]
+        noise_term = _diffusion_terms(model, t, X, V, paths.noise[s])
+        V = np.add(V, drift_term * dt, out=values[s + 1])
+        V += noise_term
+        if not np.abs(V).max() <= BLOWUP_THRESHOLD:
             raise NonFinite(f"tangent blow-up at step {s + 1}", step=s + 1)
-        values[s + 1] = V
     return values, psi
 
 
@@ -105,7 +106,8 @@ def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
     """
     g = np.empty(drift.n)
     for l, gl in enumerate(drift.grad_h):
-        g[l] = float(np.mean(np.sum(np.asarray(gl(X), dtype=float) * V, axis=1)))
+        gV = np.asarray(gl(X), dtype=float) * V
+        g[l] = np.add.reduce(np.add.reduce(gV, axis=1)) / len(X)
     gz = np.asarray(drift.grad_z_F(t, X, z), dtype=float)   # (N, d, n)
     return _single_term(gz[:, :, 0], g) if drift.n == 1 else gz @ g
 

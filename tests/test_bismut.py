@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from mvgrad import runner
-from mvgrad.bismut import (Estimate, dual_norm_lower_bound, estimate_classical,
-                           estimate_intrinsic, weight_frozen, weight_meanfield)
+from mvgrad.bismut import (Estimate, _sum_over_m, _zeta_apply, dual_norm_lower_bound,
+                           estimate_classical, estimate_intrinsic, weight_frozen,
+                           weight_meanfield)
 from mvgrad.config import ExperimentConfig
 from mvgrad.errors import (GridMismatch, MeasureDependence, MemoryBudgetExceeded,
                            NonFinite, ScheduleMismatch)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
 from mvgrad.model import (Diffusion, ModelSpec, PerturbationField, linear_schedule,
-                          quadratic_schedule)
+                          quadratic_schedule, schedule_by_name)
 from mvgrad.oracle import richardson_intrinsic
 from mvgrad.scenarios import (affine_drift, constant_observable, coord_observable,
                               coordinate_field, default_observables,
@@ -418,3 +419,84 @@ class TestPlanarStateDependentNoise:
         est = estimate_intrinsic(planar_trig_model(), mu0, phi, f, 1.0, TimeGrid(1.0, 50),
                                  quadratic_schedule(1.0), seed)
         assert (est.value.hex(), est.stderr.hex()) == self.PINNED[seed, f_name, p_name]
+
+
+# (value, stderr, term1, term2) as float.hex of the d = 1 scenarios under
+# quadratic_schedule(1.0): meanfield_ou and trig at N = 500, n = 50, and
+# singular_demo at N = 200, n = 1000 (its tangent needs dt <= 2 delta / strength).
+# They guard the in-place Euler and tangent updates and the cached coefficients.
+ONE_DIMENSIONAL_PINS = {
+    ("meanfield_ou", 1, "coord1", "const_e1"):
+        ("0x1.8f79effb5e239p-2", "0x1.bf3d60516f0fap-6",
+         "0x1.e875f13db0244p-3", "0x1.367deeb90c230p-3"),
+    ("meanfield_ou", 1, "sin", "sine_field"):
+        ("-0x1.725a11993871bp-7", "0x1.27e946b002b33p-7",
+         "-0x1.0796ac00f98d5p-7", "-0x1.ab0d9660fb90ep-9"),
+    ("meanfield_ou", 2, "coord1", "const_e1"):
+        ("0x1.3e8d5719e5d87p-2", "0x1.64b7981d10ae6p-6",
+         "0x1.8068f5dee3ab6p-3", "0x1.f96370a9d00aep-4"),
+    ("meanfield_ou", 2, "sin", "sine_field"):
+        ("0x1.463834087f9a4p-6", "0x1.fbf51717f921dp-8",
+         "0x1.dca8aed5eecfap-7", "0x1.5f8f727620c9bp-8"),
+    ("trig", 1, "coord1", "const_e1"):
+        ("0x1.16227564990c9p-1", "0x1.192b79d5f287ap-5",
+         "0x1.16227564990c9p-1", "0x0.0p+0"),
+    ("trig", 1, "sin", "sine_field"):
+        ("-0x1.2e100e09e0e08p-5", "0x1.09f648c37f460p-6",
+         "-0x1.2e100e09e0e08p-5", "0x0.0p+0"),
+    ("trig", 2, "coord1", "const_e1"):
+        ("0x1.bdc48227f0453p-2", "0x1.ef90b69b8b95fp-6",
+         "0x1.bdc48227f0453p-2", "0x0.0p+0"),
+    ("trig", 2, "sin", "sine_field"):
+        ("0x1.f0bc5bfa40d08p-7", "0x1.c7adfe6f5f96ep-7",
+         "0x1.f0bc5bfa40d08p-7", "0x0.0p+0"),
+    ("singular_demo", 1, "coord1", "const_e1"):
+        ("0x1.4a8a0c0b7bd26p-3", "0x1.a0e53d8efcd9cp-5",
+         "0x1.4a8a0c0b7bd26p-3", "0x0.0p+0"),
+    ("singular_demo", 1, "sin", "sine_field"):
+        ("0x1.930380dd5e161p-4", "0x1.c98e6d4838989p-6",
+         "0x1.930380dd5e161p-4", "0x0.0p+0"),
+    ("singular_demo", 2, "coord1", "const_e1"):
+        ("0x1.5af854e71d5b7p-2", "0x1.804c78da1208bp-4",
+         "0x1.5af854e71d5b7p-2", "0x0.0p+0"),
+    ("singular_demo", 2, "sin", "sine_field"):
+        ("0x1.c9bb9f01fdd7ap-3", "0x1.2d8fee7fcbabdp-4",
+         "0x1.c9bb9f01fdd7ap-3", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("name, seed, f_name, p_name", sorted(ONE_DIMENSIONAL_PINS))
+def test_one_dimensional_estimate_bits_are_pinned(name, seed, f_name, p_name):
+    scenario = get_scenario(name)
+    N, n = (200, 1000) if name == "singular_demo" else (500, 50)
+    f, phi = default_observables(1)[f_name], default_perturbations(1)[p_name]
+    mu0 = sample_initial(scenario.initial_law, N, seed)
+    est = estimate_intrinsic(scenario.build(), mu0, phi, f, 1.0, TimeGrid(1.0, n),
+                             quadratic_schedule(1.0), seed)
+    got = tuple(x.hex() for x in (est.value, est.stderr, est.term1, est.term2))
+    assert got == ONE_DIMENSIONAL_PINS[name, seed, f_name, p_name]
+
+
+# Every grid the shipped configs build: t = 1 at n = 500 and n = 1000, and
+# brownian.cfg's t_grid horizons at its dt = 1/500.
+SHIPPED_GRIDS = [(1.0, 500), (1.0, 1000), (0.05, 25), (0.1, 50), (0.2, 100), (0.4, 200)]
+
+
+@pytest.mark.parametrize("t, n", SHIPPED_GRIDS)
+@pytest.mark.parametrize("schedule", ["linear", "quadratic", "sine"])
+def test_weight_reads_beta_prime_as_one_point_calls(t, n, schedule):
+    # the weight pass evaluates beta' once over its grid; each step must see
+    # the bits of the one-point call at t_s = s * dt
+    model = ou_model()
+    grid = TimeGrid(t, n)
+    paths = simulate_particles(model, gaussian_cloud(4, seed=1), grid, 2)
+    V = frozen_tangent(paths, model, np.ones((4, 1)))
+    sched = schedule_by_name(schedule, t)
+    w, qv = weight_frozen(paths, V, sched, model)
+    want_w, want_qv = np.zeros(4), np.zeros(4)
+    for s in range(n):
+        bp = float(sched.beta_prime(np.array(s * grid.dt)))
+        zv = _zeta_apply(model, s * grid.dt, paths.states[s], V[s])
+        want_w += bp * _sum_over_m(zv, paths.noise[s])
+        want_qv += (bp * bp * grid.dt) * _sum_over_m(zv, zv)
+    assert w.tobytes() == want_w.tobytes() and qv.tobytes() == want_qv.tobytes()

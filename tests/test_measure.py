@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,17 @@ class TestSampleInitial:
         assert np.array_equal(a.points, b.points)
         c = sample_initial(spec, 100, 43)
         assert not np.array_equal(a.points, c.points)
+
+    def test_seed_is_keyed_as_a_64_bit_word(self):
+        # key words >= 2^63 must not pass through float64, where these seeds share a cloud
+        spec = {"family": "gaussian", "mean": [0.0], "cov": 1.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = {seed: sample_initial(spec, 50, seed).points
+                     for seed in (-1, -2, -1000, 2**64 - 1, 2**63, 2**63 + 1)}
+        assert np.array_equal(draws[-1], draws[2**64 - 1])
+        for a, b in [(-1, -2), (-1, -1000), (2**63, 2**63 + 1)]:
+            assert not np.array_equal(draws[a], draws[b])
 
     # The point_mass, uniform_box, mixture and points families are deleted:
     # each formerly valid spec must be refused, not drawn as another law.

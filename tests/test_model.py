@@ -10,7 +10,7 @@ from mvgrad.measure import EmpiricalMeasure
 from mvgrad.model import (BismutSchedule, CylindricalDrift, Diffusion, _single_term,
                           linear_schedule, quadratic_schedule, schedule_by_name,
                           sine_schedule, validate_ellipticity, zeta)
-from mvgrad.scenarios import (affine_drift, build_family,
+from mvgrad.scenarios import (affine_drift, build_family, constant_diffusion,
                               regularized_singular_drift, sine_coupling_drift,
                               trig_diffusion, trig_drift)
 from mvgrad.simulate import TimeGrid, simulate_particles
@@ -411,6 +411,24 @@ class TestAnalyticGradients:
             norms = np.linalg.norm(np.asarray(gl(pts)), axis=1)
             bound = 1.0 + np.linalg.norm(pts, axis=1) ** (k - 1.0)
             assert np.all(norms <= 2.0 * bound)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_constant_coefficients_are_cached_read_only(d):
+    # the hot loops get one cached array per particle count; a write into
+    # it would corrupt every later step, so it must raise instead
+    drift, diff = affine_drift(d, 1.0, 0.5), constant_diffusion(d, d, 1.5)
+    eye = np.eye(d)
+    for N in (3, 7, 3):
+        x, z = np.zeros((N, d)), np.zeros(d)
+        outs = [(diff.sigma(0.0, x), 1.5 * eye), (drift.grad_x_F(0.0, x, z), -1.5 * eye),
+                (drift.grad_z_F(0.0, x, z), 0.5 * eye)]
+        outs += [(gl(x), eye[l]) for l, gl in enumerate(drift.grad_h)]
+        for out, each in outs:
+            assert out.shape == (N,) + each.shape
+            assert np.array_equal(out, np.broadcast_to(each, out.shape))
+            with pytest.raises(ValueError):
+                out[...] = 7.0
 
 
 class TestSchedules:
