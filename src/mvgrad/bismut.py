@@ -30,7 +30,7 @@ from .errors import (GridMismatch, MeasureDependence, NonFinite,
 from .measure import EmpiricalMeasure, lk_norm
 from .model import (BismutSchedule, ModelSpec, Observable, PerturbationField,
                     _single_term, validate_ellipticity, zeta)
-from .simulate import ParticlePaths, TimeGrid, simulate_particles
+from .simulate import ParticlePaths, TimeGrid, _hold, _reused, simulate_particles
 from .tangent import frozen_tangent, meanfield_tangent
 
 Array = np.ndarray
@@ -175,14 +175,21 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturbatio
     Runs one interacting system and reuses its paths for both terms:
     the point-derivative term pairs the payoff against the frozen-tangent
     weight started from phi(X_0), the coupling term against the mean-field
-    weight.  The whole pipeline is linear in phi for fixed seed.
+    weight.  The whole pipeline is linear in phi for fixed seed.  Only the
+    first weight depends on ``sched``, so inside ``reusing_work`` the held
+    frozen tangent and coupling weight of (paths, phi) serve every schedule.
     """
     _check_grid(grid, t)
     paths = simulate_particles(model, mu0, grid, seed)
-    # each tangent goes straight into its weight, so at most one is alive
-    v0 = np.asarray(phi(paths.states[0]), dtype=float)
-    w1, _ = weight_frozen(paths, frozen_tangent(paths, model, v0), sched, model)
-    w2 = weight_meanfield(paths, meanfield_tangent(paths, model, phi)[1], model)
+    held = _reused(2, lambda k: k[0] is paths and k[1] is phi)
+    if held is None:
+        # w2 first, so that its tangent is freed before the frozen one is built
+        w2 = weight_meanfield(paths, meanfield_tangent(paths, model, phi)[1], model)
+        V = frozen_tangent(paths, model, np.asarray(phi(paths.states[0]), dtype=float))
+        V.flags.writeable = w2.flags.writeable = False
+        held = _hold(2, (paths, phi), (V, w2))
+    V, w2 = held
+    w1, _ = weight_frozen(paths, V, sched, model)
 
     fx = f(paths.terminal())
     g = fx * (w1 + w2)

@@ -42,7 +42,7 @@ from .oracle import (affine_reference, fit_loglog_slope,
 from .scenarios import (Scenario, default_observables, default_perturbations,
                         dual_dictionary, family_params, get_scenario)
 from .simulate import (MEMORY_BUDGET_ENV, TimeGrid, memory_budget_bytes,
-                       reusing_noise, simulate_particles)
+                       reusing_work, simulate_particles, work_counts)
 from .tangent import meanfield_tangent
 
 CSV_HEADER = ("scenario", "quantity", "label", "value", "stderr", "status",
@@ -60,8 +60,8 @@ TANGENT_EXACT_TOL = 1e-10
 # this multiple of the reference's scale: a diverged estimate's own stderr
 # would otherwise widen the 3-sigma tolerance until any gap passes.
 ESTIMATE_SPREAD_CAP = 100.0
-# determinism compares two regenerations of its run, so it never shares noise
-NOISE_REGENERATING_CHECKS = frozenset({"determinism"})
+# determinism compares two regenerations of its run, so it never shares work
+REGENERATING_CHECKS = frozenset({"determinism"})
 
 
 @dataclass(frozen=True)
@@ -539,28 +539,40 @@ class RunResult:
     csv_path: Optional[Path] = None
 
 
+# The quantity of a check's gated rows, which its error row carries too
+GATED_QUANTITY = {"intrinsic_vs_fd": "fd_oracle", "tangent_fd_order": "fd_oracle",
+                  "intrinsic_closed_form": "closed_form", "classical_gradient": "closed_form",
+                  "beta_invariance": "beta_check", "dual_norm_scaling": "dual_norm",
+                  "tv_scaling": "tv_slope", "wasserstein_lipschitz": "stability",
+                  "moment_bound": "moment"}     # the others: intrinsic_estimate
+
+
 def _error_result(bundle: RunBundle, name: str, exc: BaseException, wall: float):
-    """(rows, error records, wall s) of a check that raised ``exc``."""
+    """(rows, error records, check record) of a check that raised ``exc``."""
     kind = type(exc).__name__
-    rows = [_row(bundle, "intrinsic_estimate", name, None, None, "error",
-                 bundle.cfg.seed, error=kind)]
-    return rows, [{"check": name, "type": kind, "message": str(exc)}], wall
+    rows = [_row(bundle, GATED_QUANTITY.get(name, "intrinsic_estimate"), name, None,
+                 None, "error", bundle.cfg.seed, error=kind)]
+    return (rows, [{"check": name, "type": kind, "message": str(exc)}],
+            {"wall_s": wall, "noise_tensors": None, "integrations": None})
 
 
 def _run_one_check(bundle: RunBundle, name: str):
-    """Run one check in the calling process; returns (rows, error records, wall s).
+    """Run one check in the calling thread; returns (rows, error records, record):
+    its wall time and the noise tensors built and paths integrated meanwhile.
 
-    Unless the check is in NOISE_REGENERATING_CHECKS, its simulations share
-    noise tensors; checks never share them with each other.
+    Unless the check is in REGENERATING_CHECKS, it runs in a ``reusing_work``
+    block, so its repeated work is shared; checks never share work.
     """
-    start = time.perf_counter()
-    reuse = nullcontext() if name in NOISE_REGENERATING_CHECKS else reusing_noise()
+    start, before = time.perf_counter(), work_counts()
+    reuse = nullcontext() if name in REGENERATING_CHECKS else reusing_work()
     try:
         with reuse:
-            rows = CHECKS[name](bundle)
+            rows, errors = CHECKS[name](bundle), []
     except (MVGradError, FloatingPointError) as exc:
-        return _error_result(bundle, name, exc, time.perf_counter() - start)
-    return rows, [], time.perf_counter() - start
+        rows, errors, _ = _error_result(bundle, name, exc, 0.0)
+    tensors, integrations = (b - a for a, b in zip(before, work_counts()))
+    return rows, errors, {"wall_s": time.perf_counter() - start,
+                          "noise_tensors": tensors, "integrations": integrations}
 
 
 # The run's bundle inside a check worker.  Its model's coefficients are
@@ -609,12 +621,12 @@ def _run_in_workers(bundle: RunBundle, names: list, workers: int) -> list:
 
 
 def run_suite(cfg: ExperimentConfig) -> tuple[list, list, list]:
-    """Execute all declared checks; returns (rows, error records, check walls).
+    """Execute all declared checks; returns (rows, error records, check records).
 
     With ``parallel`` W > 1 the checks run on min(W, checks) forked worker
     processes, one check at a time each; the results are gathered in
-    declaration order, so the rows are those of a serial run.  The walls
-    are {"name", "wall_s"} records in declaration order.
+    declaration order, so the rows are those of a serial run, and so are the
+    {"name", "wall_s", "noise_tensors", "integrations"} check records.
     """
     bundle = resolve_bundle(cfg)
     names = list(bundle.checks)
@@ -625,8 +637,8 @@ def run_suite(cfg: ExperimentConfig) -> tuple[list, list, list]:
         results = [_run_one_check(bundle, name) for name in names]
     rows = [r for chunk, _, _ in results for r in chunk]
     errors = [e for _, chunk, _ in results for e in chunk]
-    walls = [{"name": name, "wall_s": wall} for name, (_, _, wall) in zip(names, results)]
-    return rows, errors, walls
+    records = [{"name": name, **record} for name, (_, _, record) in zip(names, results)]
+    return rows, errors, records
 
 
 def _versions() -> dict:
@@ -639,7 +651,7 @@ def _versions() -> dict:
 
 def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
                   errors: list, out_dir: Path, wall_clock: float,
-                  check_walls: list) -> RunResult:
+                  check_records: list) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -679,7 +691,7 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "workers_peak_rss_mb":
             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
-        "checks": check_walls,
+        "checks": check_records,
         "versions": _versions(),
         "outputs": {"results_csv": csv_path.name,
                     "errors_json": "errors.json" if errors else None},
@@ -691,6 +703,6 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
 
 def run_experiment(cfg: ExperimentConfig, config_text: str, out_dir) -> RunResult:
     start = time.perf_counter()
-    rows, errors, check_walls = run_suite(cfg)
+    rows, errors, check_records = run_suite(cfg)
     wall = time.perf_counter() - start
-    return write_outputs(cfg, config_text, rows, errors, Path(out_dir), wall, check_walls)
+    return write_outputs(cfg, config_text, rows, errors, Path(out_dir), wall, check_records)

@@ -8,10 +8,10 @@ isolation.  A tensor is built from one generator, re-keyed per particle to
 the state a fresh stream starts in.  Increments are retained in memory
 (they are the raw material for every stochastic-integral weight); a budget
 guard, which the tangent flows also call, errors out instead of spilling to
-disk.  Inside a :func:`reusing_noise` block, consecutive simulations on the
-same noise (common random numbers) share one read-only tensor.  With m = 1
-the Euler step's sum over the noise axis is its one product
-(:func:`mvgrad.model._single_term`).
+disk.  Inside a :func:`reusing_work` block, consecutive simulations on the
+same noise (common random numbers) share one read-only tensor, and repeated
+ones from equal starting points their read-only paths.  With m = 1 the Euler
+step's sum over the noise axis is its one product (:func:`mvgrad.model._single_term`).
 """
 
 from __future__ import annotations
@@ -105,23 +105,48 @@ def particle_increments(seed: int, particle: int, grid: TimeGrid, m: int) -> Arr
     return _noise_tensor(grid, seed, range(particle, particle + 1), m)[:, 0, :]
 
 
-_reuse = threading.local()     # .entry: [key, tensor] inside reusing_noise()
+class _Held(threading.local):
+    chain = None                    # inside reusing_work(): (key, value) per level
+    tensors = integrations = 0      # work_counts()
+
+
+_held = _Held()
 
 
 @contextmanager
-def reusing_noise():
-    """Let :func:`brownian_increments` hand back its last tensor in this block.
+def reusing_work():
+    """Let a call in this block hand back what the last one of its kind built.
 
-    The calling thread holds one entry, the last (seed, N, m, grid) key and
-    its tensor; a call with that key returns the stored array, and a call
-    with a new key drops it before building the next.  The entry is dropped
-    when the block exits.
+    The calling thread holds one entry per level, the last key and what was
+    built for it: the noise tensor of a (seed, N, m, grid), the paths on it,
+    and the frozen tangent and coupling weight of one (paths, phi).  A new key
+    drops its level's entry and every one below before building anew.
     """
-    _reuse.entry = [None, None]
+    _held.chain = []
     try:
         yield
     finally:
-        _reuse.entry = None
+        _held.chain = None
+
+
+def _reused(level: int, matches):
+    """The value held at ``level`` if its key ``matches``; else None, with
+    that entry and every one below it dropped.  None outside a block."""
+    chain = [] if _held.chain is None else _held.chain
+    if len(chain) > level and matches(chain[level][0]):
+        return chain[level][1]
+    del chain[level:]
+
+
+def _hold(level: int, key, value):
+    if _held.chain is not None:
+        _held.chain[level:] = [(key, value)]
+    return value
+
+
+def work_counts() -> tuple[int, int]:
+    """(noise tensors built, paths integrated) so far on the calling thread."""
+    return _held.tensors, _held.integrations
 
 
 def brownian_increments(grid: TimeGrid, N: int, m: int, seed: int) -> Array:
@@ -129,27 +154,24 @@ def brownian_increments(grid: TimeGrid, N: int, m: int, seed: int) -> Array:
 
     Column i is :func:`particle_increments` of particle i, so the output
     does not depend on evaluation order and two calls with equal arguments
-    are bit-identical; inside :func:`reusing_noise` they are the same array.
+    are bit-identical; inside :func:`reusing_work` they are the same array.
     """
-    entry = getattr(_reuse, "entry", None)
     key = (seed, N, m, grid)
-    if entry is not None:
-        if entry[0] == key:
-            return entry[1]
-        entry[:] = [None, None]
+    held = _reused(0, lambda k: k == key)
+    if held is not None:
+        return held
+    _held.tensors += 1
     out = _noise_tensor(grid, seed, range(N), m)
     out.flags.writeable = False
-    if entry is not None:
-        entry[:] = [key, out]
-    return out
+    return _hold(0, key, out)
 
 
 @dataclass(frozen=True)
 class ParticlePaths:
     """Time-gridded trajectories with their driving noise retained.
 
-    ``states`` is (n_steps+1, N, d), ``noise`` is (n_steps, N, m) and
-    ``moment_flow`` records the empirical moments mu_s(h_l) of each time
+    The read-only ``states`` are (n_steps+1, N, d), ``noise`` (n_steps, N, m),
+    and ``moment_flow`` records the empirical moments mu_s(h_l) of each time
     slice, one row per grid node.
     """
 
@@ -189,7 +211,8 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     Each step computes the empirical drift moments of the current slice
     (the only cross-particle synchronization), then updates all particles
     independently with their own noise.  Output is fully determined by
-    (model, mu0, grid, seed).
+    (model, mu0, grid, seed); inside :func:`reusing_work` a call with the held
+    paths' model, noise and starting points (bit for bit) returns them.
     """
     if grid.t_end > model.horizon + 1e-12:
         raise GridMismatch(f"grid end {grid.t_end} exceeds model horizon {model.horizon}")
@@ -201,6 +224,11 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     _guard_memory(8 * N * ((n + 1) * d + n * model.m))
 
     dW = brownian_increments(grid, N, model.m, seed)
+    start = mu0.points.tobytes()
+    held = _reused(1, lambda k: k[0] is model and k[1] is dW and k[2] == start)
+    if held is not None:
+        return held
+    _held.integrations += 1
     states = np.empty((n + 1, N, d))
     states[0] = mu0.points
     drift = model.meanfield_drift
@@ -223,4 +251,6 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
         X += incr
         _step_guard(X, s + 1)
     flow[n] = drift.moment_vector(X)
-    return ParticlePaths(states=states, noise=dW, grid=grid, moment_flow=flow)
+    states.flags.writeable = flow.flags.writeable = False
+    return _hold(1, (model, dW, start),
+                 ParticlePaths(states=states, noise=dW, grid=grid, moment_flow=flow))

@@ -20,7 +20,8 @@ from mvgrad.scenarios import (affine_drift, constant_observable, coord_observabl
                               coordinate_field, default_observables,
                               default_perturbations, get_scenario, identity_field,
                               sign_observable, sin_observable)
-from mvgrad.simulate import MEMORY_BUDGET_ENV, TimeGrid, simulate_particles
+from mvgrad.simulate import (MEMORY_BUDGET_ENV, TimeGrid, reusing_work,
+                             simulate_particles)
 from mvgrad.tangent import frozen_tangent, meanfield_tangent
 
 from conftest import brownian_model, csv_modes, gaussian_cloud, mfou_model, ou_model
@@ -500,3 +501,61 @@ def test_weight_reads_beta_prime_as_one_point_calls(t, n, schedule):
         want_w += bp * _sum_over_m(zv, paths.noise[s])
         want_qv += (bp * bp * grid.dt) * _sum_over_m(zv, zv)
     assert w.tobytes() == want_w.tobytes() and qv.tobytes() == want_qv.tobytes()
+
+
+def _reuse_case(name, N, n):
+    """(model, mu0, phi, f, grid) of the reuse tests: meanfield_ou and trig
+    from the registry, or the d = 2, m = 3 model."""
+    if name == "planar":
+        law, model = {"family": "gaussian", "mean": [0.0, 0.0], "cov": 1.0}, planar_trig_model()
+    else:
+        scenario = get_scenario(name)
+        law, model = scenario.initial_law, scenario.build()
+    return (model, sample_initial(law, N, 5), default_perturbations(model.d)["sine_field"],
+            default_observables(model.d)["sin"], TimeGrid(1.0, n))
+
+
+def _three_schedules(model, mu0, phi, f, grid):
+    return [estimate_intrinsic(model, mu0, phi, f, 1.0, grid, schedule_by_name(name, 1.0), 6)
+            for name in ("linear", "quadratic", "sine")]
+
+
+@pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
+def test_schedules_sharing_work_are_bit_identical(name):
+    # inside the block the second and third schedule reuse the paths, the
+    # frozen tangent and the coupling weight of the first; another field
+    # reuses the paths only
+    model, mu0, phi, f, grid = case = _reuse_case(name, 300, 40)
+    other = default_perturbations(model.d)["const_e1"]
+    estimates = lambda: _three_schedules(*case) + [
+        estimate_intrinsic(model, mu0, other, f, 1.0, grid, linear_schedule(1.0), 6)]
+    with reusing_work():
+        shared = estimates()
+    bits = lambda e: tuple(x.hex() for x in (e.value, e.stderr, e.term1, e.term2))
+    assert [bits(e) for e in shared] == [bits(e) for e in estimates()]
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
+def test_schedules_sharing_work_keep_the_peak_of_one_estimate(name):
+    # the block holds the paths, the frozen tangent and w2 between estimates
+    # and drops them before it builds for the next seed: estimates in it peak
+    # where one estimate outside it does
+    model, mu0, phi, f, grid = case = _reuse_case(name, 2000, 200)
+    one = lambda seed: estimate_intrinsic(model, mu0, phi, f, 1.0, grid,
+                                          linear_schedule(1.0), seed)
+
+    def shared():
+        with reusing_work():
+            _three_schedules(*case)
+            one(7)
+
+    assert _traced_peak(shared) <= 1.05 * _traced_peak(lambda: one(6))

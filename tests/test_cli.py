@@ -499,6 +499,19 @@ def read_rows(out):
         return list(csv.DictReader(fh))
 
 
+def test_error_row_carries_the_quantity_of_its_check(tmp_path):
+    # singular_demo's tangent needs dt <= 2 delta / strength = 0.002, so at
+    # n = 80 (dt = 0.0125) every estimate blows up; a check's error row then
+    # sits under the quantity of its own gated rows
+    cfg = ExperimentConfig(scenario="singular_demo", n_particles=300, n_steps=80, seed=3)
+    result = run_experiment(cfg, "", tmp_path)
+    assert result.exit_code == 3
+    assert [(r.label, r.quantity) for r in result.rows if r.status == "error"] == [
+        ("intrinsic_estimate", "intrinsic_estimate"), ("intrinsic_vs_fd", "fd_oracle"),
+        ("determinism", "intrinsic_estimate")]
+    assert set(runner.GATED_QUANTITY) <= set(CHECKS)
+
+
 @pytest.mark.parametrize("scenario", ["ou", "meanfield_ou", "brownian2d"])
 def test_closed_form_on_every_affine_scenario(scenario, tmp_path):
     text = (SMALL_CONFIG.replace("scenario = brownian", f"scenario = {scenario}")
@@ -726,21 +739,31 @@ def test_shipped_config_results_are_pinned(config, seed, tmp_path):
     assert digest == RESULTS_SHA256[config, seed]
 
 
-# Noise tensors each check builds: one per distinct noise key its
-# consecutive simulations use, except determinism, which regenerates.
-TENSORS_PER_CHECK = {
-    "meanfield_ou.cfg": {"intrinsic_vs_fd": 1, "beta_invariance": 4,
-                         "wasserstein_lipschitz": 1, "moment_bound": 1,
-                         "linearity": 1, "determinism": 2},
-    "brownian.cfg": {"classical_gradient": 1, "intrinsic_vs_fd": 1,
-                     "intrinsic_closed_form": 1, "beta_invariance": 3,
-                     "linearity": 1, "dual_norm_scaling": 4, "tv_scaling": 4,
-                     "determinism": 2},
+# (noise tensors built, paths integrated) per check.  A check builds one
+# tensor per distinct noise key its consecutive simulations use and
+# integrates once per consecutive simulation from other starting points;
+# determinism regenerates both of its runs.  Counted from runner.py:
+#   intrinsic_vs_fd: the estimate, then per eps its base (held after the
+#     estimate for the first eps only) and its perturbed run, then
+#     Richardson's base and two perturbed runs: 1 + 1 + 2 + 2 + 3 = 9 of 10
+#   beta_invariance: one per ci seed, the schedules reuse it
+#   wasserstein_lipschitz: 3 shifts x 2 starts; moment_bound: 4 ladder laws
+#   linearity: its 2 estimates start from equal clouds
+#   dual_norm_scaling: per horizon, +-e1 start at one point mass
+#   tv_scaling: per horizon, two point masses
+WORK_PER_CHECK = {
+    "meanfield_ou.cfg": {"intrinsic_vs_fd": (1, 9), "beta_invariance": (4, 4),
+                         "wasserstein_lipschitz": (1, 6), "moment_bound": (1, 4),
+                         "linearity": (1, 1), "determinism": (2, 2)},
+    "brownian.cfg": {"classical_gradient": (1, 1), "intrinsic_vs_fd": (1, 9),
+                     "intrinsic_closed_form": (1, 1), "beta_invariance": (3, 3),
+                     "linearity": (1, 1), "dual_norm_scaling": (4, 4), "tv_scaling": (4, 8),
+                     "determinism": (2, 2)},
 }
 
 
-@pytest.mark.parametrize("config", sorted(TENSORS_PER_CHECK))
-def test_noise_tensors_built_per_check(config, monkeypatch):
+@pytest.mark.parametrize("config", sorted(WORK_PER_CHECK))
+def test_noise_tensors_built_per_check(config, monkeypatch, tmp_path):
     built = collections.Counter()
     running = []
     build = simulate._noise_tensor
@@ -762,10 +785,17 @@ def test_noise_tensors_built_per_check(config, monkeypatch):
     for name, check in list(CHECKS.items()):
         monkeypatch.setitem(CHECKS, name, tagged(name, check))
     cfg, _ = load_config(Path(__file__).parent.parent / "configs" / config)
-    cfg = dataclasses.replace(cfg, n_particles=200, n_steps=100, parallel=1)
-    rows, errors, _ = runner.run_suite(cfg)
-    assert not errors and all(r.status in ("ok", "pass") for r in rows)
-    assert dict(built) == TENSORS_PER_CHECK[config]
+    want = WORK_PER_CHECK[config]
+    for parallel in (1, 2):
+        cfg = dataclasses.replace(cfg, n_particles=200, n_steps=100, parallel=parallel)
+        result = run_experiment(cfg, "", tmp_path / str(parallel))
+        assert not result.errors and all(r.status in ("ok", "pass") for r in result.rows)
+        manifest = json.loads((tmp_path / str(parallel) / "manifest.json").read_text())
+        # the forked workers count their own work, so the records are those of a serial run
+        assert {c["name"]: (c["noise_tensors"], c["integrations"])
+                for c in manifest["checks"]} == want
+    # the builder itself, seen in this process only
+    assert dict(built) == {name: tensors for name, (tensors, _) in want.items()}
 
 
 # List keys of the generated configs, with the entries each may draw from.

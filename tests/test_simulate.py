@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from mvgrad.errors import (GridMismatch, MemoryBudgetExceeded, NonFinite,
 from mvgrad.measure import EmpiricalMeasure, sample_initial
 from mvgrad.model import CylindricalDrift, Diffusion, ModelSpec, linear_schedule
 from mvgrad.simulate import (MEMORY_BUDGET_ENV, TimeGrid, brownian_increments,
-                             particle_increments, reusing_noise, simulate_particles)
+                             particle_increments, reusing_work, simulate_particles)
 from mvgrad.scenarios import build_family, coord_observable, coordinate_field
 
 from conftest import brownian_model, gaussian_cloud, mfou_model
@@ -63,7 +64,7 @@ class TestBrownianIncrements:
 
     def test_reuse_holds_the_last_key_only(self):
         grid = TimeGrid(t_end=1.0, n_steps=8)
-        with reusing_noise():
+        with reusing_work():
             a = brownian_increments(grid, 4, 2, 5)
             assert brownian_increments(grid, 4, 2, 5) is a
             other_seed = brownian_increments(grid, 4, 2, 6)
@@ -80,7 +81,7 @@ class TestBrownianIncrements:
         grid = TimeGrid(t_end=1.0, n_steps=8)
         seen = []
         worker = threading.Thread(target=lambda: seen.append(brownian_increments(grid, 4, 1, 5)))
-        with reusing_noise():
+        with reusing_work():
             a = brownian_increments(grid, 4, 1, 5)
             worker.start()
             worker.join(timeout=30)
@@ -144,6 +145,52 @@ class TestBrownianIncrements:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * dw.nbytes
+
+
+class TestHeldPaths:
+    GRID = TimeGrid(t_end=0.5, n_steps=20)
+
+    def test_equal_starting_points_hit(self):
+        model = mfou_model()
+        with reusing_work():
+            paths = simulate_particles(model, gaussian_cloud(16, seed=1), self.GRID, 3)
+            again = simulate_particles(model, gaussian_cloud(16, seed=1), self.GRID, 3)
+        assert again is paths
+
+    @pytest.mark.parametrize("change", [
+        {"mu0": gaussian_cloud(16, seed=2)}, {"seed": 4},
+        {"grid": TimeGrid(t_end=0.5, n_steps=21)}, {"model": mfou_model()}],
+        ids=["cloud", "seed", "grid", "model"])
+    def test_any_other_key_misses(self, change):
+        args = dict(model=mfou_model(), mu0=gaussian_cloud(16, seed=1), grid=self.GRID,
+                    seed=3)
+        with reusing_work():
+            paths = simulate_particles(**args)
+            other = simulate_particles(**(args | change))
+        assert other is not paths
+        if "model" in change:
+            # an equal model object integrates the same bits
+            assert np.array_equal(other.states, paths.states)
+
+    def test_new_noise_key_frees_the_held_paths(self):
+        model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
+        with reusing_work():
+            held = weakref.ref(simulate_particles(model, mu0, self.GRID, 3))
+            assert held() is not None
+            simulate_particles(model, mu0, self.GRID, 4)
+            assert held() is None
+
+    def test_outside_a_block_nothing_is_shared(self):
+        model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
+        p1 = simulate_particles(model, mu0, self.GRID, 3)
+        p2 = simulate_particles(model, mu0, self.GRID, 3)
+        assert p1 is not p2 and p1.states is not p2.states and p1.noise is not p2.noise
+        assert np.array_equal(p1.states, p2.states)
+
+    def test_states_are_read_only(self):
+        paths = simulate_particles(mfou_model(), gaussian_cloud(16, seed=1), self.GRID, 3)
+        with pytest.raises(ValueError):
+            paths.states[0, 0, 0] = 1.0
 
 
 class TestSimulateParticles:
