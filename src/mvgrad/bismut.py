@@ -205,8 +205,8 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
 
     Monte Carlo over independent copies started at the point x; statistically
     this is the point-mass case of the intrinsic estimator with a constant
-    perturbation, and the drift must genuinely not depend on the measure
-    (probed through its z-gradient, which must vanish).
+    perturbation, and the drift must not depend on the measure: it must
+    declare no moments.
 
     The plain products f * w have variance at least 2 (E f w)^2 for a
     linear payoff under mean reversion, so their relative standard error
@@ -219,10 +219,8 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
     _check_grid(grid, t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not model.meanfield_drift.is_measure_free(x):
-        raise MeasureDependence(
-            "classical gradient requires a drift with vanishing measure derivative"
-        )
+    if model.meanfield_drift.n:
+        raise MeasureDependence("classical gradient requires a drift that declares no moments")
     mu0 = EmpiricalMeasure(np.tile(x, (n_particles, 1)))
     paths = simulate_particles(model, mu0, grid, seed)
     v0 = np.tile(v, (n_particles, 1))

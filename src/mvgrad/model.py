@@ -6,7 +6,7 @@ value carries the particle axis first.  Concretely,
 
 * ``F(t, x, z)``          -> (N, d)       mean-field drift, z an (n,) moment vector
 * ``grad_x_F(t, x, z)``   -> (N, d, d)    entry [i, a, b] = dF_a/dx_b
-* ``grad_z_F(t, x, z)``   -> (N, d, n)    entry [i, a, l] = dF_a/dz_l
+* ``grad_z_F(t, x, z)``   -> (N, d, n)    entry [i, a, l] = dF_a/dz_l; none when n = 0
 * ``h[l](x)``             -> (N,)         moment functionals
 * ``grad_h[l](x)``        -> (N, d)
 * ``sigma(t, x)``         -> (N, d, m)
@@ -61,33 +61,33 @@ def _batch(x) -> tuple[Array, bool]:
 class CylindricalDrift:
     """Mean-field drift of cylindrical form F(x, mu(h_1), ..., mu(h_n)).
 
-    The measure enters only through the n scalar moments mu(h_l), which is
-    what makes both the particle update and the measure-derivative
+    The measure enters only through the n = len(h) scalar moments mu(h_l),
+    which is what makes both the particle update and the measure-derivative
     contraction O(N) per step.  ``grad_z_F`` and ``grad_h`` together encode
     the measure derivative: its action at (x, mu) on a point y is the
-    matrix sum_l dF/dz_l(x, z) (x) grad_h_l(y).
+    matrix sum_l dF/dz_l(x, z) (x) grad_h_l(y).  A drift that does not read
+    the measure declares no moments: ``F`` and ``grad_x_F`` alone, z empty.
     """
 
-    n: int
     F: Callable[[float, Array, Array], Array]
     grad_x_F: Callable[[float, Array, Array], Array]
-    grad_z_F: Callable[[float, Array, Array], Array]
-    h: tuple
-    grad_h: tuple
+    grad_z_F: Optional[Callable[[float, Array, Array], Array]] = None
+    h: tuple = ()
+    grad_h: tuple = ()
 
     def __post_init__(self):
-        if self.n != len(self.h) or self.n != len(self.grad_h):
-            raise ValueError("n must match the number of moment functionals")
+        if len(self.h) != len(self.grad_h):
+            raise ValueError("h and grad_h must list the same number of moments")
+        if self.h and self.grad_z_F is None:
+            raise ValueError("a drift that declares moments needs grad_z_F")
+
+    @property
+    def n(self) -> int:
+        return len(self.h)
 
     def moment_vector(self, points: Array) -> Array:
         """Empirical moments (mu(h_1), ..., mu(h_n)) of a point cloud."""
         return np.array([np.add.reduce(hl(points)) / len(points) for hl in self.h])
-
-    def is_measure_free(self, x: Array) -> bool:
-        """Whether the z-gradient of F vanishes at time 0 on x and x +- 1."""
-        probes = np.vstack([x, x + 1.0, x - 1.0])
-        gz = np.asarray(self.grad_z_F(0.0, probes, self.moment_vector(probes)), dtype=float)
-        return bool(np.max(np.abs(gz), initial=0.0) <= 1e-12)
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,6 @@ class Observable:
     """Scalar test function f paired against terminal particle states."""
 
     f: Callable[[Array], Array]
-    name: str = ""
 
     def __call__(self, x: Array) -> Array:
         return np.asarray(self.f(x), dtype=float)

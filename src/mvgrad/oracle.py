@@ -10,7 +10,6 @@ The only shared code is the particle integrator and measure arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -152,38 +151,28 @@ def fit_loglog_slope(ts: Sequence[float], values: Sequence[float]) -> float:
 # Empirical stability and moment figures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Synchronous-coupling contraction figures for one initial pair."""
-
-    initial_distance: float
-    sup_ratio: float          # (mean_i sup_s |X1-X2|^k)^(1/k) / W_k(mu0, nu0)
-    terminal_ratio: float     # W_k(law_t mu0, law_t nu0) / W_k(mu0, nu0)
-
-
 def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeasure,
-                     grid: TimeGrid, seed: int) -> StabilityReport:
+                     grid: TimeGrid, seed: int) -> tuple[float, float, float]:
     """Couple two runs through identical noise after optimal initial pairing.
 
     The initial clouds are matched by the exact transport plan so that the
-    realized initial cost equals W_k; both ratio outputs are then direct
-    empirical versions of the flow's stability constants.
+    realized initial cost equals W_k = w0.  Returns (w0, sup ratio, terminal
+    ratio): (mean_i sup_s |X1 - X2|^k)^(1/k) / w0 and W_k of the terminal
+    laws / w0, direct empirical versions of the flow's stability constants.
     """
     if mu0.N != nu0.N:
         raise UnequalSupport("stability coupling needs equal sample counts")
     k = model.k
     w0, plan = wasserstein(mu0, nu0, k)
     if w0 == 0.0:
-        # identical initial clouds: ratios reported as 0
-        return StabilityReport(initial_distance=0.0, sup_ratio=0.0, terminal_ratio=0.0)
+        return 0.0, 0.0, 0.0        # identical initial clouds: ratios reported as 0
     nu_matched = EmpiricalMeasure(nu0.points[plan.pairing])
     run1 = simulate_particles(model, mu0, grid, seed)
     run2 = simulate_particles(model, nu_matched, grid, seed)
     gaps = np.linalg.norm(run1.states - run2.states, axis=2)   # (n+1, N)
     sup_k = float(np.mean(np.max(gaps, axis=0) ** k) ** (1.0 / k))
     wt, _ = wasserstein(run1.terminal_measure(), run2.terminal_measure(), k)
-    return StabilityReport(initial_distance=w0, sup_ratio=sup_k / w0,
-                           terminal_ratio=wt / w0)
+    return w0, sup_k / w0, wt / w0
 
 
 def moment_report(model: ModelSpec, mu0_ladder: Sequence[EmpiricalMeasure],

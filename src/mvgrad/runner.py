@@ -31,7 +31,7 @@ from . import __version__
 from .bismut import (_mean_stderr, dual_norm_lower_bound, estimate_classical,
                      estimate_intrinsic)
 from .config import ExperimentConfig
-from .errors import ConfigError, MVGradError
+from .errors import ConfigError, MVGradError, UnsupportedScenario
 from .measure import ASSIGNMENT_CAP, EmpiricalMeasure, pushforward, sample_initial
 from .model import (SCHEDULE_FACTORIES, ModelSpec, schedule_by_name,
                     validate_ellipticity)
@@ -133,6 +133,12 @@ class RunBundle:
         return estimate_intrinsic(self.model, self.mu0() if mu0 is None else mu0, phi, f,
                                   cfg.t, self.grid(), self.sched(), cfg.seed)
 
+    def richardson(self, phi, f, mu0: EmpiricalMeasure):
+        """richardson_intrinsic at the run's t, grid, seed and next-to-last eps_ladder eps."""
+        cfg = self.cfg
+        eps = cfg.eps_ladder[-2 if len(cfg.eps_ladder) >= 2 else -1]
+        return richardson_intrinsic(self.model, mu0, phi, f, cfg.t, self.grid(), eps, cfg.seed)
+
     def pairs(self):
         return [(f, p) for f in self.cfg.observables for p in self.cfg.perturbations]
 
@@ -218,7 +224,6 @@ def check_intrinsic_estimate(bundle: RunBundle):
 def check_intrinsic_vs_fd(bundle: RunBundle):
     cfg = bundle.cfg
     rows = []
-    eps_rich = cfg.eps_ladder[-2] if len(cfg.eps_ladder) >= 2 else cfg.eps_ladder[-1]
     for f_name, p_name in bundle.pairs():
         f, phi = bundle.obs(f_name), bundle.field(p_name)
         mu0 = bundle.mu0()
@@ -230,8 +235,7 @@ def check_intrinsic_vs_fd(bundle: RunBundle):
                                              bundle.grid(), eps, cfg.seed)
             rows.append(_row(bundle, "fd_oracle", f"{f_name}|{p_name}|eps={eps:g}",
                              fd.value, fd.stderr, "ok", cfg.seed, eps=eps))
-        rich = richardson_intrinsic(bundle.model, mu0, phi, f, cfg.t, bundle.grid(),
-                                    eps_rich, cfg.seed)
+        rich = bundle.richardson(phi, f, mu0)
         label = f"{f_name}|{p_name}|richardson"
         scale = max(abs(rich.value), rich.stderr)
         if scale == 0:
@@ -249,6 +253,19 @@ def check_intrinsic_vs_fd(bundle: RunBundle):
     return rows
 
 
+def _derivative_scale(bundle: RunBundle, mu0: EmpiricalMeasure, f_name: str, phi) -> float:
+    """The size of the derivative of f along phi at mu0, free of any estimate's
+    spread: |the affine flow's exact derivative along ||phi||_1| at the cloud,
+    else max(|value|, stderr) of the Richardson oracle at the run's seed."""
+    scen, cfg = bundle.scenario, bundle.cfg
+    try:
+        return abs(affine_reference(scen.family, scen.params, f_name, cfg.t, mu0.points,
+                                    np.abs(phi(mu0.points)).sum(axis=1, keepdims=True)))
+    except UnsupportedScenario:
+        rich = bundle.richardson(phi, bundle.obs(f_name), mu0)
+        return max(abs(rich.value), rich.stderr)
+
+
 def check_intrinsic_closed_form(bundle: RunBundle):
     """Affine flow with linear payoff against its exact derivative at the cloud."""
     cfg, scen = bundle.cfg, bundle.scenario
@@ -257,11 +274,10 @@ def check_intrinsic_closed_form(bundle: RunBundle):
     for p_name in cfg.perturbations:
         phi = bundle.field(p_name)
         est = bundle.estimate(phi, bundle.obs("coord1"), mu0)
-        v0 = phi(mu0.points)
-        ref = affine_reference(scen.family, scen.params, "coord1", cfg.t, mu0.points, v0)
+        ref = affine_reference(scen.family, scen.params, "coord1", cfg.t, mu0.points,
+                               phi(mu0.points))
         # (alpha + gamma) mean ||phi||_1 bounds |ref| and is 0 only where phi = 0
-        scale = affine_reference(scen.family, scen.params, "coord1", cfg.t, mu0.points,
-                                 np.abs(v0).sum(axis=1, keepdims=True))
+        scale = _derivative_scale(bundle, mu0, "coord1", phi)
         gap = abs(est.value - ref)
         tol = 3.0 * est.stderr
         spread = est.stderr > ESTIMATE_SPREAD_CAP * scale
@@ -304,22 +320,28 @@ def check_classical_gradient(bundle: RunBundle):
 def check_beta_invariance(bundle: RunBundle):
     """Each schedule's mean estimate over the ci seeds; a pair of schedules
     passes when its gap is within 3 sigma of their combined standard errors.
+    A schedule whose stderr exceeds ESTIMATE_SPREAD_CAP times a nonzero
+    _derivative_scale fails (reason=spread), or a diverged one passes every pair.
     Seeds run outer and schedules inner, so consecutive estimates share their
     noise, and identical schedules give bit-identical means."""
     cfg = bundle.cfg
     f_name, p_name = cfg.observables[0], cfg.perturbations[0]
-    args = (bundle.mu0(), bundle.field(p_name), bundle.obs(f_name), cfg.t, bundle.grid())
+    mu0, phi = bundle.mu0(), bundle.field(p_name)
+    args = (mu0, phi, bundle.obs(f_name), cfg.t, bundle.grid())
     scheds = [bundle.sched(name) for name in cfg.schedules]
     by_seed = [[estimate_intrinsic(bundle.model, *args, sched, seed) for sched in scheds]
                for seed in cfg.ci_seeds]
-    stats = []
-    for ests in zip(*by_seed):
+    scale = _derivative_scale(bundle, mu0, f_name, phi)
+    stats, rows = [], []
+    for name, ests in zip(cfg.schedules, zip(*by_seed)):
         mean, se = _mean_stderr(np.array([e.value for e in ests]))
         # one seed has no spread across seeds: its per-particle stderr stands in
-        stats.append((mean, ests[0].stderr if len(ests) == 1 else se))
-    rows = [_row(bundle, "beta_check", f"schedule={name}", mean, se, "ok",
-                 cfg.ci_seeds[0], n_seeds=len(cfg.ci_seeds))
-            for name, (mean, se) in zip(cfg.schedules, stats)]
+        se = ests[0].stderr if len(ests) == 1 else se
+        stats.append((mean, se))
+        spread = {"reason": "spread"} if scale > 0 and se > ESTIMATE_SPREAD_CAP * scale else {}
+        rows.append(_row(bundle, "beta_check", f"schedule={name}", mean, se,
+                         "fail" if spread else "ok", cfg.ci_seeds[0],
+                         n_seeds=len(cfg.ci_seeds), **spread))
     for (a, (mean_a, se_a)), (b, (mean_b, se_b)) in itertools.combinations(
             zip(cfg.schedules, stats), 2):
         gap, tol = abs(mean_a - mean_b), 3.0 * math.hypot(se_a, se_b)
@@ -405,12 +427,11 @@ def check_wasserstein_lipschitz(bundle: RunBundle):
     for c in cfg.stability_shifts:
         shift[0] = c
         nu0 = mu0.shifted(shift)
-        rep = stability_report(bundle.model, mu0, nu0, bundle.grid(), cfg.seed)
-        ratios.append(rep.terminal_ratio)
+        w0, sup, terminal = stability_report(bundle.model, mu0, nu0, bundle.grid(), cfg.seed)
+        ratios.append(terminal)
         rows.append(_row(bundle, "stability", f"shift={c:g}|terminal",
-                         rep.terminal_ratio, None, "ok", cfg.seed, w0=rep.initial_distance))
-        rows.append(_row(bundle, "stability", f"shift={c:g}|sup",
-                         rep.sup_ratio, None, "ok", cfg.seed))
+                         terminal, None, "ok", cfg.seed, w0=w0))
+        rows.append(_row(bundle, "stability", f"shift={c:g}|sup", sup, None, "ok", cfg.seed))
     variation = (max(ratios) - min(ratios)) / max(ratios) if max(ratios) > 0 else 0.0
     status = "pass" if variation < LIPSCHITZ_VARIATION_CAP else "fail"
     rows.append(_row(bundle, "stability", "ratio-variation", variation, None,
@@ -485,10 +506,8 @@ CHECKS: dict[str, Callable] = {
 # Needs that a run's model or size must meet, each a test of the bundle and
 # what the test asks for.
 NAMED_NEEDS: dict[str, tuple] = {
-    # no measure derivative at the check's starting point
-    "measure_free_drift": (
-        lambda b: b.model.meanfield_drift.is_measure_free(np.zeros(b.model.d)),
-        "a measure-free drift"),
+    # a drift that declares no moments, so it does not read the measure
+    "measure_free_drift": (lambda b: b.model.meanfield_drift.n == 0, "a measure-free drift"),
     # the family affine_reference and tv_sign_reference have closed forms for
     "affine_family": (lambda b: b.scenario.family == "affine", "the affine family"),
     # beyond d = 1 the transport is an exact assignment, capped in size
@@ -503,7 +522,7 @@ CHECK_NEEDS: dict[str, dict] = {
     "intrinsic_vs_fd": {"eps_ladder": 1},
     "intrinsic_closed_form": {"affine_family": True},
     "classical_gradient": {"measure_free_drift": True},
-    "beta_invariance": {"schedules": 2},
+    "beta_invariance": {"schedules": 2, "eps_ladder": 1},   # for a Richardson scale
     "dual_norm_scaling": {"t_grid": 2, "affine_family": True},
     "tv_scaling": {"t_grid": 2, "affine_family": True},
     "wasserstein_lipschitz": {"stability_shifts": 2, "assignment_cap": True},
@@ -664,12 +683,7 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
     summary = {s: statuses.count(s) for s in ("ok", "pass", "fail", "error")}
     failed = [{"quantity": r.quantity, "label": r.label, "params": r.params}
               for r in rows if r.status == "fail"]
-    if errors:
-        exit_code = 3
-    elif summary["fail"]:
-        exit_code = 1
-    else:
-        exit_code = 0
+    exit_code = 3 if errors else 1 if summary["fail"] else 0
 
     if errors:
         with open(out_dir / "errors.json", "w") as fh:

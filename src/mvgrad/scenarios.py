@@ -62,27 +62,31 @@ def _identity_moments(d: int):
 
 
 def affine_drift(d: int, a: float, kappa: float) -> CylindricalDrift:
-    """F(x, z) = -a x + kappa (z - x) with z the coordinate-mean vector."""
-    hs, grads = _identity_moments(d)
+    """F(x, z) = -a x + kappa (z - x), z the coordinate means; at kappa = 0, no moments."""
     eye = np.eye(d)
     gx = _read_only_per_key(lambda N: np.broadcast_to(-(a + kappa) * eye, (N, d, d)))
+
+    def grad_x_F(t, x, z):
+        return gx(x.shape[0])
+
+    if kappa == 0.0:
+        return CylindricalDrift(F=lambda t, x, z: -a * x, grad_x_F=grad_x_F)
     gz = _read_only_per_key(lambda N: np.broadcast_to(kappa * eye, (N, d, d)))
 
     def F(t, x, z):
         return -a * x + kappa * (z[None, :] - x)
 
-    def grad_x_F(t, x, z):
-        return gx(x.shape[0])
-
     def grad_z_F(t, x, z):
         return gz(x.shape[0])
 
-    return CylindricalDrift(n=d, F=F, grad_x_F=grad_x_F, grad_z_F=grad_z_F,
-                            h=hs, grad_h=grads)
+    hs, grads = _identity_moments(d)
+    return CylindricalDrift(F=F, grad_x_F=grad_x_F, grad_z_F=grad_z_F, h=hs, grad_h=grads)
 
 
 def sine_coupling_drift(a: float, kappa: float) -> CylindricalDrift:
-    """d=1 drift F(x, z) = -a x + kappa sin(z - x); smooth and nonlinear."""
+    """d=1 drift F(x, z) = -a x + kappa sin(z - x); at kappa = 0, affine_drift's -a x."""
+    if kappa == 0.0:
+        return affine_drift(1, a, 0.0)
     hs, grads = _identity_moments(1)
 
     def F(t, x, z):
@@ -94,13 +98,11 @@ def sine_coupling_drift(a: float, kappa: float) -> CylindricalDrift:
     def grad_z_F(t, x, z):
         return (kappa * np.cos(z[0] - x))[:, :, None]
 
-    return CylindricalDrift(n=1, F=F, grad_x_F=grad_x_F, grad_z_F=grad_z_F,
-                            h=hs, grad_h=grads)
+    return CylindricalDrift(F=F, grad_x_F=grad_x_F, grad_z_F=grad_z_F, h=hs, grad_h=grads)
 
 
 def trig_drift(a: float, c_nl: float) -> CylindricalDrift:
     """d=1 measure-free drift -a x + c_nl sin(x) (nonlinear in the state)."""
-    hs, grads = _identity_moments(1)
 
     def F(t, x, z):
         return -a * x + c_nl * np.sin(x)
@@ -108,11 +110,7 @@ def trig_drift(a: float, c_nl: float) -> CylindricalDrift:
     def grad_x_F(t, x, z):
         return (-a + c_nl * np.cos(x))[:, :, None]
 
-    def grad_z_F(t, x, z):
-        return np.zeros((x.shape[0], 1, 1))
-
-    return CylindricalDrift(n=1, F=F, grad_x_F=grad_x_F, grad_z_F=grad_z_F,
-                            h=hs, grad_h=grads)
+    return CylindricalDrift(F=F, grad_x_F=grad_x_F)
 
 
 def constant_diffusion(d: int, m: int, sigma0: float) -> Diffusion:
@@ -217,23 +215,23 @@ def build_family(family: str, **p) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 def coord_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: x[:, j], name=f"coord{j + 1}")
+    return Observable(f=lambda x: x[:, j])
 
 
 def sin_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.sin(x[:, j]), name="sin")
+    return Observable(f=lambda x: np.sin(x[:, j]))
 
 
 def sign_observable(theta: float = 0.0, j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.sign(x[:, j] - theta), name=f"sign@{theta:g}")
+    return Observable(f=lambda x: np.sign(x[:, j] - theta))
 
 
 def tanh_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.tanh(x[:, j]), name="tanh")
+    return Observable(f=lambda x: np.tanh(x[:, j]))
 
 
 def constant_observable(c: float = 1.0) -> Observable:
-    return Observable(f=lambda x: np.full(x.shape[0], c), name=f"const{c:g}")
+    return Observable(f=lambda x: np.full(x.shape[0], c))
 
 
 def identity_field() -> PerturbationField:
@@ -254,10 +252,9 @@ def sine_field() -> PerturbationField:
 
 
 def default_observables(d: int) -> dict:
-    obs = {"coord1": coord_observable(0), "sin": sin_observable(0),
-           "sign0": sign_observable(0.0, 0), "tanh": tanh_observable(0),
-           "const1": constant_observable(1.0)}
-    return obs
+    return {"coord1": coord_observable(0), "sin": sin_observable(0),
+            "sign0": sign_observable(0.0, 0), "tanh": tanh_observable(0),
+            "const1": constant_observable(1.0)}
 
 
 def dual_dictionary(d: int) -> list:

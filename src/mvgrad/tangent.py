@@ -14,8 +14,8 @@ regularized singular part b0.  They are certified only when b0 is absent
 (the smooth regime, where the transformed and plain variational equations
 coincide).  With b0 present the recursion is the exact variational
 equation of the delta-regularized drift, but the paper does not certify
-the plain variational equation as delta -> 0, so estimates carry mode
-"heuristic".
+the plain variational equation as delta -> 0, so the runner labels such
+rows mode=heuristic.
 """
 
 from __future__ import annotations
@@ -102,8 +102,10 @@ def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
     Returns the (N, d) array whose row i is the system average of the
     drift's measure derivative at particle i contracted against every
     particle's tangent: first the n scalars g_l = mean_j grad_h_l(X_j).V_j,
-    then the per-particle contraction dF/dz(t, X_i, z) @ g.
+    then dF/dz(t, X_i, z) @ g, which is zero for n = 0 and one product for 1.
     """
+    if drift.n == 0:
+        return np.zeros_like(V)
     g = np.empty(drift.n)
     for l, gl in enumerate(drift.grad_h):
         gV = np.asarray(gl(X), dtype=float) * V

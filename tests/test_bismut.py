@@ -13,8 +13,8 @@ from mvgrad.config import ExperimentConfig
 from mvgrad.errors import (GridMismatch, MeasureDependence, MemoryBudgetExceeded,
                            NonFinite, ScheduleMismatch)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
-from mvgrad.model import (Diffusion, ModelSpec, PerturbationField, linear_schedule,
-                          quadratic_schedule, schedule_by_name)
+from mvgrad.model import (CylindricalDrift, Diffusion, ModelSpec, PerturbationField,
+                          linear_schedule, quadratic_schedule, schedule_by_name)
 from mvgrad.oracle import richardson_intrinsic
 from mvgrad.scenarios import (affine_drift, constant_observable, coord_observable,
                               coordinate_field, default_observables,
@@ -237,6 +237,20 @@ class TestEstimateClassical:
         with pytest.raises(MeasureDependence):
             estimate_classical(model, [0.0], [1.0], coord_observable(0), 1.0,
                                TimeGrid(1.0, 10), linear_schedule(1.0), 0, 16)
+
+    def test_measure_dependence_with_a_vanishing_z_gradient_rejected(self):
+        # F = -x + kappa z^2 reads the mean: its z-gradient 2 kappa z is 0 on
+        # a cloud at x = 0, where a probe of the gradient would see no measure
+        kappa = 0.5
+        drift = CylindricalDrift(
+            F=lambda t, x, z: -x + kappa * z[0] ** 2,
+            grad_x_F=lambda t, x, z: -np.ones((x.shape[0], 1, 1)),
+            grad_z_F=lambda t, x, z: np.full((x.shape[0], 1, 1), 2.0 * kappa * z[0]),
+            h=(lambda x: x[:, 0],), grad_h=(lambda x: np.ones_like(x),))
+        model = dataclasses.replace(ou_model(), meanfield_drift=drift)
+        with pytest.raises(MeasureDependence):
+            estimate_classical(model, [0.0], [1.0], sin_observable(0), 1.0,
+                               TimeGrid(1.0, 100), linear_schedule(1.0), 3, 500)
 
 
 class TestDualNorm:

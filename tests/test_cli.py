@@ -268,6 +268,43 @@ checks = intrinsic_closed_form
         assert [(r["label"], r["status"]) for r in read_rows(out)] == [
             ("coord1|const_e1|exact", "fail")]
 
+    def test_diverged_estimate_fails_its_schedule_rows(self, tmp_path):
+        # at t = 1e-12 each schedule's mean over the ci seeds is in the
+        # thousands, against the exact 1.0; each pair's 3-sigma tolerance,
+        # built from those same stderrs, would pass it
+        text = """\
+[experiment]
+scenario = brownian
+n_particles = 200
+n_steps = 100
+t = 1e-12
+seed = 7
+ci_seeds = 101, 202, 303
+
+[estimator]
+checks = beta_invariance
+"""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        rows = read_rows(out)
+        assert [(r["label"], r["status"], r["params"]) for r in rows[:3]] == [
+            (f"schedule={s}", "fail", "n_seeds=3|reason=spread")
+            for s in ("linear", "quadratic", "sine")]
+        assert [r["status"] for r in rows[3:]] == ["pass"] * 3
+        assert all(float(r["stderr"]) > 100.0 for r in rows[:3])
+
+    def test_schedule_spread_without_a_closed_form_is_capped_by_richardson(self, tmp_path):
+        # trig has no closed form, so the scale is the Richardson oracle's
+        text = SMALL_CONFIG.replace("scenario = brownian", "scenario = trig").replace(
+            CHECKS_LINE, "checks = beta_invariance")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [r["status"] for r in rows] == ["ok"] * 3 + ["pass"] * 3
+        assert all(r["params"] == "n_seeds=2" for r in rows[:3])
+
     def test_closed_form_along_a_second_coordinate_passes(self, tmp_path):
         # the exact derivative along +-e2 is 0, but the estimate has a spread;
         # the spread cap's scale must still see phi's second coordinate
@@ -468,6 +505,37 @@ def test_registry_entry_resolves_with_its_checks(name):
     bundle = runner.resolve_bundle(ExperimentConfig(scenario=name))
     assert bundle.checks == get_scenario(name).checks
     assert set(bundle.scenario.params) == set(FAMILY_PARAMS[bundle.scenario.family])
+
+
+def test_registry_declares_its_moments():
+    # the measure-free families declare no moments; only a coupled drift reads mu
+    declared = {name: get_scenario(name).build().meanfield_drift.n for name in scenario_names()}
+    assert declared == {"brownian": 0, "brownian2d": 0, "ou": 0, "singular_demo": 0,
+                        "trig": 0, "meanfield_ou": 1, "meanfield_sine": 1}
+
+
+def test_uncoupled_meanfield_sine_is_measure_free(tmp_path):
+    # kappa = 0 leaves the affine drift -a x, so the classical gradient applies
+    text = """\
+[experiment]
+scenario = custom
+n_particles = 300
+n_steps = 100
+t = 1.0
+seed = 7
+
+[estimator]
+observables = sin
+checks = classical_gradient, intrinsic_vs_fd
+
+[custom]
+family = meanfield_sine
+kappa = 0
+"""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(out)]) == 0
+    assert [r["label"] for r in read_rows(out)][:2] == ["classical|coord1", "classical|coord1"]
 
 
 @pytest.mark.parametrize("name", scenario_names())

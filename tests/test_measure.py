@@ -181,7 +181,7 @@ class TestLkNorm:
 def moment_vector(mu, h):
     """Empirical moments through CylindricalDrift.moment_vector."""
     zero = lambda t, x, z: np.zeros_like(x)
-    drift = CylindricalDrift(n=len(h), F=zero, grad_x_F=zero, grad_z_F=zero,
+    drift = CylindricalDrift(F=zero, grad_x_F=zero, grad_z_F=zero,
                              h=tuple(h), grad_h=tuple(h))
     return drift.moment_vector(mu.points)
 

@@ -204,7 +204,7 @@ class TestLionsDerivative:
             return out
 
         drift = CylindricalDrift(
-            n=1, F=F, grad_x_F=grad_x_F, grad_z_F=grad_z_F,
+            F=F, grad_x_F=grad_x_F, grad_z_F=grad_z_F,
             h=(lambda x: x[:, 0] ** 2,),
             grad_h=(lambda x: np.stack([2.0 * x[:, 0], np.zeros(x.shape[0])], axis=1),),
         )
@@ -220,7 +220,7 @@ class TestLionsDerivative:
     def test_linear_in_grad_z_slot(self):
         drift = sine_coupling_drift(a=1.0, kappa=0.4)
         doubled = CylindricalDrift(
-            n=drift.n, F=drift.F, grad_x_F=drift.grad_x_F,
+            F=drift.F, grad_x_F=drift.grad_x_F,
             grad_z_F=lambda t, x, z: 2.0 * np.asarray(drift.grad_z_F(t, x, z)),
             h=drift.h, grad_h=drift.grad_h,
         )
@@ -231,21 +231,32 @@ class TestLionsDerivative:
         twice = cylindrical_coupling(doubled, 0.0, X, z, V)
         assert np.array_equal(twice, 2.0 * base)
 
-    def test_no_moments_take_the_general_path(self):
-        drift = CylindricalDrift(
-            n=0, F=lambda t, x, z: -x,
-            grad_x_F=lambda t, x, z: -np.ones((x.shape[0], 1, 1)),
-            grad_z_F=lambda t, x, z: np.zeros((x.shape[0], 1, 0)),
-            h=(), grad_h=(),
-        )
+    def test_no_moments_give_a_zero_coupling(self):
+        # a drift built from F and grad_x_F alone declares no moments; its
+        # coupling is zero without any grad_z_F to call
+        drift = CylindricalDrift(F=lambda t, x, z: -x,
+                                 grad_x_F=lambda t, x, z: -np.ones((x.shape[0], 1, 1)))
+        assert drift.n == 0 and drift.grad_z_F is None
         X = gaussian_cloud(12, seed=7).points
         V = gaussian_cloud(12, seed=8).points
         z = drift.moment_vector(X)
         assert z.dtype == np.float64 and z.shape == (0,)
-        assert drift.is_measure_free(X)
         out = cylindrical_coupling(drift, 0.0, X, z, V)
-        assert out.shape == V.shape
-        assert np.all(out == 0.0)
+        assert out.shape == V.shape and out.dtype == np.float64
+        assert np.all(out == 0.0) and not np.signbit(out).any()
+
+    def test_moments_need_their_gradients_and_grad_z(self):
+        F = lambda t, x, z: -x
+        gx = lambda t, x, z: -np.ones((x.shape[0], 1, 1))
+        gz = lambda t, x, z: np.zeros((x.shape[0], 1, 1))
+        h, gh = (lambda x: x[:, 0],), (lambda x: np.ones_like(x),)
+        with pytest.raises(ValueError, match="same number of moments"):
+            CylindricalDrift(F=F, grad_x_F=gx, grad_z_F=gz, h=h)
+        with pytest.raises(ValueError, match="same number of moments"):
+            CylindricalDrift(F=F, grad_x_F=gx, grad_z_F=gz, grad_h=gh)
+        with pytest.raises(ValueError, match="needs grad_z_F"):
+            CylindricalDrift(F=F, grad_x_F=gx, h=h, grad_h=gh)
+        assert CylindricalDrift(F=F, grad_x_F=gx, grad_z_F=gz, h=h, grad_h=gh).n == 1
 
 
 class TestDriftEval:
@@ -301,12 +312,8 @@ class TestDriftEval:
 
     def test_nonfinite_detected(self):
         model = build_family("affine", d=1, a=1.0, kappa=0.0)
-        bad = CylindricalDrift(
-            n=0, F=lambda t, x, z: np.full_like(x, np.nan),
-            grad_x_F=lambda t, x, z: np.zeros((x.shape[0], 1, 1)),
-            grad_z_F=lambda t, x, z: np.zeros((x.shape[0], 1, 0)),
-            h=(), grad_h=(),
-        )
+        bad = CylindricalDrift(F=lambda t, x, z: np.full_like(x, np.nan),
+                               grad_x_F=lambda t, x, z: np.zeros((x.shape[0], 1, 1)))
         model = replace(model, meanfield_drift=bad)
         with pytest.raises(NonFinite) as err:
             simulate_particles(model, gaussian_cloud(4), TimeGrid(0.1, 2), 0)

@@ -279,12 +279,8 @@ class TestSimulateParticles:
         assert max(ratios) - min(ratios) < 1e-6  # stable as the shift shrinks
 
     def test_blowup_guard_reports_step(self):
-        cubic = CylindricalDrift(
-            n=0, F=lambda t, x, z: x**3,
-            grad_x_F=lambda t, x, z: (3.0 * x**2)[:, :, None],
-            grad_z_F=lambda t, x, z: np.zeros((x.shape[0], 1, 0)),
-            h=(), grad_h=(),
-        )
+        cubic = CylindricalDrift(F=lambda t, x, z: x**3,
+                                 grad_x_F=lambda t, x, z: (3.0 * x**2)[:, :, None])
         model = ModelSpec(d=1, m=1, k=2.0, meanfield_drift=cubic,
                           diffusion=brownian_model().diffusion, horizon=10.0)
         mu0 = EmpiricalMeasure(np.array([[4.0]]))
