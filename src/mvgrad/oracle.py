@@ -169,8 +169,11 @@ def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeas
     nu_matched = EmpiricalMeasure(nu0.points[plan.pairing])
     run1 = simulate_particles(model, mu0, grid, seed)
     run2 = simulate_particles(model, nu_matched, grid, seed)
-    gaps = np.linalg.norm(run1.states - run2.states, axis=2)   # (n+1, N)
-    sup_k = float(np.mean(np.max(gaps, axis=0) ** k) ** (1.0 / k))
+    # each particle's largest gap over the time slices, one slice at a time
+    sup = np.zeros(mu0.N)
+    for x1, x2 in zip(run1.states, run2.states):
+        np.maximum(sup, np.linalg.norm(x1 - x2, axis=1), out=sup)
+    sup_k = float(np.mean(sup ** k) ** (1.0 / k))
     wt, _ = wasserstein(run1.terminal_measure(), run2.terminal_measure(), k)
     return w0, sup_k / w0, wt / w0
 
@@ -181,8 +184,8 @@ def moment_report(model: ModelSpec, mu0_ladder: Sequence[EmpiricalMeasure],
     pairs = []
     for mu0 in mu0_ladder:
         paths = simulate_particles(model, mu0, grid, seed)
-        per_slice = (np.linalg.norm(paths.states, axis=2) ** model.k).mean(axis=1)
-        pairs.append((float(per_slice[0]), float(per_slice.max())))
+        per_slice = [float((np.linalg.norm(x, axis=1) ** model.k).mean()) for x in paths.states]
+        pairs.append((per_slice[0], max(per_slice)))
     return pairs
 
 

@@ -62,6 +62,8 @@ TANGENT_EXACT_TOL = 1e-10
 ESTIMATE_SPREAD_CAP = 100.0
 # determinism compares two regenerations of its run, so it never shares work
 REGENERATING_CHECKS = frozenset({"determinism"})
+# Checks that read noise keys besides the run's own (seed, N, m, grid); see _units
+OWN_NOISE_CHECKS = frozenset({"beta_invariance", "dual_norm_scaling", "tv_scaling"})
 
 
 @dataclass(frozen=True)
@@ -579,19 +581,32 @@ def _run_one_check(bundle: RunBundle, name: str):
     """Run one check in the calling thread; returns (rows, error records, record):
     its wall time and the noise tensors built and paths integrated meanwhile.
 
-    Unless the check is in REGENERATING_CHECKS, it runs in a ``reusing_work``
-    block, so its repeated work is shared; checks never share work.
+    It shares whatever ``reusing_work`` block its unit opened (see _units).
     """
     start, before = time.perf_counter(), work_counts()
-    reuse = nullcontext() if name in REGENERATING_CHECKS else reusing_work()
     try:
-        with reuse:
-            rows, errors = CHECKS[name](bundle), []
+        rows, errors = CHECKS[name](bundle), []
     except (MVGradError, FloatingPointError) as exc:
         rows, errors, _ = _error_result(bundle, name, exc, 0.0)
     tensors, integrations = (b - a for a, b in zip(before, work_counts()))
     return rows, errors, {"wall_s": time.perf_counter() - start,
                           "noise_tensors": tensors, "integrations": integrations}
+
+
+def _units(names: list) -> list:
+    """Indices into ``names`` per unit of work, in order of first check: the
+    checks on the run's own noise share one, and each other check is one."""
+    apart = OWN_NOISE_CHECKS | REGENERATING_CHECKS
+    shared = [i for i, name in enumerate(names) if name not in apart]
+    units = [[i] for i, name in enumerate(names) if name in apart]
+    return sorted(units + [shared] if shared else units)
+
+
+def _run_unit(bundle: RunBundle, names: list) -> list:
+    """_run_one_check of each name in order, in one ``reusing_work`` block
+    unless the unit is a regenerating check."""
+    with nullcontext() if names[0] in REGENERATING_CHECKS else reusing_work():
+        return [_run_one_check(bundle, name) for name in names]
 
 
 # The run's bundle inside a check worker.  Its model's coefficients are
@@ -605,55 +620,58 @@ def _adopt_bundle(bundle: RunBundle) -> None:
     _worker_bundle = bundle
 
 
-def _run_in_worker(name: str):
-    return _run_one_check(_worker_bundle, name)
+def _run_in_worker(names: list):
+    return _run_unit(_worker_bundle, names)
 
 
-def _run_in_workers(bundle: RunBundle, names: list, workers: int) -> list:
-    """_run_one_check of every name on ``workers`` forked processes, in order.
+def _run_in_workers(bundle: RunBundle, units: list, workers: int) -> list:
+    """_run_unit of every unit (its check names) on ``workers`` forked processes.
 
     A worker that dies (killed, say, by the kernel's OOM killer) breaks the
-    pool: each check whose result was lost, or that could no longer be
-    submitted, gets an error record instead.
+    pool: each check of a unit whose result was lost, or that could no longer
+    be submitted, gets an error record instead.
     """
     start = time.perf_counter()
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt_bundle, initargs=(bundle,)) as pool:
         futures = []
-        for name in names:
+        for unit in units:
             try:
-                futures.append(pool.submit(_run_in_worker, name))
+                futures.append(pool.submit(_run_in_worker, unit))
             except BrokenProcessPool as exc:
                 lost = Future()
                 lost.set_exception(exc)
-                futures += [lost] * (len(names) - len(futures))
+                futures += [lost] * (len(units) - len(futures))
                 break
         results = []
-        for name, fut in zip(names, futures):
+        for unit, fut in zip(units, futures):
             try:
                 results.append(fut.result())
             except BrokenProcessPool as exc:
-                results.append(_error_result(bundle, name, exc,
-                                             time.perf_counter() - start))
+                results.append([_error_result(bundle, name, exc, time.perf_counter() - start)
+                                for name in unit])
     return results
 
 
 def run_suite(cfg: ExperimentConfig) -> tuple[list, list, list]:
     """Execute all declared checks; returns (rows, error records, check records).
 
-    With ``parallel`` W > 1 the checks run on min(W, checks) forked worker
-    processes, one check at a time each; the results are gathered in
-    declaration order, so the rows are those of a serial run, and so are the
+    The checks on the run's own noise share one ``reusing_work`` block (see
+    _units).  With ``parallel`` W > 1 the units run on min(W, units) forked
+    worker processes, one whole unit at a time each; the results are put back
+    in declaration order, so the rows are those of a serial run, and so are the
     {"name", "wall_s", "noise_tensors", "integrations"} check records.
     """
     bundle = resolve_bundle(cfg)
     names = list(bundle.checks)
-    workers = min(cfg.parallel, len(names))
-    if workers > 1:
-        results = _run_in_workers(bundle, names, workers)
-    else:
-        results = [_run_one_check(bundle, name) for name in names]
+    units = _units(names)
+    jobs = [[names[i] for i in unit] for unit in units]
+    workers = min(cfg.parallel, len(jobs))
+    by_unit = (_run_in_workers(bundle, jobs, workers) if workers > 1
+               else [_run_unit(bundle, job) for job in jobs])
+    # back in declaration order: the indices are distinct, so only they are compared
+    results = [r for _, r in sorted(zip(itertools.chain(*units), itertools.chain(*by_unit)))]
     rows = [r for chunk, _, _ in results for r in chunk]
     errors = [e for _, chunk, _ in results for e in chunk]
     records = [{"name": name, **record} for name, (_, _, record) in zip(names, results)]

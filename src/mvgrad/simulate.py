@@ -107,6 +107,7 @@ def particle_increments(seed: int, particle: int, grid: TimeGrid, m: int) -> Arr
 
 class _Held(threading.local):
     chain = None                    # inside reusing_work(): (key, value) per level
+    kept = None                     # (key, paths) asked for twice on the held tensor
     tensors = integrations = 0      # work_counts()
 
 
@@ -120,13 +121,15 @@ def reusing_work():
     The calling thread holds one entry per level, the last key and what was
     built for it: the noise tensor of a (seed, N, m, grid), the paths on it,
     and the frozen tangent and coupling weight of one (paths, phi).  A new key
-    drops its level's entry and every one below before building anew.
+    drops its level's entry and every one below before building anew.  Paths
+    asked for a second time are kept beside the chain until the tensor changes
+    or the block ends, so a tensor holds at most two path sets.
     """
     _held.chain = []
     try:
         yield
     finally:
-        _held.chain = None
+        _held.chain = _held.kept = None
 
 
 def _reused(level: int, matches):
@@ -139,7 +142,8 @@ def _reused(level: int, matches):
 
 
 def _hold(level: int, key, value):
-    if _held.chain is not None:
+    # only below its parent's entry: a raised build or kept paths leave the chain short
+    if _held.chain is not None and len(_held.chain) >= level:
         _held.chain[level:] = [(key, value)]
     return value
 
@@ -161,6 +165,7 @@ def brownian_increments(grid: TimeGrid, N: int, m: int, seed: int) -> Array:
     if held is not None:
         return held
     _held.tensors += 1
+    _held.kept = None
     out = _noise_tensor(grid, seed, range(N), m)
     out.flags.writeable = False
     return _hold(0, key, out)
@@ -212,7 +217,7 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     (the only cross-particle synchronization), then updates all particles
     independently with their own noise.  Output is fully determined by
     (model, mu0, grid, seed); inside :func:`reusing_work` a call with the held
-    paths' model, noise and starting points (bit for bit) returns them.
+    or kept paths' model, noise and starting points (bit for bit) returns them.
     """
     if grid.t_end > model.horizon + 1e-12:
         raise GridMismatch(f"grid end {grid.t_end} exceeds model horizon {model.horizon}")
@@ -225,8 +230,12 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
 
     dW = brownian_increments(grid, N, model.m, seed)
     start = mu0.points.tobytes()
-    held = _reused(1, lambda k: k[0] is model and k[1] is dW and k[2] == start)
+    matches = lambda k: k[0] is model and k[1] is dW and k[2] == start
+    if _held.kept is not None and matches(_held.kept[0]):
+        return _held.kept[1]
+    held = _reused(1, matches)
     if held is not None:
+        _held.kept = ((model, dW, start), held)
         return held
     _held.integrations += 1
     states = np.empty((n + 1, N, d))

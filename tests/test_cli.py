@@ -13,12 +13,14 @@ import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvgrad import runner, simulate
 from mvgrad.cli import main
 from mvgrad.config import ExperimentConfig, load_config
+from mvgrad.measure import EmpiricalMeasure
 from mvgrad.model import SCHEDULE_FACTORIES
 from mvgrad.runner import CHECKS, run_experiment
 from mvgrad.scenarios import (FAMILY_PARAMS, all_scenarios, default_observables,
@@ -801,31 +803,36 @@ RESULTS_SHA256 = {
 def test_shipped_config_results_are_pinned(config, seed, tmp_path):
     """results.csv of a shipped config, byte for byte (see RESULTS_SHA256)."""
     cfg, text = load_config(Path(__file__).parent.parent / "configs" / config)
-    cfg = dataclasses.replace(cfg, n_particles=200, n_steps=100, seed=seed)
-    result = run_experiment(cfg, text, tmp_path)
-    digest = hashlib.sha256(result.csv_path.read_bytes()).hexdigest()
-    assert digest == RESULTS_SHA256[config, seed]
+    for parallel in (1, 2):
+        cfg = dataclasses.replace(cfg, n_particles=200, n_steps=100, seed=seed,
+                                  parallel=parallel)
+        result = run_experiment(cfg, text, tmp_path / str(parallel))
+        digest = hashlib.sha256(result.csv_path.read_bytes()).hexdigest()
+        assert digest == RESULTS_SHA256[config, seed]
 
 
-# (noise tensors built, paths integrated) per check.  A check builds one
-# tensor per distinct noise key its consecutive simulations use and
-# integrates once per consecutive simulation from other starting points;
+# (noise tensors built, paths integrated) per check.  The checks on the run's
+# own noise key share one block, in declaration order: the first of them
+# builds its tensor, and each integrates once per simulation from a cloud that
+# is neither the last one built nor the one kept (the first asked for twice,
+# here mu0 at the run's seed).  Each other check has a block of its own, and
 # determinism regenerates both of its runs.  Counted from runner.py:
-#   intrinsic_vs_fd: the estimate, then per eps its base (held after the
-#     estimate for the first eps only) and its perturbed run, then
-#     Richardson's base and two perturbed runs: 1 + 1 + 2 + 2 + 3 = 9 of 10
+#   intrinsic_vs_fd: mu0 for the estimate, kept when the first eps asks for
+#     it again; the 3 pushforwards of the ladder, then Richardson's eps and
+#     eps/2 pushforwards, as only the last one built is held: 1 + 3 + 2 = 6
 #   beta_invariance: one per ci seed, the schedules reuse it
-#   wasserstein_lipschitz: 3 shifts x 2 starts; moment_bound: 4 ladder laws
-#   linearity: its 2 estimates start from equal clouds
+#   wasserstein_lipschitz: mu0 is kept, so only each shift's matched cloud: 3
+#   moment_bound: 4 ladder laws; linearity, intrinsic_closed_form: mu0 is kept
+#   classical_gradient: the point mass, first on the run's key
 #   dual_norm_scaling: per horizon, +-e1 start at one point mass
 #   tv_scaling: per horizon, two point masses
 WORK_PER_CHECK = {
-    "meanfield_ou.cfg": {"intrinsic_vs_fd": (1, 9), "beta_invariance": (4, 4),
-                         "wasserstein_lipschitz": (1, 6), "moment_bound": (1, 4),
-                         "linearity": (1, 1), "determinism": (2, 2)},
-    "brownian.cfg": {"classical_gradient": (1, 1), "intrinsic_vs_fd": (1, 9),
-                     "intrinsic_closed_form": (1, 1), "beta_invariance": (3, 3),
-                     "linearity": (1, 1), "dual_norm_scaling": (4, 4), "tv_scaling": (4, 8),
+    "meanfield_ou.cfg": {"intrinsic_vs_fd": (1, 6), "beta_invariance": (4, 4),
+                         "wasserstein_lipschitz": (0, 3), "moment_bound": (0, 4),
+                         "linearity": (0, 0), "determinism": (2, 2)},
+    "brownian.cfg": {"classical_gradient": (1, 1), "intrinsic_vs_fd": (0, 6),
+                     "intrinsic_closed_form": (0, 0), "beta_invariance": (3, 3),
+                     "linearity": (0, 0), "dual_norm_scaling": (4, 4), "tv_scaling": (4, 8),
                      "determinism": (2, 2)},
 }
 
@@ -862,8 +869,100 @@ def test_noise_tensors_built_per_check(config, monkeypatch, tmp_path):
         # the forked workers count their own work, so the records are those of a serial run
         assert {c["name"]: (c["noise_tensors"], c["integrations"])
                 for c in manifest["checks"]} == want
-    # the builder itself, seen in this process only
-    assert dict(built) == {name: tensors for name, (tensors, _) in want.items()}
+    # the builder itself, seen in this process only (a Counter reads 0 for the others)
+    assert built == collections.Counter({name: tensors for name, (tensors, _) in want.items()})
+
+
+def small_shipped_config(config):
+    cfg, _ = load_config(Path(__file__).parent.parent / "configs" / config)
+    return dataclasses.replace(cfg, n_particles=200, n_steps=100)
+
+
+@pytest.mark.parametrize("config", sorted(WORK_PER_CHECK))
+def test_shared_unit_rows_equal_each_check_run_alone(config):
+    cfg = small_shipped_config(config)
+    rows, errors, _ = runner.run_suite(cfg)
+    alone = [row for name in runner.resolve_bundle(cfg).checks
+             for row in runner.run_suite(dataclasses.replace(cfg, checks=(name,)))[0]]
+    assert not errors and rows == alone
+
+
+def test_raising_check_leaves_the_rest_of_its_unit_unchanged(monkeypatch):
+    # moment_bound keeps mu0, then raises in a build; linearity follows it on
+    # the kept paths with the chain cut back to the tensor
+    def raising(bundle):
+        for _ in range(2):
+            simulate.simulate_particles(bundle.model, bundle.mu0(), bundle.grid(),
+                                        bundle.cfg.seed)
+        blow_up = EmpiricalMeasure(np.full((bundle.cfg.n_particles, 1), 1e9))
+        simulate.simulate_particles(bundle.model, blow_up, bundle.grid(), bundle.cfg.seed)
+
+    cfg = small_shipped_config("meanfield_ou.cfg")
+    rows, _, _ = runner.run_suite(cfg)
+    monkeypatch.setitem(CHECKS, "moment_bound", raising)
+    raised, errors, _ = runner.run_suite(cfg)
+    assert [(e["check"], e["type"]) for e in errors] == [("moment_bound", "NonFinite")]
+    assert [r for r in raised if r.quantity != "moment"] == [
+        r for r in rows if r.quantity != "moment"]
+
+
+def test_lost_unit_is_an_error_row_for_each_of_its_checks(tmp_path, monkeypatch, capfd):
+    class LosingExecutor:
+        """Loses the first unit submitted, as a dead worker would; runs the rest."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            initializer(*initargs)
+            self.submitted = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.submitted += 1
+            fut = concurrent.futures.Future()
+            if self.submitted == 1:
+                fut.set_exception(BrokenProcessPool("the worker running this unit died"))
+            else:
+                fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", LosingExecutor)
+    monkeypatch.setattr(runner, "_worker_bundle", None)
+    text = TWO_CHECKS.replace("checks = linearity, determinism",
+                              "checks = intrinsic_closed_form, determinism, linearity")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(out), "--parallel", "2"]) == 3
+    records = json.loads((out / "errors.json").read_text())
+    assert [(r["check"], r["type"]) for r in records] == [
+        ("intrinsic_closed_form", "BrokenProcessPool"), ("linearity", "BrokenProcessPool")]
+    assert [r["status"] for r in read_rows(out)] == ["error", "pass", "error"]
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_shared_checks_read_only_the_run_noise_key(name, monkeypatch):
+    """Every check outside OWN_NOISE_CHECKS and REGENERATING_CHECKS reads the
+    run's own noise key alone, or the shared unit would build tensors anew."""
+    shared = tuple(c for c in get_scenario(name).checks
+                   if c not in runner.OWN_NOISE_CHECKS | runner.REGENERATING_CHECKS)
+    n_steps = 1000 if name == "singular_demo" else 100   # see test_registry_entry_runs_its_checks
+    cfg = ExperimentConfig(scenario=name, n_particles=100, n_steps=n_steps, checks=shared)
+    bundle = runner.resolve_bundle(cfg)
+    keys = set()
+    build = simulate.brownian_increments
+
+    def recording(grid, N, m, seed):
+        keys.add((seed, N, m, grid))
+        return build(grid, N, m, seed)
+
+    monkeypatch.setattr(simulate, "brownian_increments", recording)
+    _, errors, _ = runner.run_suite(cfg)
+    assert not errors
+    assert keys == {(cfg.seed, cfg.n_particles, bundle.model.m, bundle.grid())}
 
 
 # List keys of the generated configs, with the entries each may draw from.

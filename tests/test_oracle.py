@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from mvgrad.bismut import estimate_intrinsic
 from mvgrad.errors import GridMismatch, UnequalSupport, UnsupportedScenario
-from mvgrad.measure import EmpiricalMeasure
+from mvgrad.measure import EmpiricalMeasure, wasserstein
 from mvgrad.model import linear_schedule
 from mvgrad.oracle import (affine_reference, finite_difference_intrinsic,
                            fit_loglog_slope, moment_report,
@@ -17,7 +17,7 @@ from mvgrad.scenarios import (build_family, constant_observable,
                               coord_observable, coordinate_field,
                               default_perturbations, family_params, get_scenario,
                               identity_field, sine_field)
-from mvgrad.simulate import TimeGrid
+from mvgrad.simulate import TimeGrid, simulate_particles
 
 from conftest import brownian_model, gaussian_cloud, mfou_model
 
@@ -333,6 +333,27 @@ class TestMomentReport:
         pairs = moment_report(model, [big], TimeGrid(1.0, 100), 20)
         assert max(sup / (1.0 + i0) for i0, sup in pairs) <= 1.0 + 1e-6
         assert len(pairs) == 1
+
+
+@pytest.mark.parametrize("scenario", ["meanfield_ou", "brownian2d"])
+def test_streamed_figures_match_whole_trajectory_expressions(scenario):
+    # both reports reduce one time slice at a time; their figures are pinned
+    # bit for bit against the reductions over the whole (n+1, N, d) trajectory
+    model = get_scenario(scenario).build()
+    grid, seed, k = TimeGrid(0.5, 40), 23, model.k
+    mu0 = gaussian_cloud(150, d=model.d, seed=21)
+    nu0 = gaussian_cloud(150, d=model.d, std=1.5, seed=22)
+    w0, sup, _ = stability_report(model, mu0, nu0, grid, seed)
+    _, plan = wasserstein(mu0, nu0, k)
+    run1 = simulate_particles(model, mu0, grid, seed)
+    run2 = simulate_particles(model, EmpiricalMeasure(nu0.points[plan.pairing]), grid, seed)
+    gaps = np.linalg.norm(run1.states - run2.states, axis=2)
+    assert sup.hex() == (float(np.mean(np.max(gaps, axis=0) ** k) ** (1.0 / k)) / w0).hex()
+    for (i0, sup_moment), run in zip(moment_report(model, [mu0, nu0], grid, seed),
+                                     (run1, simulate_particles(model, nu0, grid, seed))):
+        per_slice = (np.linalg.norm(run.states, axis=2) ** k).mean(axis=1)
+        assert (i0.hex(), sup_moment.hex()) == (float(per_slice[0]).hex(),
+                                                float(per_slice.max()).hex())
 
 
 class TestTvScaling:

@@ -3,16 +3,20 @@ import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from mvgrad import runner, simulate
 from mvgrad.bismut import estimate_classical, estimate_intrinsic
+from mvgrad.config import load_config
 from mvgrad.errors import (GridMismatch, MemoryBudgetExceeded, NonFinite,
                            SingularDiffusion)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
 from mvgrad.model import CylindricalDrift, Diffusion, ModelSpec, linear_schedule
+from mvgrad.runner import resolve_bundle
 from mvgrad.simulate import (MEMORY_BUDGET_ENV, TimeGrid, brownian_increments,
                              particle_increments, reusing_work, simulate_particles)
 from mvgrad.scenarios import build_family, coord_observable, coordinate_field
@@ -186,6 +190,84 @@ class TestHeldPaths:
         p2 = simulate_particles(model, mu0, self.GRID, 3)
         assert p1 is not p2 and p1.states is not p2.states and p1.noise is not p2.noise
         assert np.array_equal(p1.states, p2.states)
+        # nor kept: a third call from the same cloud, after another, integrates anew
+        simulate_particles(model, gaussian_cloud(16, seed=2), self.GRID, 3)
+        p3 = simulate_particles(model, mu0, self.GRID, 3)
+        assert p3 is not p1 and p3 is not p2
+        assert simulate._held.kept is None
+
+    def test_a_second_ask_keeps_the_paths(self):
+        model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
+        with reusing_work():
+            base = simulate_particles(model, mu0, self.GRID, 3)
+            assert simulate_particles(model, mu0, self.GRID, 3) is base
+            other = simulate_particles(model, gaussian_cloud(16, seed=2), self.GRID, 3)
+            assert simulate_particles(model, mu0, self.GRID, 3) is base
+            # the kept paths did not displace the last ones built
+            assert simulate_particles(model, gaussian_cloud(16, seed=2), self.GRID, 3) is other
+
+    def test_a_third_start_evicts_the_last_built_not_the_kept(self):
+        model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
+        with reusing_work():
+            base = simulate_particles(model, mu0, self.GRID, 3)
+            simulate_particles(model, mu0, self.GRID, 3)
+            last = weakref.ref(simulate_particles(model, gaussian_cloud(16, seed=2),
+                                                  self.GRID, 3))
+            third = simulate_particles(model, gaussian_cloud(16, seed=3), self.GRID, 3)
+            assert last() is None
+            assert simulate_particles(model, mu0, self.GRID, 3) is base
+            assert simulate_particles(model, gaussian_cloud(16, seed=3), self.GRID, 3) is third
+
+    @pytest.mark.parametrize("end", ["new tensor", "block end"])
+    def test_kept_paths_are_freed(self, end):
+        model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
+        with reusing_work():
+            kept = weakref.ref(simulate_particles(model, mu0, self.GRID, 3))
+            simulate_particles(model, mu0, self.GRID, 3)
+            simulate_particles(model, gaussian_cloud(16, seed=2), self.GRID, 3)
+            assert kept() is not None
+            if end == "new tensor":
+                simulate_particles(model, mu0, self.GRID, 4)
+                assert kept() is None
+        assert kept() is None
+
+    def test_kept_paths_after_a_raised_build(self):
+        # the failed build leaves the chain at the tensor alone; an estimate
+        # on the kept paths must not hold its tangent in the paths' level
+        model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
+        phi, f = coordinate_field(0), coord_observable(0)
+        sched = linear_schedule(self.GRID.t_end)
+        want = estimate_intrinsic(model, mu0, phi, f, self.GRID.t_end, self.GRID, sched, 3)
+        with reusing_work():
+            base = simulate_particles(model, mu0, self.GRID, 3)
+            simulate_particles(model, mu0, self.GRID, 3)
+            with pytest.raises(NonFinite):
+                simulate_particles(model, EmpiricalMeasure(np.full((16, 1), 1e9)),
+                                   self.GRID, 3)
+            got = estimate_intrinsic(model, mu0, phi, f, self.GRID.t_end, self.GRID, sched, 3)
+            assert [key for key, _ in simulate._held.chain] == [(3, 16, 1, self.GRID)]
+            assert simulate_particles(model, mu0, self.GRID, 3) is base
+        assert got == want
+
+    @pytest.mark.parametrize("config", ["meanfield_ou.cfg", "brownian.cfg"])
+    def test_shared_unit_peaks_near_its_largest_check(self, config):
+        # the kept set adds at most one trajectory to the largest check's peak
+        cfg, _ = load_config(Path(__file__).parent.parent / "configs" / config)
+        bundle = resolve_bundle(replace(cfg, n_particles=2000, n_steps=200))
+        names = [name for name in bundle.checks if name not in
+                 runner.OWN_NOISE_CHECKS | runner.REGENERATING_CHECKS]
+        trajectory = 8 * (200 + 1) * 2000 * bundle.model.d
+
+        def peak(unit):
+            tracemalloc.start()
+            try:
+                runner._run_unit(bundle, unit)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = max(peak([name]) for name in names)
+        assert peak(names) <= alone + 1.1 * trajectory
 
     def test_states_are_read_only(self):
         paths = simulate_particles(mfou_model(), gaussian_cloud(16, seed=1), self.GRID, 3)
