@@ -14,8 +14,9 @@ before the first check, and a directory it cannot create exits 2.  An
 unknown section or key, an unknown name, an unmet check need
 (``runner.CHECK_NEEDS``), noise that is not elliptic at the initial law's
 mean (such as sigma = 0) or an MVGRAD_MEMORY_BUDGET_MB (the cap on retained
-trajectories: states plus increments, and tangents with their coupling
-terms) that is not a finite positive number all exit 2.
+trajectories: states plus increments, tangents with their coupling terms,
+and the path set a shared block keeps) that is not a finite positive number
+all exit 2.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mvgrad",
         description="particle-system derivative estimation and verification suites",
         epilog=f"memory budget: set {MEMORY_BUDGET_ENV} (MB) to cap retained "
-               "trajectories (states plus increments, and tangents)",
+               "trajectories (states plus increments, tangents and kept paths)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -202,10 +202,8 @@ def tv_gradient_scaling(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalM
     """
     if mu0.N != nu0.N:
         raise UnequalSupport("tv scaling needs equal sample counts")
-    gaps = []
-    for grid, theta in zip(grids, thetas, strict=True):
-        x1 = simulate_particles(model, mu0, grid, seed).terminal()[:, 0]
-        x2 = simulate_particles(model, nu0, grid, seed).terminal()[:, 0]
-        gaps.append(abs(float(np.mean(np.sign(x1 - theta)))
-                        - float(np.mean(np.sign(x2 - theta)))))
-    return gaps
+    # each run is reduced to its step mean before the next one is integrated
+    step = lambda mu, grid, theta: float(np.mean(np.sign(
+        simulate_particles(model, mu, grid, seed).terminal()[:, 0] - theta)))
+    return [abs(step(mu0, grid, theta) - step(nu0, grid, theta))
+            for grid, theta in zip(grids, thetas, strict=True)]

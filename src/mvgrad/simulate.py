@@ -75,8 +75,11 @@ def memory_budget_bytes() -> int:
     return int(budget * 1e6)
 
 
-def _guard_memory(need: int) -> None:
-    """Raise MemoryBudgetExceeded if ``need`` bytes of trajectories exceed the budget."""
+def _guard_memory(need: int, reads) -> None:
+    """Raise MemoryBudgetExceeded if ``need`` bytes of trajectories, plus the paths a
+    reusing_work() block keeps unless the request ``reads(key, paths)``, exceed the budget."""
+    if _held.kept and not reads(*_held.kept):
+        need += _held.kept[1].states.nbytes + _held.kept[1].moment_flow.nbytes
     budget = memory_budget_bytes()
     if need > budget:
         raise MemoryBudgetExceeded(
@@ -119,12 +122,15 @@ def reusing_work():
     """Let a call in this block hand back what the last one of its kind built.
 
     The calling thread holds one entry per level, the last key and what was
-    built for it: the noise tensor of a (seed, N, m, grid), the paths on it,
-    and the frozen tangent and coupling weight of one (paths, phi).  A new key
-    drops its level's entry and every one below before building anew.  Paths
-    asked for a second time are kept beside the chain until the tensor changes
-    or the block ends, so a tensor holds at most two path sets.
+    built for it: the noise tensor of a (seed, N, m, grid), the paths last handed
+    out on it, and the frozen tangent and coupling weight of one (paths, phi).  A
+    new key drops its level's entry and every one below before building anew.
+    Paths asked for a second time are also kept until the tensor changes or the
+    block ends, so a tensor holds at most two path sets.  Inner blocks join it.
     """
+    if _held.chain is not None:
+        yield
+        return
     _held.chain = []
     try:
         yield
@@ -142,8 +148,8 @@ def _reused(level: int, matches):
 
 
 def _hold(level: int, key, value):
-    # only below its parent's entry: a raised build or kept paths leave the chain short
-    if _held.chain is not None and len(_held.chain) >= level:
+    """``value``, held at ``level`` in place of that entry and every one below."""
+    if _held.chain is not None:
         _held.chain[level:] = [(key, value)]
     return value
 
@@ -216,8 +222,8 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     Each step computes the empirical drift moments of the current slice
     (the only cross-particle synchronization), then updates all particles
     independently with their own noise.  Output is fully determined by
-    (model, mu0, grid, seed); inside :func:`reusing_work` a call with the held
-    or kept paths' model, noise and starting points (bit for bit) returns them.
+    (model, mu0, grid, seed); inside :func:`reusing_work` the held or kept paths
+    of the same model, noise and starting points (bit for bit) are returned and held.
     """
     if grid.t_end > model.horizon + 1e-12:
         raise GridMismatch(f"grid end {grid.t_end} exceeds model horizon {model.horizon}")
@@ -226,17 +232,19 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     N, d = mu0.points.shape
     n = grid.n_steps
     dt = grid.dt
-    _guard_memory(8 * N * ((n + 1) * d + n * model.m))
+    start = mu0.points.tobytes()
+    # a kept hit reads the kept paths, and a new tensor frees them
+    _guard_memory(8 * N * ((n + 1) * d + n * model.m),
+                  lambda key, _: key[0] is model and key[2] == start)
 
     dW = brownian_increments(grid, N, model.m, seed)
-    start = mu0.points.tobytes()
     matches = lambda k: k[0] is model and k[1] is dW and k[2] == start
-    if _held.kept is not None and matches(_held.kept[0]):
-        return _held.kept[1]
     held = _reused(1, matches)
     if held is not None:
         _held.kept = ((model, dW, start), held)
         return held
+    if _held.kept is not None and matches(_held.kept[0]):
+        return _hold(1, *_held.kept)
     _held.integrations += 1
     states = np.empty((n + 1, N, d))
     states[0] = mu0.points

@@ -62,7 +62,8 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
     n = paths.grid.n_steps
     dt = paths.grid.dt
     _guard_memory(paths.states.nbytes + paths.noise.nbytes
-                  + 8 * paths.N * paths.d * (n + 1 + (n if coupled else 0)))
+                  + 8 * paths.N * paths.d * (n + 1 + (n if coupled else 0)),
+                  lambda _, kept: kept is paths)
     values = np.empty_like(paths.states)
     values[0] = V0
     psi = np.empty((n, paths.N, paths.d)) if coupled else None
