@@ -21,8 +21,7 @@ from .errors import (ConfigError, GridMismatch, MeasureDependence,
 from .measure import (EmpiricalMeasure, TransportPlan, lk_norm, pushforward,
                       sample_initial, wasserstein)
 from .model import (BismutSchedule, CylindricalDrift, Diffusion, ModelSpec,
-                    Observable, PerturbationField, SingularDrift,
-                    linear_schedule, quadratic_schedule, schedule_by_name,
+                    SingularDrift, linear_schedule, quadratic_schedule, scaled,
                     sine_schedule, validate_ellipticity, zeta)
 from .oracle import (affine_reference, finite_difference_intrinsic, fit_loglog_slope,
                      moment_report, richardson_intrinsic, stability_report,

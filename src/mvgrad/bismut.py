@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (GridMismatch, MeasureDependence, NonFinite,
                      ScheduleMismatch)
 from .measure import EmpiricalMeasure, lk_norm
-from .model import (BismutSchedule, ModelSpec, Observable, PerturbationField,
-                    _single_term, validate_ellipticity, zeta)
+from .model import (BismutSchedule, ModelSpec, _single_term, scaled,
+                    validate_ellipticity, zeta)
 from .simulate import ParticlePaths, TimeGrid, _hold, _reused, simulate_particles
 from .tangent import frozen_tangent, meanfield_tangent
 
@@ -167,8 +167,8 @@ def _controlled_mean_stderr(samples: Array, control: Array) -> tuple[float, floa
     return float(np.mean(resid)), float(np.std(resid, ddof=2) / math.sqrt(n))
 
 
-def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: PerturbationField,
-                       f: Observable, t: float, grid: TimeGrid, sched: BismutSchedule,
+def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Callable,
+                       f: Callable, t: float, grid: TimeGrid, sched: BismutSchedule,
                        seed: int, scenario: str = "") -> Estimate:
     """Directional measure derivative of mu -> E f(X_t) along phi at mu0.
 
@@ -198,7 +198,7 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Perturbatio
                     term1=float(np.mean(fx * w1)), term2=float(np.mean(fx * w2)))
 
 
-def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
+def estimate_classical(model: ModelSpec, x, v, f: Callable, t: float,
                        grid: TimeGrid, sched: BismutSchedule, seed: int,
                        n_particles: int) -> Estimate:
     """Gradient of x -> E f(X_t^x) along v, for measure-free dynamics.
@@ -230,9 +230,9 @@ def estimate_classical(model: ModelSpec, x, v, f: Observable, t: float,
     return Estimate(value=value, stderr=stderr, term1=value, term2=0.0)
 
 
-def dual_norm_lower_bound(model: ModelSpec, mu0: EmpiricalMeasure, f: Observable,
+def dual_norm_lower_bound(model: ModelSpec, mu0: EmpiricalMeasure, f: Callable,
                           t: float, grid: TimeGrid, sched: BismutSchedule,
-                          dictionary: Sequence[PerturbationField], seed: int) -> Estimate:
+                          dictionary: Sequence[Callable], seed: int) -> Estimate:
     """Max directional derivative over unit-normalized dictionary fields.
 
     Each field is rescaled to unit L^k(mu0) norm before estimation, so the
@@ -246,7 +246,7 @@ def dual_norm_lower_bound(model: ModelSpec, mu0: EmpiricalMeasure, f: Observable
         nrm = lk_norm(phi, mu0, model.k)
         if nrm == 0.0:
             continue
-        est = estimate_intrinsic(model, mu0, phi.scaled(1.0 / nrm), f, t, grid, sched,
+        est = estimate_intrinsic(model, mu0, scaled(phi, 1.0 / nrm), f, t, grid, sched,
                                  seed)
         if best is None or est.value > best.value:
             best = est

@@ -1,4 +1,4 @@
-"""Problem instances: drift and diffusion coefficients, observables, schedules.
+"""Problem instances: drift and diffusion coefficients, schedules.
 
 Coefficient callables follow one batching convention throughout the package:
 the state argument is an (N, d) array of particle positions and the return
@@ -13,6 +13,8 @@ value carries the particle axis first.  Concretely,
 * ``grad_sigma(t, x)``    -> (N, d, m, d) entry [i, a, b, j] = d sigma_ab / dx_j
 * singular ``eval(t, x)`` -> (N, d)
 * singular ``grad(t, x)`` -> (N, d, d)    entry [i, a, b] = d b0_a/dx_b
+* payoff ``f(x)``         -> (N,)
+* perturbation ``phi(x)`` -> (N, d)       a field pushing the initial law around
 
 Scalar ``t`` everywhere; grids are uniform and coefficients may be
 time-dependent but default to autonomous.  All objects here are immutable
@@ -125,29 +127,9 @@ class Diffusion:
         return np.asarray(self.sigma(t, x), dtype=float)
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Scalar test function f paired against terminal particle states."""
-
-    f: Callable[[Array], Array]
-
-    def __call__(self, x: Array) -> Array:
-        return np.asarray(self.f(x), dtype=float)
-
-
-@dataclass(frozen=True)
-class PerturbationField:
-    """Vector field phi: R^d -> R^d used to push an initial law around."""
-
-    phi: Callable[[Array], Array]
-    name: str = ""
-
-    def __call__(self, x: Array) -> Array:
-        return np.asarray(self.phi(x), dtype=float)
-
-    def scaled(self, factor: float) -> "PerturbationField":
-        f = self.phi
-        return PerturbationField(lambda x: factor * np.asarray(f(x), dtype=float))
+def scaled(phi: Callable, factor: float) -> Callable:
+    """The perturbation field factor * phi."""
+    return lambda x: factor * np.asarray(phi(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -194,13 +176,6 @@ SCHEDULE_FACTORIES = {
     "quadratic": quadratic_schedule,
     "sine": sine_schedule,
 }
-
-
-def schedule_by_name(name: str, t: float) -> BismutSchedule:
-    try:
-        return SCHEDULE_FACTORIES[name](t)
-    except KeyError:
-        raise KeyError(f"unknown schedule {name!r}; have {sorted(SCHEDULE_FACTORIES)}") from None
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,15 @@ The only shared code is the particle integrator and measure arithmetic.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr
 
 from .bismut import Estimate, _check_grid, _mean_stderr
 from .errors import UnequalSupport, UnsupportedScenario
 from .measure import EmpiricalMeasure, pushforward, wasserstein
-from .model import ModelSpec, Observable, PerturbationField
+from .model import ModelSpec
 from .simulate import TimeGrid, simulate_particles
 
 Array = np.ndarray
@@ -28,7 +28,7 @@ Array = np.ndarray
 # Common-random-number finite differences
 # ---------------------------------------------------------------------------
 
-def _fd_samples(model: ModelSpec, mu0: EmpiricalMeasure, phi, f: Observable,
+def _fd_samples(model: ModelSpec, mu0: EmpiricalMeasure, phi, f: Callable,
                 grid: TimeGrid, eps: float, seed: int,
                 base=None) -> Array:
     """Per-particle difference quotients under shared noise and indices."""
@@ -39,7 +39,7 @@ def _fd_samples(model: ModelSpec, mu0: EmpiricalMeasure, phi, f: Observable,
 
 
 def finite_difference_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
-                                phi: PerturbationField, f: Observable, t: float,
+                                phi: Callable, f: Callable, t: float,
                                 grid: TimeGrid, eps: float, seed: int) -> Estimate:
     """One-sided difference quotient of the perturbed semigroup value.
 
@@ -56,7 +56,7 @@ def finite_difference_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
 
 
 def richardson_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
-                         phi: PerturbationField, f: Observable, t: float,
+                         phi: Callable, f: Callable, t: float,
                          grid: TimeGrid, eps: float, seed: int,
                          scenario: str = "") -> Estimate:
     """Richardson pair (eps, eps/2): cancels the leading O(eps) bias."""
@@ -94,8 +94,11 @@ def _expected_fprime(f_name: str, y: Array, var: float) -> Array:
     if f_name == "sin":
         return math.exp(-0.5 * var) * np.cos(y)
     if f_name == "sign0":
-        # sign jumps by 2 at 0, so E sign'(y + G) is twice the density of G at -y
-        return 2.0 * _norm.pdf(y, scale=math.sqrt(var))
+        # sign jumps by 2 at 0, so E sign'(y + G) is twice the density of G at -y,
+        # written as scipy.stats.norm.pdf evaluates it, so the bits are its own
+        s = math.sqrt(var)
+        x = y / s
+        return 2.0 * (np.exp(-x**2/2.0) / np.sqrt(2*np.pi) / s)
     if f_name == "const1":
         return np.zeros_like(y)
     raise UnsupportedScenario(f"no closed form for observable {f_name!r}")
@@ -134,7 +137,7 @@ def tv_sign_reference(family: str, params: dict, shift: float,
     alpha, gamma, var = _affine_flow(family, params, t)
     theta = (alpha + gamma) * shift / 2.0
     s = math.sqrt(var)
-    gap = abs(2.0 * (_norm.cdf(theta / s) - _norm.cdf((theta - (alpha + gamma) * shift) / s)))
+    gap = abs(2.0 * (ndtr(theta / s) - ndtr((theta - (alpha + gamma) * shift) / s)))
     return theta, gap
 
 
@@ -174,7 +177,7 @@ def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeas
     for x1, x2 in zip(run1.states, run2.states):
         np.maximum(sup, np.linalg.norm(x1 - x2, axis=1), out=sup)
     sup_k = float(np.mean(sup ** k) ** (1.0 / k))
-    wt, _ = wasserstein(run1.terminal_measure(), run2.terminal_measure(), k)
+    wt, _ = wasserstein(EmpiricalMeasure(run1.terminal()), EmpiricalMeasure(run2.terminal()), k)
     return w0, sup_k / w0, wt / w0
 
 

@@ -33,8 +33,7 @@ from .bismut import (_mean_stderr, dual_norm_lower_bound, estimate_classical,
 from .config import ExperimentConfig
 from .errors import ConfigError, MVGradError, UnsupportedScenario
 from .measure import ASSIGNMENT_CAP, EmpiricalMeasure, pushforward, sample_initial
-from .model import (SCHEDULE_FACTORIES, ModelSpec, schedule_by_name,
-                    validate_ellipticity)
+from .model import SCHEDULE_FACTORIES, ModelSpec, scaled, validate_ellipticity
 from .oracle import (affine_reference, fit_loglog_slope,
                      finite_difference_intrinsic, moment_report,
                      richardson_intrinsic, stability_report,
@@ -120,8 +119,7 @@ class RunBundle:
         return TimeGrid(t_end=t, n_steps=max(1, int(round(t / cfg.dt))))
 
     def sched(self, name: Optional[str] = None, t: Optional[float] = None):
-        return schedule_by_name(name or self.cfg.schedule,
-                                self.cfg.t if t is None else t)
+        return SCHEDULE_FACTORIES[name or self.cfg.schedule](self.cfg.t if t is None else t)
 
     def obs(self, name: str):
         return self.observables[name]      # names are resolved by resolve_bundle
@@ -357,7 +355,7 @@ def check_linearity(bundle: RunBundle):
     f_name, p_name = cfg.observables[0], cfg.perturbations[0]
     phi, f = bundle.field(p_name), bundle.obs(f_name)
     base = bundle.estimate(phi, f)
-    doubled = bundle.estimate(phi.scaled(2.0), f)
+    doubled = bundle.estimate(scaled(phi, 2.0), f)
     exact = doubled.value == 2.0 * base.value and doubled.stderr == 2.0 * base.stderr
     return [_row(bundle, "intrinsic_estimate", f"linearity|{f_name}|{p_name}",
                  doubled.value - 2.0 * base.value, None,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import UnknownFamily
-from .model import (CylindricalDrift, Diffusion, ModelSpec, Observable,
-                    PerturbationField, SingularDrift)
+from .model import CylindricalDrift, Diffusion, ModelSpec, SingularDrift
 
 Array = np.ndarray
 
@@ -214,41 +214,40 @@ def build_family(family: str, **p) -> ModelSpec:
 # Named observables and perturbation fields
 # ---------------------------------------------------------------------------
 
-def coord_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: x[:, j])
+def coord_observable(j: int = 0) -> Callable:
+    return lambda x: x[:, j]
 
 
-def sin_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.sin(x[:, j]))
+def sin_observable(j: int = 0) -> Callable:
+    return lambda x: np.sin(x[:, j])
 
 
-def sign_observable(theta: float = 0.0, j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.sign(x[:, j] - theta))
+def sign_observable(theta: float = 0.0, j: int = 0) -> Callable:
+    return lambda x: np.sign(x[:, j] - theta)
 
 
-def tanh_observable(j: int = 0) -> Observable:
-    return Observable(f=lambda x: np.tanh(x[:, j]))
+def tanh_observable(j: int = 0) -> Callable:
+    return lambda x: np.tanh(x[:, j])
 
 
-def constant_observable(c: float = 1.0) -> Observable:
-    return Observable(f=lambda x: np.full(x.shape[0], c))
+def constant_observable(c: float = 1.0) -> Callable:
+    return lambda x: np.full(x.shape[0], c)
 
 
-def identity_field() -> PerturbationField:
-    return PerturbationField(phi=lambda x: np.array(x, copy=True), name="identity")
+def identity_field() -> Callable:
+    return lambda x: np.array(x, copy=True)
 
 
-def coordinate_field(j: int = 0, sign: float = 1.0) -> PerturbationField:
+def coordinate_field(j: int = 0, sign: float = 1.0) -> Callable:
     def phi(x):
         out = np.zeros_like(x)
         out[:, j] = sign
         return out
-    name = f"const_e{j + 1}" if sign >= 0 else f"neg_const_e{j + 1}"
-    return PerturbationField(phi=phi, name=name)
+    return phi
 
 
-def sine_field() -> PerturbationField:
-    return PerturbationField(phi=lambda x: np.sin(x), name="sine_field")
+def sine_field() -> Callable:
+    return lambda x: np.sin(x)
 
 
 def default_observables(d: int) -> dict:
@@ -264,7 +263,8 @@ def dual_dictionary(d: int) -> list:
 
 def default_perturbations(d: int) -> dict:
     fields = {"identity": identity_field(), "sine_field": sine_field()}
-    fields.update((phi.name, phi) for phi in dual_dictionary(d))
+    names = [f"{sign}const_e{j + 1}" for j in range(d) for sign in ("", "neg_")]
+    fields.update(zip(names, dual_dictionary(d), strict=True))
     return fields
 
 

@@ -202,9 +202,6 @@ class ParticlePaths:
     def terminal(self) -> Array:
         return self.states[-1]
 
-    def terminal_measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states[-1])
-
 
 def _step_guard(X: Array, step: int) -> None:
     # one reduction per step: a nan or inf entry also fails the comparison
@@ -235,7 +232,8 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     start = mu0.points.tobytes()
     # a kept hit reads the kept paths, and a new tensor frees them
     _guard_memory(8 * N * ((n + 1) * d + n * model.m),
-                  lambda key, _: key[0] is model and key[2] == start)
+                  lambda key, _: key[0] is model and key[2] == start
+                  or _held.chain[0][0] != (seed, N, model.m, grid))
 
     dW = brownian_increments(grid, N, model.m, seed)
     matches = lambda k: k[0] is model and k[1] is dW and k[2] == start

@@ -26,7 +26,7 @@ from mvgrad import runner
 from mvgrad.bismut import dual_norm_lower_bound, estimate_classical, estimate_intrinsic
 from mvgrad.config import ExperimentConfig
 from mvgrad.measure import EmpiricalMeasure, _assignment, sample_initial, wasserstein
-from mvgrad.model import linear_schedule, zeta
+from mvgrad.model import linear_schedule, scaled, zeta
 from mvgrad.oracle import (affine_reference, fit_loglog_slope,
                            moment_report, richardson_intrinsic,
                            stability_report, tv_gradient_scaling,
@@ -149,7 +149,7 @@ def test_criterion_04_linearity_bit_exact():
     grid = TimeGrid(t_end=T_DESK, n_steps=200)
     args = (coord_observable(0), T_DESK, grid, linear_schedule(T_DESK), 42)
     base = estimate_intrinsic(model, mu0, const_e1, *args)
-    twice = estimate_intrinsic(model, mu0, const_e1.scaled(2.0), *args)
+    twice = estimate_intrinsic(model, mu0, scaled(const_e1, 2.0), *args)
     ok = twice.value == 2.0 * base.value and twice.stderr == 2.0 * base.stderr
     report("criterion-04 linearity", ok,
            f"2*value gap={twice.value - 2.0 * base.value!r}")

@@ -13,8 +13,8 @@ from mvgrad.config import ExperimentConfig
 from mvgrad.errors import (GridMismatch, MeasureDependence, MemoryBudgetExceeded,
                            NonFinite, ScheduleMismatch)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
-from mvgrad.model import (CylindricalDrift, Diffusion, ModelSpec, PerturbationField,
-                          linear_schedule, quadratic_schedule, schedule_by_name)
+from mvgrad.model import (SCHEDULE_FACTORIES, CylindricalDrift, Diffusion, ModelSpec,
+                          linear_schedule, quadratic_schedule, scaled)
 from mvgrad.oracle import richardson_intrinsic
 from mvgrad.scenarios import (affine_drift, constant_observable, coord_observable,
                               coordinate_field, default_observables,
@@ -110,7 +110,7 @@ class TestWeightMeanfield:
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 50), 10)
         w1 = weight_meanfield(paths, meanfield_tangent(paths, model, const_e1)[1], model)
         w2 = weight_meanfield(
-            paths, meanfield_tangent(paths, model, const_e1.scaled(2.0))[1], model)
+            paths, meanfield_tangent(paths, model, scaled(const_e1, 2.0))[1], model)
         assert np.array_equal(w2, 2.0 * w1)
 
 
@@ -161,7 +161,7 @@ class TestEstimateIntrinsic:
         grid = TimeGrid(0.5, 50)
         args = (coord_observable(0), 0.5, grid, linear_schedule(0.5), 20)
         base = estimate_intrinsic(model, mu0, const_e1, *args)
-        twice = estimate_intrinsic(model, mu0, const_e1.scaled(2.0), *args)
+        twice = estimate_intrinsic(model, mu0, scaled(const_e1, 2.0), *args)
         assert twice.value == 2.0 * base.value
         assert twice.stderr == 2.0 * base.stderr
         assert twice.term1 == 2.0 * base.term1
@@ -173,8 +173,7 @@ class TestEstimateIntrinsic:
         grid = TimeGrid(0.5, 50)
         args = (coord_observable(0), 0.5, grid, linear_schedule(0.5), 22)
         phi_a, phi_b = const_e1, identity_field()
-        combo = PerturbationField(
-            phi=lambda x: 0.3 * phi_a(x) + 0.7 * phi_b(x), name="combo")
+        combo = lambda x: 0.3 * phi_a(x) + 0.7 * phi_b(x)
         ea = estimate_intrinsic(model, mu0, phi_a, *args)
         eb = estimate_intrinsic(model, mu0, phi_b, *args)
         ec = estimate_intrinsic(model, mu0, combo, *args)
@@ -506,7 +505,7 @@ def test_weight_reads_beta_prime_as_one_point_calls(t, n, schedule):
     grid = TimeGrid(t, n)
     paths = simulate_particles(model, gaussian_cloud(4, seed=1), grid, 2)
     V = frozen_tangent(paths, model, np.ones((4, 1)))
-    sched = schedule_by_name(schedule, t)
+    sched = SCHEDULE_FACTORIES[schedule](t)
     w, qv = weight_frozen(paths, V, sched, model)
     want_w, want_qv = np.zeros(4), np.zeros(4)
     for s in range(n):
@@ -530,7 +529,7 @@ def _reuse_case(name, N, n):
 
 
 def _three_schedules(model, mu0, phi, f, grid):
-    return [estimate_intrinsic(model, mu0, phi, f, 1.0, grid, schedule_by_name(name, 1.0), 6)
+    return [estimate_intrinsic(model, mu0, phi, f, 1.0, grid, SCHEDULE_FACTORIES[name](1.0), 6)
             for name in ("linear", "quadratic", "sine")]
 
 

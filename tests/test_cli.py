@@ -1068,6 +1068,17 @@ class TestOtherCommands:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_no_module_imports_scipy_stats(self):
+        # scipy.stats is most of the package's import time and it needs none of it
+        src = str(Path(runner.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = ("import sys, mvgrad, mvgrad.runner, mvgrad.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
+
     def test_console_entry_point(self, tmp_path):
         # one end-to-end subprocess pass through the installed module
         proc = subprocess.run(

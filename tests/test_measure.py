@@ -10,9 +10,9 @@ from mvgrad.errors import NonFinite, SizeCap, UnequalSupport, UnknownFamily
 from mvgrad.measure import (ASSIGNMENT_CAP, EmpiricalMeasure, TransportPlan,
                             _assignment, lk_norm, pushforward, sample_initial,
                             wasserstein)
-from mvgrad.model import CylindricalDrift, PerturbationField
+from mvgrad.model import CylindricalDrift
 
-identity = PerturbationField(phi=lambda x: np.array(x, copy=True), name="id")
+identity = lambda x: np.array(x, copy=True)
 
 
 def brute_force_wk(a, b, k):
@@ -139,7 +139,7 @@ class TestPushforward:
 
     def test_nonfinite_rejected(self):
         mu = EmpiricalMeasure(np.array([[1.0]]))
-        bad = PerturbationField(phi=lambda x: np.full_like(x, np.inf))
+        bad = lambda x: np.full_like(x, np.inf)
         with pytest.raises(NonFinite):
             pushforward(mu, bad, 1.0)
 
@@ -157,14 +157,14 @@ class TestPushforward:
 class TestLkNorm:
     def test_zero_field(self, rng):
         mu = EmpiricalMeasure(rng.standard_normal((5, 2)))
-        zero = PerturbationField(phi=np.zeros_like)
+        zero = np.zeros_like
         assert lk_norm(zero, mu, 2.0) == 0.0
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 5.0])
     def test_constant_field(self, k, rng):
         mu = EmpiricalMeasure(rng.standard_normal((7, 2)))
         c = np.array([3.0, -4.0])
-        const = PerturbationField(phi=lambda x: np.tile(c, (x.shape[0], 1)))
+        const = lambda x: np.tile(c, (x.shape[0], 1))
         assert lk_norm(const, mu, k) == pytest.approx(5.0)
 
     def test_hand_sum(self):

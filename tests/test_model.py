@@ -7,10 +7,11 @@ import pytest
 
 from mvgrad.errors import NonFinite, SingularDiffusion
 from mvgrad.measure import EmpiricalMeasure
-from mvgrad.model import (BismutSchedule, CylindricalDrift, Diffusion, _single_term,
-                          linear_schedule, quadratic_schedule, schedule_by_name,
+from mvgrad.model import (SCHEDULE_FACTORIES, BismutSchedule, CylindricalDrift, Diffusion,
+                          _single_term, linear_schedule, quadratic_schedule, scaled,
                           sine_schedule, validate_ellipticity, zeta)
 from mvgrad.scenarios import (affine_drift, build_family, constant_diffusion,
+                              default_observables, default_perturbations,
                               regularized_singular_drift, sine_coupling_drift,
                               trig_diffusion, trig_drift)
 from mvgrad.simulate import TimeGrid, simulate_particles
@@ -453,9 +454,38 @@ class TestSchedules:
                            t=2.0)
 
     def test_by_name(self):
-        assert schedule_by_name("linear", 1.0).t == 1.0
+        assert SCHEDULE_FACTORIES["linear"](1.0).t == 1.0
         with pytest.raises(KeyError):
-            schedule_by_name("nope", 1.0)
+            SCHEDULE_FACTORIES["nope"](1.0)
+
+
+class TestPayoffsAndFields:
+    """Payoffs map an (N, d) cloud to (N,) floats and fields to (N, d) floats."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_payoffs_return_one_float_per_particle(self, d):
+        x = gaussian_cloud(7, d=d, seed=3).points
+        for name, f in default_observables(d).items():
+            out = f(x)
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64, name
+            assert out.shape == (7,), name
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fields_return_one_float_vector_per_particle(self, d):
+        x = gaussian_cloud(7, d=d, seed=3).points
+        for name, phi in default_perturbations(d).items():
+            out = phi(x)
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64, name
+            assert out.shape == (7, d), name
+
+    def test_planar_fields_are_named(self):
+        assert list(default_perturbations(2)) == [
+            "identity", "sine_field", "const_e1", "neg_const_e1", "const_e2", "neg_const_e2"]
+
+    def test_scaled_is_bit_exact(self):
+        x = gaussian_cloud(7, d=2, seed=3).points
+        for phi in default_perturbations(2).values():
+            assert scaled(phi, 2.0)(x).tobytes() == (2.0 * phi(x)).tobytes()
 
 
 class TestModelValidation:

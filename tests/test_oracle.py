@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from mvgrad.bismut import estimate_intrinsic
 from mvgrad.errors import GridMismatch, UnequalSupport, UnsupportedScenario
 from mvgrad.measure import EmpiricalMeasure, wasserstein
 from mvgrad.model import linear_schedule
-from mvgrad.oracle import (affine_reference, finite_difference_intrinsic,
-                           fit_loglog_slope, moment_report,
+from mvgrad.oracle import (_affine_flow, _expected_fprime, affine_reference,
+                           finite_difference_intrinsic, fit_loglog_slope, moment_report,
                            richardson_intrinsic, stability_report,
                            tv_gradient_scaling, tv_sign_reference)
 from mvgrad.scenarios import (build_family, constant_observable,
@@ -189,6 +190,34 @@ class TestQuadratureReference:
         sine = reference("brownian", "sin", 1.0, SPREAD, "sine_field")
         expect = math.exp(-0.5) * np.cos(x) * np.sin(x)
         assert sine == pytest.approx(float(np.mean(expect)), rel=1e-12)
+
+
+def test_normal_law_matches_scipy_stats_bit_for_bit():
+    # the sign0 density and the tv gap, against the same expressions through
+    # scipy.stats.norm; the grid reaches far tails, where the density underflows
+    rng = np.random.default_rng(24)
+    clouds = [np.zeros((1, 1)), np.array(SPREAD)[:, None], 3.0 * rng.standard_normal((9, 1)),
+              np.array([[-40.0], [0.0], [-0.0], [1e-300], [55.0]])]
+    for t, a, kappa, sigma in itertools.product(
+            (0.01, 0.5, 3.0), (0.0, 1.0), (0.0, 0.5), (0.3, 1.0)):
+        params = family_params("affine", a=a, kappa=kappa, sigma=sigma)
+        alpha, gamma, var = _affine_flow("affine", params, t)
+        for x in clouds:
+            for phi in (np.ones_like(x), np.sin(x)):
+                y = alpha * x[:, 0] + gamma * np.mean(x[:, 0])
+                fprime = 2.0 * norm.pdf(y, scale=math.sqrt(var))
+                assert _expected_fprime("sign0", y, var).tobytes() == fprime.tobytes()
+                want = float(np.mean(fprime * (alpha * phi[:, 0] + gamma * np.mean(phi[:, 0]))))
+                got = affine_reference("affine", params, "sign0", t, x, phi)
+                assert got.hex() == want.hex(), (t, a, kappa, sigma, x, phi)
+        for shift in (-2.0, 0.25, 1.0, 30.0):
+            theta = (alpha + gamma) * shift / 2.0
+            s = math.sqrt(var)
+            far = (theta - (alpha + gamma) * shift) / s
+            want = abs(2.0 * (norm.cdf(theta / s) - norm.cdf(far)))
+            got_theta, got = tv_sign_reference("affine", params, shift, t)
+            assert got_theta.hex() == theta.hex() and type(got) is type(want)
+            assert got.tobytes() == want.tobytes(), (t, a, kappa, sigma, shift)
 
 
 def brownian_tv(shift, sigma, t):

@@ -297,6 +297,20 @@ class TestHeldPaths:
                 estimate(gaussian_cloud(2000, seed=2))
             estimate(mu0)
 
+    def test_guard_skips_kept_paths_that_a_new_noise_key_frees(self, monkeypatch):
+        # at N = 2000, n = 200 a simulation request is 6.42 MB and the kept mu0
+        # paths 3.22 MB; a request on another noise key drops them before it builds
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "8.02")
+        model, mu0, grid = mfou_model(), gaussian_cloud(2000, seed=1), TimeGrid(0.5, 200)
+        other = gaussian_cloud(2000, seed=2)
+        with reusing_work():
+            simulate_particles(model, mu0, grid, 3)
+            simulate_particles(model, mu0, grid, 3)
+            with pytest.raises(MemoryBudgetExceeded):
+                simulate_particles(model, other, grid, 3)
+            simulate_particles(model, other, grid, 4)
+            assert simulate._held.kept is None
+
     @pytest.mark.parametrize("config", ["meanfield_ou.cfg", "brownian.cfg"])
     def test_shared_unit_peaks_near_its_largest_check(self, config):
         # the kept set is the one handed out, so it adds no trajectory to the

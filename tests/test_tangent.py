@@ -6,8 +6,7 @@ import pytest
 from mvgrad.bismut import estimate_intrinsic
 from mvgrad.errors import MissingGradSigma
 from mvgrad.measure import EmpiricalMeasure, pushforward
-from mvgrad.model import (CylindricalDrift, Diffusion, PerturbationField,
-                          linear_schedule)
+from mvgrad.model import CylindricalDrift, Diffusion, linear_schedule, scaled
 from mvgrad.scenarios import (build_family, coord_observable, identity_field,
                               sine_coupling_drift, sine_field)
 from mvgrad.simulate import TimeGrid, simulate_particles
@@ -15,7 +14,7 @@ from mvgrad.tangent import cylindrical_coupling, frozen_tangent, meanfield_tange
 
 from conftest import brownian_model, csv_modes, gaussian_cloud, mfou_model, ou_model
 
-const_field = PerturbationField(phi=lambda x: np.ones_like(x), name="ones")
+const_field = lambda x: np.ones_like(x)
 
 
 def coupling_direct(drift: CylindricalDrift, t, X, z, V):
@@ -158,7 +157,7 @@ class TestMeanfieldTangent:
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 50), 12)
         phi = sine_field()
         base, base_psi = meanfield_tangent(paths, model, phi)
-        twice, twice_psi = meanfield_tangent(paths, model, phi.scaled(2.0))
+        twice, twice_psi = meanfield_tangent(paths, model, scaled(phi, 2.0))
         assert np.array_equal(twice, 2.0 * base)
         assert np.array_equal(twice_psi, 2.0 * base_psi)
 
