@@ -183,8 +183,9 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Callable,
     paths = simulate_particles(model, mu0, grid, seed)
     held = _reused(2, lambda k: k[0] is paths and k[1] is phi)
     if held is None:
-        # w2 first, so that its tangent is freed before the frozen one is built
-        w2 = weight_meanfield(paths, meanfield_tangent(paths, model, phi)[1], model)
+        # w2 first, from psi alone, so that psi is freed before the frozen tangent is built
+        w2 = weight_meanfield(paths, meanfield_tangent(paths, model, phi, values=False)[1],
+                              model)
         V = frozen_tangent(paths, model, np.asarray(phi(paths.states[0]), dtype=float))
         V.flags.writeable = w2.flags.writeable = False
         held = _hold(2, (paths, phi), (V, w2))

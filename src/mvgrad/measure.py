@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import NonFinite, SizeCap, UnequalSupport, UnknownFamily
 
@@ -100,6 +98,11 @@ def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure,
 def _assignment(a: EmpiricalMeasure, b: EmpiricalMeasure,
                 k: float) -> tuple[float, TransportPlan]:
     """:func:`wasserstein` through the assignment solver, in any dimension."""
+    # imported here, so that the d = 1 path never loads scipy.optimize,
+    # scipy.spatial or the scipy.linalg they pull in
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     if a.N > ASSIGNMENT_CAP:
         raise SizeCap(f"assignment requested for N={a.N} above cap {ASSIGNMENT_CAP}")
     cost_matrix = cdist(a.points, b.points) ** k

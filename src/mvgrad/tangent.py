@@ -46,14 +46,16 @@ def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) 
 
 
 def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
-                      coupled: bool) -> tuple[Array, Optional[Array]]:
+                      coupled: bool, values: bool = True
+                      ) -> tuple[Optional[Array], Optional[Array]]:
     """The tangent recursion along stored paths, from V_0 = V0.
 
     Each step adds (grad_x b) V dt and (grad sigma . V) dW; with ``coupled``
     the measure-derivative term psi joins the drift part and is recorded
     per step.  Returns the (n_steps+1, N, d) values and psi (None unless
-    coupled).  The memory guard counts the paths it reads and the arrays
-    it allocates.
+    coupled).  Without ``values`` V steps through a two-slice buffer by the
+    same operations, bit for bit, and the values come back as None.  The
+    memory guard counts the paths it reads and the arrays it allocates.
     """
     if V0.shape != (paths.N, paths.d):
         raise ValueError(f"start directions must have shape {(paths.N, paths.d)}, "
@@ -61,13 +63,14 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
     drift = model.meanfield_drift
     n = paths.grid.n_steps
     dt = paths.grid.dt
+    slices = n + 1 if values else 2
     _guard_memory(paths.states.nbytes + paths.noise.nbytes
-                  + 8 * paths.N * paths.d * (n + 1 + (n if coupled else 0)),
+                  + 8 * paths.N * paths.d * (slices + (n if coupled else 0)),
                   lambda _, kept: kept is paths)
-    values = np.empty_like(paths.states)
-    values[0] = V0
+    trajectory = np.empty((slices, paths.N, paths.d))
+    trajectory[0] = V0
     psi = np.empty((n, paths.N, paths.d)) if coupled else None
-    V = values[0]
+    V = trajectory[0]
     for s in range(n):
         t = s * dt
         X = paths.states[s]
@@ -78,11 +81,11 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
             psi[s] = cylindrical_coupling(drift, t, X, z, V)
             drift_term += psi[s]
         noise_term = _diffusion_terms(model, t, X, V, paths.noise[s])
-        V = np.add(V, drift_term * dt, out=values[s + 1])
+        V = np.add(V, drift_term * dt, out=trajectory[(s + 1) % slices])
         V += noise_term
         if not np.abs(V).max() <= BLOWUP_THRESHOLD:
             raise NonFinite(f"tangent blow-up at step {s + 1}", step=s + 1)
-    return values, psi
+    return (trajectory if values else None), psi
 
 
 def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array) -> Array:
@@ -115,7 +118,8 @@ def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
     return _single_term(gz[:, :, 0], g) if drift.n == 1 else gz @ g
 
 
-def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi) -> tuple[Array, Array]:
+def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi,
+                      values: bool = True) -> tuple[Optional[Array], Array]:
     """Derivative of the particle flow along an initial-law perturbation phi.
 
     Starts from V_0 = phi(X_0) and adds the measure-derivative coupling to
@@ -123,7 +127,10 @@ def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi) -> tuple[Arra
     in-system empirical average (the propagation-of-chaos surrogate); see
     :mod:`mvgrad.bismut` for what its bias measured.
     Returns the (n_steps+1, N, d) values and the (n_steps, N, d) coupling
-    terms psi, which the second stochastic-integral weight reuses.
+    terms psi, which the second stochastic-integral weight reuses.  With
+    ``values=False`` only two slices of V are held and the values come back
+    as None: the estimator reads psi alone, the finite-difference check the
+    values alone.
     """
     V0 = np.asarray(phi(paths.states[0]), dtype=float)
-    return _variational_flow(paths, model, V0, coupled=True)
+    return _variational_flow(paths, model, V0, coupled=True, values=values)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvgrad import runner
+from mvgrad import runner, tangent
 from mvgrad.bismut import (Estimate, _sum_over_m, _zeta_apply, dual_norm_lower_bound,
                            estimate_classical, estimate_intrinsic, weight_frozen,
                            weight_meanfield)
@@ -329,20 +329,24 @@ class TestEstimateType:
 
 class TestMemory:
     def test_guard_counts_tangents(self, monkeypatch):
-        # states plus increments take 0.32 MB and pass a 0.5 MB budget; the
-        # mean-field tangent adds its values and psi (0.32 MB) and must not
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.5")
+        # states plus increments take 0.3216 MB and the frozen tangent's values
+        # add 0.1616 MB (0.4832 MB), both within a 0.484 MB budget; the
+        # mean-field pass adds two slices of V and psi (0.1632 MB, 0.4848 MB)
+        # and must not
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.484")
         model = mfou_model()
         mu0 = gaussian_cloud(200, seed=0)
         grid = TimeGrid(0.5, 100)
-        simulate_particles(model, mu0, grid, 1)
+        paths = simulate_particles(model, mu0, grid, 1)
+        frozen_tangent(paths, model, np.ones((200, 1)))
         with pytest.raises(MemoryBudgetExceeded):
             estimate_intrinsic(model, mu0, const_e1, coord_observable(0), 0.5, grid,
                                linear_schedule(0.5), 1)
 
     @pytest.mark.parametrize("scen_name", ["trig", "meanfield_ou"])
     def test_traced_peak_of_an_estimate(self, scen_name):
-        # states, increments, one tangent's values and psi: about 4 trajectories
+        # states, increments and psi, then the frozen tangent in psi's place:
+        # about 3 trajectories
         scen = get_scenario(scen_name)
         model = scen.build()
         N, n = 2000, 200
@@ -355,7 +359,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 8 * N * (n + 1) * model.d
+        assert peak <= 3.5 * 8 * N * (n + 1) * model.d
 
 
 def _planar_trig_sigma(t, x):
@@ -526,6 +530,30 @@ def _reuse_case(name, N, n):
         law, model = scenario.initial_law, scenario.build()
     return (model, sample_initial(law, N, 5), default_perturbations(model.d)["sine_field"],
             default_observables(model.d)["sin"], TimeGrid(1.0, n))
+
+
+@pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
+def test_values_free_pass_keeps_psi_bits(name):
+    model, mu0, phi, _, grid = _reuse_case(name, 300, 40)
+    paths = simulate_particles(model, mu0, grid, 6)
+    values, psi = meanfield_tangent(paths, model, phi, values=False)
+    assert values is None
+    assert psi.tobytes() == meanfield_tangent(paths, model, phi)[1].tobytes()
+
+
+@pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
+def test_values_free_guard_counts_what_the_pass_allocates(name, monkeypatch):
+    # psi and two slices of V outlive a step; the rest is per-step temporaries,
+    # well under the n - 1 slices of V that the pass no longer holds
+    model, mu0, phi, _, grid = _reuse_case(name, 2000, 200)
+    paths = simulate_particles(model, mu0, grid, 6)
+    requests = []
+    monkeypatch.setattr(tangent, "_guard_memory", lambda need, reads: requests.append(need))
+    _, psi = meanfield_tangent(paths, model, phi, values=False)
+    peak = _traced_peak(lambda: meanfield_tangent(paths, model, phi, values=False))
+    held = psi.nbytes + 2 * psi[0].nbytes
+    assert requests == [paths.states.nbytes + paths.noise.nbytes + held] * 2
+    assert held <= peak <= held + 20 * psi[0].nbytes
 
 
 def _three_schedules(model, mu0, phi, f, grid):

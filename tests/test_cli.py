@@ -1068,16 +1068,37 @@ class TestOtherCommands:
             main(["frobnicate"])
         assert err.value.code == 2
 
-    def test_no_module_imports_scipy_stats(self):
-        # scipy.stats is most of the package's import time and it needs none of it
+    @staticmethod
+    def _fresh_interpreter(code: str) -> str:
         src = str(Path(runner.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
-        code = ("import sys, mvgrad, mvgrad.runner, mvgrad.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout
+
+    def test_no_module_imports_scipy_stats(self):
+        # scipy.stats is most of the package's import time and it needs none of it
+        code = ("import sys, mvgrad, mvgrad.runner, mvgrad.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        assert self._fresh_interpreter(code).strip() == "[]"
+
+    def test_d1_transport_loads_no_assignment_solver(self):
+        # scipy.optimize, scipy.spatial and scipy.linalg load only when a d >= 2
+        # transport runs
+        code = "\n".join([
+            "import sys, mvgrad, mvgrad.runner, mvgrad.cli",
+            "from mvgrad.measure import EmpiricalMeasure, wasserstein",
+            "solver = lambda: sorted(m for m in sys.modules",
+            "                        if m.startswith(('scipy.optimize', 'scipy.spatial',",
+            "                                         'scipy.linalg')))",
+            "w1, _ = wasserstein(EmpiricalMeasure([0.0, 2.0]), EmpiricalMeasure([3.0, 1.0]), 2)",
+            "print(w1, solver() == [])",
+            "a = EmpiricalMeasure([[0.0, 0.0], [1.0, 1.0]])",
+            "w2, plan = wasserstein(a, EmpiricalMeasure(a.points[::-1]), 2)",
+            "print(w2, plan.pairing.tolist(), solver() != [])",
+        ])
+        assert self._fresh_interpreter(code).splitlines() == ["1.0 True", "0.0 [1, 0] True"]
 
     def test_console_entry_point(self, tmp_path):
         # one end-to-end subprocess pass through the installed module
