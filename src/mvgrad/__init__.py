@@ -28,6 +28,5 @@ from .oracle import (affine_reference, finite_difference_intrinsic, fit_loglog_s
                      tv_gradient_scaling, tv_sign_reference)
 from .scenarios import (Scenario, all_scenarios, build_family, get_scenario,
                         scenario_names)
-from .simulate import (ParticlePaths, TimeGrid, brownian_increments,
-                       particle_increments, simulate_particles)
+from .simulate import ParticlePaths, TimeGrid, brownian_increments, simulate_particles
 from .tangent import cylindrical_coupling, frozen_tangent, meanfield_tangent

@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 a declared check failed, 2 configuration error,
 ``validate`` writes nothing; ``run`` then creates its output directory
 before the first check, and a directory it cannot create exits 2.  An
 unknown section or key, an unknown name, an unmet check need
-(``runner.CHECK_NEEDS``), noise that is not elliptic at the initial law's
+(``runner.CHECK_SPECS``), noise that is not elliptic at the initial law's
 mean (such as sigma = 0) or an MVGRAD_MEMORY_BUDGET_MB (the cap on retained
 trajectories: states plus increments, tangents with their coupling terms,
 and the path set a shared block keeps) that is not a finite positive number

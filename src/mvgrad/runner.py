@@ -20,7 +20,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -59,10 +59,6 @@ TANGENT_EXACT_TOL = 1e-10
 # this multiple of the reference's scale: a diverged estimate's own stderr
 # would otherwise widen the 3-sigma tolerance until any gap passes.
 ESTIMATE_SPREAD_CAP = 100.0
-# determinism compares two regenerations of its run, so it never shares work
-REGENERATING_CHECKS = frozenset({"determinism"})
-# Checks that read noise keys besides the run's own (seed, N, m, grid); see _units
-OWN_NOISE_CHECKS = frozenset({"beta_invariance", "dual_norm_scaling", "tv_scaling"})
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
         raise ConfigError(f"t={cfg.t} exceeds the scenario horizon {model.horizon}")
     observables = default_observables(model.d)
     perturbations = default_perturbations(model.d)
-    for kind, names, known in (("check", checks, CHECKS),
+    for kind, names, known in (("check", checks, CHECK_SPECS),
                                ("schedule", (cfg.schedule,) + cfg.schedules,
                                 SCHEDULE_FACTORIES),
                                ("observable", cfg.observables, observables),
@@ -376,13 +372,15 @@ def check_determinism(bundle: RunBundle):
 def _scaling_rows(bundle, quantity, values, stderrs, exact, reason, **params) -> list:
     """One ``ok`` row per t_grid horizon, then a slope row carrying ``params``:
     it passes when the log-log slope of ``values`` is within SLOPE_TOL of that
-    of ``exact``, and a value that is not positive fails it with ``reason``."""
+    of ``exact``; a value that is not positive fails it with ``reason``, and an
+    exact one (say, one that underflowed) with reason=nonpositive-exact."""
     cfg = bundle.cfg
     rows = [_row(bundle, quantity, f"t={t:g}", value, se, "ok", cfg.seed, exact=ref)
             for t, value, se, ref in zip(cfg.t_grid, values, stderrs, exact, strict=True)]
-    if not all(v > 0 for v in values):
-        return rows + [_row(bundle, quantity, "slope", None, None, "fail", cfg.seed,
-                            reason=reason)]
+    for why, figures in ((reason, values), ("nonpositive-exact", exact)):
+        if not all(v > 0 for v in figures):
+            return rows + [_row(bundle, quantity, "slope", None, None, "fail", cfg.seed,
+                                reason=why)]
     slope = fit_loglog_slope(cfg.t_grid, values)
     exact_slope = fit_loglog_slope(cfg.t_grid, exact)
     status = "pass" if abs(slope - exact_slope) <= SLOPE_TOL else "fail"
@@ -460,18 +458,17 @@ def check_moment_bound(bundle: RunBundle):
 def check_tangent_fd_order(bundle: RunBundle):
     # needs a particle-varying field: uniform shifts propagate exactly
     # linearly through mean-coupled drifts and leave no O(eps) error to fit
-    cfg = bundle.cfg
-    phi = bundle.field("sine_field")
-    mu0 = bundle.mu0()
-    grid = bundle.grid()
+    cfg, phi, mu0, grid = bundle.cfg, bundle.field("sine_field"), bundle.mu0(), bundle.grid()
     base = simulate_particles(bundle.model, mu0, grid, cfg.seed)
-    tang, _ = meanfield_tangent(base, bundle.model, phi)
+    tang = meanfield_tangent(base, bundle.model, phi)[0]
     errs, rows = [], []
     for eps in cfg.eps_ladder:
-        pert = simulate_particles(bundle.model, pushforward(mu0, phi, eps),
-                                  grid, cfg.seed)
-        quot = (pert.states - base.states) / eps
-        err = float(np.max(np.mean(np.linalg.norm(tang - quot, axis=2), axis=1)))
+        pert = simulate_particles(bundle.model, pushforward(mu0, phi, eps), grid,
+                                  cfg.seed).states
+        # max over time slices of the mean over particles, one slice at a time
+        err = float(np.max([np.mean(np.linalg.norm(v - (p - x) / eps, axis=1))
+                            for v, p, x in zip(tang, pert, base.states)]))
+        del pert        # released before the next rung is integrated
         errs.append(err)
         rows.append(_row(bundle, "fd_oracle", f"tangent|eps={eps:g}", err, None,
                          "ok", cfg.seed))
@@ -488,21 +485,6 @@ def check_tangent_fd_order(bundle: RunBundle):
     return rows
 
 
-CHECKS: dict[str, Callable] = {
-    "intrinsic_estimate": check_intrinsic_estimate,
-    "intrinsic_vs_fd": check_intrinsic_vs_fd,
-    "intrinsic_closed_form": check_intrinsic_closed_form,
-    "classical_gradient": check_classical_gradient,
-    "beta_invariance": check_beta_invariance,
-    "linearity": check_linearity,
-    "determinism": check_determinism,
-    "dual_norm_scaling": check_dual_norm_scaling,
-    "tv_scaling": check_tv_scaling,
-    "wasserstein_lipschitz": check_wasserstein_lipschitz,
-    "moment_bound": check_moment_bound,
-    "tangent_fd_order": check_tangent_fd_order,
-}
-
 # Needs that a run's model or size must meet, each a test of the bundle and
 # what the test asks for.
 NAMED_NEEDS: dict[str, tuple] = {
@@ -515,25 +497,46 @@ NAMED_NEEDS: dict[str, tuple] = {
                        f"n_particles at most {ASSIGNMENT_CAP} when d > 1"),
 }
 
-# What each check needs from the config: a named need above, or the fewest
-# distinct entries of each list it reads (t_grid entries are horizons, so
-# they must also lie within the model's).
-CHECK_NEEDS: dict[str, dict] = {
-    "intrinsic_vs_fd": {"eps_ladder": 1},
-    "intrinsic_closed_form": {"affine_family": True},
-    "classical_gradient": {"measure_free_drift": True},
-    "beta_invariance": {"schedules": 2, "eps_ladder": 1},   # for a Richardson scale
-    "dual_norm_scaling": {"t_grid": 2, "affine_family": True},
-    "tv_scaling": {"t_grid": 2, "affine_family": True},
-    "wasserstein_lipschitz": {"stability_shifts": 2, "assignment_cap": True},
-    "moment_bound": {"moment_variances": 1},
-    "tangent_fd_order": {"eps_ladder": 2},
-}
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """A check's one declaration: its function check_<name>; the quantity of its
+    gated rows, which its error row carries too; its needs, each a NAMED_NEEDS
+    name or the fewest distinct entries of a config list it reads (t_grid ones
+    must lie within the horizon); and its work (_units): "shared" reads only the
+    run's own noise key and joins the one shared reusing_work() block, "own"
+    reads other keys and gets a block of its own, "regenerates" runs in none."""
+
+    run: Callable
+    quantity: str = "intrinsic_estimate"
+    needs: dict = field(default_factory=dict)
+    work: str = "shared"
+
+
+CHECK_SPECS: dict[str, CheckSpec] = {s.run.__name__.removeprefix("check_"): s for s in (
+    CheckSpec(check_intrinsic_estimate),
+    CheckSpec(check_intrinsic_vs_fd, "fd_oracle", {"eps_ladder": 1}),
+    CheckSpec(check_intrinsic_closed_form, "closed_form", {"affine_family": True}),
+    CheckSpec(check_classical_gradient, "closed_form", {"measure_free_drift": True}),
+    # eps_ladder for the Richardson scale of its spread cap
+    CheckSpec(check_beta_invariance, "beta_check", {"schedules": 2, "eps_ladder": 1}, "own"),
+    CheckSpec(check_linearity),
+    CheckSpec(check_determinism, work="regenerates"),
+    CheckSpec(check_dual_norm_scaling, "dual_norm", {"t_grid": 2, "affine_family": True},
+              "own"),
+    CheckSpec(check_tv_scaling, "tv_slope", {"t_grid": 2, "affine_family": True}, "own"),
+    CheckSpec(check_wasserstein_lipschitz, "stability",
+              {"stability_shifts": 2, "assignment_cap": True}),
+    CheckSpec(check_moment_bound, "moment", {"moment_variances": 1}),
+    CheckSpec(check_tangent_fd_order, "fd_oracle", {"eps_ladder": 2}),
+)}
+# what _run_one_check calls a check through, and the tracer wraps
+CHECKS: dict[str, Callable] = {name: spec.run for name, spec in CHECK_SPECS.items()}
 
 
 def _require_needs(bundle: RunBundle, check: str) -> None:
     cfg, model = bundle.cfg, bundle.model
-    for need, count in CHECK_NEEDS.get(check, {}).items():
+    for need, count in CHECK_SPECS[check].needs.items():
         if need in NAMED_NEEDS:
             holds, what = NAMED_NEEDS[need]
             if not holds(bundle):
@@ -558,19 +561,11 @@ class RunResult:
     csv_path: Optional[Path] = None
 
 
-# The quantity of a check's gated rows, which its error row carries too
-GATED_QUANTITY = {"intrinsic_vs_fd": "fd_oracle", "tangent_fd_order": "fd_oracle",
-                  "intrinsic_closed_form": "closed_form", "classical_gradient": "closed_form",
-                  "beta_invariance": "beta_check", "dual_norm_scaling": "dual_norm",
-                  "tv_scaling": "tv_slope", "wasserstein_lipschitz": "stability",
-                  "moment_bound": "moment"}     # the others: intrinsic_estimate
-
-
 def _error_result(bundle: RunBundle, name: str, exc: BaseException, wall: float):
     """(rows, error records, check record) of a check that raised ``exc``."""
     kind = type(exc).__name__
-    rows = [_row(bundle, GATED_QUANTITY.get(name, "intrinsic_estimate"), name, None,
-                 None, "error", bundle.cfg.seed, error=kind)]
+    rows = [_row(bundle, CHECK_SPECS[name].quantity, name, None, None, "error",
+                 bundle.cfg.seed, error=kind)]
     return (rows, [{"check": name, "type": kind, "message": str(exc)}],
             {"wall_s": wall, "noise_tensors": None, "integrations": None})
 
@@ -593,17 +588,16 @@ def _run_one_check(bundle: RunBundle, name: str):
 
 def _units(names: list) -> list:
     """Indices into ``names`` per unit of work, in order of first check: the
-    checks on the run's own noise share one, and each other check is one."""
-    apart = OWN_NOISE_CHECKS | REGENERATING_CHECKS
-    shared = [i for i, name in enumerate(names) if name not in apart]
-    units = [[i] for i, name in enumerate(names) if name in apart]
+    "shared" checks share one, and each other check is one."""
+    shared = [i for i, name in enumerate(names) if CHECK_SPECS[name].work == "shared"]
+    units = [[i] for i, name in enumerate(names) if CHECK_SPECS[name].work != "shared"]
     return sorted(units + [shared] if shared else units)
 
 
 def _run_unit(bundle: RunBundle, names: list) -> list:
     """_run_one_check of each name in order, in one ``reusing_work`` block
     unless the unit is a regenerating check."""
-    with nullcontext() if names[0] in REGENERATING_CHECKS else reusing_work():
+    with nullcontext() if CHECK_SPECS[names[0]].work == "regenerates" else reusing_work():
         return [_run_one_check(bundle, name) for name in names]
 
 

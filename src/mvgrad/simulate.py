@@ -88,24 +88,19 @@ def _guard_memory(need: int, reads) -> None:
         )
 
 
-def _noise_tensor(grid: TimeGrid, seed: int, particles: range, m: int) -> Array:
-    """Increments of ``particles``, (n_steps, len(particles), m), from one
-    Philox set per particle to counter 0 and an empty buffer, the state of
-    ``Philox(key=[seed, particle])``."""
-    out = np.empty((grid.n_steps, len(particles), m))
+def _noise_tensor(grid: TimeGrid, seed: int, N: int, m: int) -> Array:
+    """Increments of N particles, (n_steps, N, m), from one Philox set per
+    particle i to counter 0 and an empty buffer, the state of
+    ``Philox(key=[seed, i])``."""
+    out = np.empty((grid.n_steps, N, m))
     gen = np.random.Generator(np.random.Philox(0))
     state = dict(bit_generator="Philox", buffer=(0,) * 4, buffer_pos=4, has_uint32=0, uinteger=0)
-    for j, i in enumerate(particles):
+    for i in range(N):
         key = (seed & _MASK64, i & _MASK64)
         gen.bit_generator.state = dict(state, state={"counter": (0,) * 4, "key": key})
         u = gen.random((grid.n_steps, m))
-        out[:, j, :] = ndtri(np.maximum(u, _U_FLOOR)) * np.sqrt(grid.dt)
+        out[:, i, :] = ndtri(np.maximum(u, _U_FLOOR)) * np.sqrt(grid.dt)
     return out
-
-
-def particle_increments(seed: int, particle: int, grid: TimeGrid, m: int) -> Array:
-    """Increments of one particle's stream, reproducible in isolation."""
-    return _noise_tensor(grid, seed, range(particle, particle + 1), m)[:, 0, :]
 
 
 class _Held(threading.local):
@@ -162,9 +157,10 @@ def work_counts() -> tuple[int, int]:
 def brownian_increments(grid: TimeGrid, N: int, m: int, seed: int) -> Array:
     """Read-only Gaussian(0, dt I) increment tensor of shape (n_steps, N, m).
 
-    Column i is :func:`particle_increments` of particle i, so the output
-    does not depend on evaluation order and two calls with equal arguments
-    are bit-identical; inside :func:`reusing_work` they are the same array.
+    Column i is particle i's own stream, ``Philox(key=[seed, i])`` from its
+    start, so the output does not depend on evaluation order or on N, and two
+    calls with equal arguments are bit-identical; inside :func:`reusing_work`
+    they are the same array.
     """
     key = (seed, N, m, grid)
     held = _reused(0, lambda k: k == key)
@@ -172,7 +168,7 @@ def brownian_increments(grid: TimeGrid, N: int, m: int, seed: int) -> Array:
         return held
     _held.tensors += 1
     _held.kept = None
-    out = _noise_tensor(grid, seed, range(N), m)
+    out = _noise_tensor(grid, seed, N, m)
     out.flags.writeable = False
     return _hold(0, key, out)
 

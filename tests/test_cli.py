@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from mvgrad import runner, simulate
 from mvgrad.cli import main
 from mvgrad.config import ExperimentConfig, load_config
+from mvgrad.errors import ConfigError
 from mvgrad.measure import EmpiricalMeasure
 from mvgrad.model import SCHEDULE_FACTORIES
 from mvgrad.runner import CHECKS, run_experiment
@@ -495,10 +496,27 @@ def test_out_under_a_regular_file_is_config_error(tmp_path):
 def test_check_needs_are_known():
     # an unknown need name would reach getattr(cfg, need) and end in a traceback
     fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
-    assert set(runner.CHECK_NEEDS) <= set(CHECKS)
-    for check, needs in runner.CHECK_NEEDS.items():
-        for need in needs:
+    for check, spec in runner.CHECK_SPECS.items():
+        for need in spec.needs:
             assert need in runner.NAMED_NEEDS or need in fields, (check, need)
+
+
+def test_checks_are_called_through_their_module_functions():
+    # each check is declared once, and CHECKS calls its check_<name>
+    assert CHECKS == {name: getattr(runner, f"check_{name}") for name in runner.CHECK_SPECS}
+    assert len(CHECKS) == 12
+    assert {spec.work for spec in runner.CHECK_SPECS.values()} == {
+        "shared", "own", "regenerates"}
+
+
+def test_readme_needs_table_names_the_checks_that_declare_needs():
+    # README's Check | Needs table is documentation of CheckSpec.needs
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("| Check | Needs |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    named = [re.match(r"\| `(\w+)` \|", line).group(1) for line in table.splitlines()]
+    assert len(named) == len(set(named))
+    assert set(named) == {name for name, spec in runner.CHECK_SPECS.items() if spec.needs}
+    assert len(named) == 9
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -579,7 +597,6 @@ def test_error_row_carries_the_quantity_of_its_check(tmp_path):
     assert [(r.label, r.quantity) for r in result.rows if r.status == "error"] == [
         ("intrinsic_estimate", "intrinsic_estimate"), ("intrinsic_vs_fd", "fd_oracle"),
         ("determinism", "intrinsic_estimate")]
-    assert set(runner.GATED_QUANTITY) <= set(CHECKS)
 
 
 @pytest.mark.parametrize("scenario", ["ou", "meanfield_ou", "brownian2d"])
@@ -648,6 +665,37 @@ def test_exact_tangent_passes_without_an_order(tmp_path):
     last = read_rows(out)[-1]
     assert (last["label"], last["value"], last["status"], last["params"]) == (
         "tangent-order", "", "pass", "reason=exact-tangent")
+
+
+def test_underflowed_exact_value_is_a_failed_slope_not_a_traceback(tmp_path, capfd):
+    # at a = 2000 the exact derivative at t = 0.4 is of order e^{-800}, which
+    # underflows to 0.0: there is no exact slope to compare with
+    text = """\
+[experiment]
+scenario = custom
+n_particles = 200
+n_steps = 10000
+
+[estimator]
+checks = dual_norm_scaling
+
+[oracle]
+t_grid = 0.05, 0.4
+
+[custom]
+family = affine
+a = 2000
+"""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(out)]) == 1
+    rows = read_rows(out)
+    assert [(r["label"], r["status"]) for r in rows] == [
+        ("t=0.05", "ok"), ("t=0.4", "ok"), ("slope", "fail")]
+    assert rows[1]["params"] == "exact=0.0"
+    assert rows[2]["params"] == "reason=nonpositive-exact"
+    assert not (out / "errors.json").exists()
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_zero_gap_is_a_failed_check_not_a_numerical_error(tmp_path):
@@ -843,9 +891,9 @@ def test_noise_tensors_built_per_check(config, monkeypatch, tmp_path):
     running = []
     build = simulate._noise_tensor
 
-    def counting(grid, seed, particles, m):
+    def counting(grid, seed, N, m):
         built[running[-1]] += 1
-        return build(grid, seed, particles, m)
+        return build(grid, seed, N, m)
 
     def tagged(name, check):
         def run(bundle):
@@ -945,10 +993,10 @@ def test_lost_unit_is_an_error_row_for_each_of_its_checks(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_shared_checks_read_only_the_run_noise_key(name, monkeypatch):
-    """Every check outside OWN_NOISE_CHECKS and REGENERATING_CHECKS reads the
-    run's own noise key alone, or the shared unit would build tensors anew."""
+    """Every check declared shared reads the run's own noise key alone, or the
+    shared unit would build tensors anew."""
     shared = tuple(c for c in get_scenario(name).checks
-                   if c not in runner.OWN_NOISE_CHECKS | runner.REGENERATING_CHECKS)
+                   if runner.CHECK_SPECS[c].work == "shared")
     n_steps = 1000 if name == "singular_demo" else 100   # see test_registry_entry_runs_its_checks
     cfg = ExperimentConfig(scenario=name, n_particles=100, n_steps=n_steps, checks=shared)
     bundle = runner.resolve_bundle(cfg)
@@ -963,6 +1011,32 @@ def test_shared_checks_read_only_the_run_noise_key(name, monkeypatch):
     _, errors, _ = runner.run_suite(cfg)
     assert not errors
     assert keys == {(cfg.seed, cfg.n_particles, bundle.model.m, bundle.grid())}
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_own_checks_read_another_noise_key(name, monkeypatch):
+    """Every check declared own that the scenario can run reads a noise key
+    besides the run's own, or it would get a block of its own without need."""
+    n_steps = 1000 if name == "singular_demo" else 100   # see test_registry_entry_runs_its_checks
+    keys = set()
+    build = simulate.brownian_increments
+
+    def recording(grid, N, m, seed):
+        keys.add((seed, N, m, grid))
+        return build(grid, N, m, seed)
+
+    monkeypatch.setattr(simulate, "brownian_increments", recording)
+    for check in [c for c, spec in runner.CHECK_SPECS.items() if spec.work == "own"]:
+        cfg = ExperimentConfig(scenario=name, n_particles=100, n_steps=n_steps,
+                               checks=(check,))
+        try:
+            bundle = runner.resolve_bundle(cfg)
+        except ConfigError:
+            continue        # the scenario does not meet the check's needs
+        keys.clear()
+        _, errors, _ = runner.run_suite(cfg)
+        assert not errors
+        assert keys - {(cfg.seed, cfg.n_particles, bundle.model.m, bundle.grid())}, check
 
 
 # List keys of the generated configs, with the entries each may draw from.

@@ -11,14 +11,14 @@ from scipy.special import ndtri
 
 from mvgrad import runner, simulate, tangent
 from mvgrad.bismut import estimate_classical, estimate_intrinsic
-from mvgrad.config import load_config
+from mvgrad.config import ExperimentConfig, load_config
 from mvgrad.errors import (GridMismatch, MemoryBudgetExceeded, NonFinite,
                            SingularDiffusion)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
 from mvgrad.model import CylindricalDrift, Diffusion, ModelSpec, linear_schedule
 from mvgrad.runner import resolve_bundle
 from mvgrad.simulate import (MEMORY_BUDGET_ENV, TimeGrid, brownian_increments,
-                             particle_increments, reusing_work, simulate_particles)
+                             reusing_work, simulate_particles)
 from mvgrad.scenarios import build_family, coord_observable, coordinate_field
 
 from conftest import brownian_model, gaussian_cloud, mfou_model
@@ -112,12 +112,12 @@ class TestBrownianIncrements:
         assert abs(corr) < 4.0 / math.sqrt(grid.n_steps)
 
     def test_per_particle_stream_reconstruction(self):
-        # any single particle's noise is recomputable in isolation, which is
-        # what makes the layout schedule-independent
+        # any single particle's noise is recomputable without the particles
+        # after it, which is what makes the layout schedule-independent
         grid = TimeGrid(t_end=0.5, n_steps=20)
         dw = brownian_increments(grid, 10, 3, 77)
         for i in (0, 4, 9):
-            assert np.array_equal(dw[:, i, :], particle_increments(77, i, grid, 3))
+            assert np.array_equal(dw[:, i, :], brownian_increments(grid, i + 1, 3, 77)[:, i, :])
 
     def test_columns_match_fresh_philox_streams(self):
         # the re-keyed generator against a fresh Philox(key=[seed, i]) per
@@ -129,14 +129,14 @@ class TestBrownianIncrements:
             u = np.random.Generator(np.random.Philox(key=[31, i])).random((7, 2))
             want = ndtri(np.maximum(u, 2.0 ** -60)) * np.sqrt(grid.dt)
             assert dw[:, i, :].tobytes() == want.tobytes()
-            assert particle_increments(31, i, grid, 2).tobytes() == want.tobytes()
 
     def test_seed_is_keyed_as_a_64_bit_word(self):
         # seed -1 is the word 2^64 - 1, not seed 0 after a round trip through float
         grid = TimeGrid(t_end=1.0, n_steps=8)
-        minus_one = particle_increments(-1, 3, grid, 1)
-        assert np.array_equal(minus_one, particle_increments(2**64 - 1, 3, grid, 1))
-        assert not np.array_equal(minus_one, particle_increments(0, 3, grid, 1))
+        column = lambda seed: brownian_increments(grid, 4, 1, seed)[:, 3]
+        minus_one = column(-1)
+        assert np.array_equal(minus_one, column(2**64 - 1))
+        assert not np.array_equal(minus_one, column(0))
 
     def test_builder_holds_one_tensor(self):
         # the guard counts 8 n N m bytes of noise: the builder may not hold a
@@ -319,8 +319,7 @@ class TestHeldPaths:
         # largest check's peak
         cfg, _ = load_config(Path(__file__).parent.parent / "configs" / config)
         bundle = resolve_bundle(replace(cfg, n_particles=2000, n_steps=200))
-        names = [name for name in bundle.checks if name not in
-                 runner.OWN_NOISE_CHECKS | runner.REGENERATING_CHECKS]
+        names = [name for name in bundle.checks if runner.CHECK_SPECS[name].work == "shared"]
         trajectory = 8 * (200 + 1) * 2000 * bundle.model.d
 
         def peak(unit):
@@ -362,6 +361,32 @@ class TestHeldPaths:
                 tracemalloc.stop()
             assert peak <= max(requests) + 0.15 * trajectory, [names[i] for i in unit]
             assert peak <= 3.2 * trajectory, [names[i] for i in unit]
+
+    @pytest.mark.parametrize("scenario", ["trig", "meanfield_sine"])
+    def test_tangent_fd_order_peaks_near_its_largest_guard_request(self, scenario,
+                                                                    monkeypatch):
+        # the check keeps the base paths, their noise and the tangent's values,
+        # and reduces each perturbed run one slice at a time before the next
+        cfg = ExperimentConfig(scenario=scenario, n_particles=2000, n_steps=200,
+                               seed=7, checks=("tangent_fd_order",))
+        bundle = resolve_bundle(cfg)
+        trajectory = 8 * (200 + 1) * 2000 * bundle.model.d
+        requests = []
+
+        def recorded(need, *reads):
+            requests.append(need)
+            guard(need, *reads)
+
+        guard = simulate._guard_memory
+        monkeypatch.setattr(simulate, "_guard_memory", recorded)
+        monkeypatch.setattr(tangent, "_guard_memory", recorded)
+        tracemalloc.start()
+        try:
+            runner._run_unit(bundle, ["tangent_fd_order"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(requests) + 0.1 * trajectory
 
     def test_states_are_read_only(self):
         paths = simulate_particles(mfou_model(), gaussian_cloud(16, seed=1), self.GRID, 3)
