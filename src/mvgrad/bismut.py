@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -83,11 +83,14 @@ def _check_schedule(paths: ParticlePaths, sched: BismutSchedule) -> None:
         )
 
 
-def _ito_weight(paths: ParticlePaths, directions: Array, model: ModelSpec,
+def _ito_weight(paths: ParticlePaths, directions: Iterable[Array], model: ModelSpec,
                 sched: Optional[BismutSchedule]) -> tuple[Array, Optional[Array]]:
     """Left-point Ito sum  w_i = sum_s beta'(t_s) <zeta(t_s, X_si) D_si, dW_si>.
 
-    With a schedule the same loop accumulates the quadratic variation
+    ``directions`` yields D_s step by step, from a tangent stream or an array;
+    it is drawn before beta' each step, so a stream is drawn past its last
+    direction and its blow-up guard on V_n runs.  With a schedule the same
+    loop accumulates the quadratic variation
     <w>_i = sum_s beta'(t_s)^2 |zeta(t_s, X_si) D_si|^2 dt; without one,
     beta' = 1 (exact in floating point) and no quadratic variation is kept.
     zeta needs elliptic noise, which is checked first on up to 64 of the
@@ -102,9 +105,9 @@ def _ito_weight(paths: ParticlePaths, directions: Array, model: ModelSpec,
     # beta' over the whole grid at once; each entry equals its one-point value
     bps = [1.0] * n if sched is None else np.broadcast_to(
         sched.beta_prime(np.arange(n) * dt), n).tolist()
-    for s, bp in enumerate(bps):
+    for s, (D, bp) in enumerate(zip(directions, bps)):
         t = s * dt
-        zv = _zeta_apply(model, t, paths.states[s], directions[s])
+        zv = _zeta_apply(model, t, paths.states[s], D)
         w += bp * _sum_over_m(zv, paths.noise[s])
         if qv is not None:
             qv += (bp * bp * dt) * _sum_over_m(zv, zv)
@@ -113,12 +116,12 @@ def _ito_weight(paths: ParticlePaths, directions: Array, model: ModelSpec,
     return w, qv
 
 
-def weight_frozen(paths: ParticlePaths, V: Array, sched: BismutSchedule,
+def weight_frozen(paths: ParticlePaths, V: Iterable[Array], sched: BismutSchedule,
                   model: ModelSpec) -> tuple[Array, Array]:
     """Left-point Ito sum  w_i = sum_s beta'(t_s) <zeta(t_s, X_si) V_si, dW_si>.
 
-    ``V`` holds the frozen-tangent values (:func:`frozen_tangent`).  Also
-    returns the quadratic variation
+    ``V`` streams the frozen-tangent slices (:func:`frozen_tangent`), or is
+    their whole array.  Also returns the quadratic variation
     <w>_i = sum_s beta'(t_s)^2 |zeta(t_s, X_si) V_si|^2 dt, so that
     w^2 - <w> is a mean-zero martingale usable as a control variate (see
     :func:`estimate_classical`).
@@ -127,12 +130,12 @@ def weight_frozen(paths: ParticlePaths, V: Array, sched: BismutSchedule,
     return _ito_weight(paths, V, model, sched)
 
 
-def weight_meanfield(paths: ParticlePaths, psi: Array, model: ModelSpec) -> Array:
+def weight_meanfield(paths: ParticlePaths, psi: Iterable[Array], model: ModelSpec) -> Array:
     """Coupling weight  w_i = sum_s <zeta(t_s, X_si) psi_si, dW_si>.
 
-    ``psi`` holds the per-step coupling terms of :func:`meanfield_tangent`.
-    No schedule derivative appears here: the measure-derivative term of the
-    identity enters with unit weight.
+    ``psi`` streams the per-step coupling terms of :func:`meanfield_tangent`,
+    or is their whole array.  No schedule derivative appears here: the
+    measure-derivative term of the identity enters with unit weight.
     """
     return _ito_weight(paths, psi, model, None)[0]
 
@@ -177,19 +180,19 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Callable,
     weight started from phi(X_0), the coupling term against the mean-field
     weight.  The whole pipeline is linear in phi for fixed seed.  Only the
     first weight depends on ``sched``, so inside ``reusing_work`` the held
-    frozen tangent and coupling weight of (paths, phi) serve every schedule.
+    coupling weight of (paths, phi) serves every schedule; the frozen tangent
+    is streamed into each schedule's weight, so an estimate holds the paths,
+    their noise and a few (N, d) slices, never a tangent trajectory.
     """
     _check_grid(grid, t)
     paths = simulate_particles(model, mu0, grid, seed)
-    held = _reused(2, lambda k: k[0] is paths and k[1] is phi)
-    if held is None:
-        # w2 first, from psi alone, so that psi is freed before the frozen tangent is built
+    w2 = _reused(2, lambda k: k[0] is paths and k[1] is phi)
+    if w2 is None:
         w2 = weight_meanfield(paths, meanfield_tangent(paths, model, phi, values=False)[1],
                               model)
-        V = frozen_tangent(paths, model, np.asarray(phi(paths.states[0]), dtype=float))
-        V.flags.writeable = w2.flags.writeable = False
-        held = _hold(2, (paths, phi), (V, w2))
-    V, w2 = held
+        w2.flags.writeable = False
+        w2 = _hold(2, (paths, phi), w2)
+    V = frozen_tangent(paths, model, np.asarray(phi(paths.states[0]), dtype=float))
     w1, _ = weight_frozen(paths, V, sched, model)
 
     fx = f(paths.terminal())

@@ -48,6 +48,10 @@ CONFIG_KEYS = {
 _SECTIONS = tuple(dict.fromkeys(section for section, _ in CONFIG_KEYS)) + ("custom",)
 # [custom] holds a family name, an integer d and floats; build_family checks the keys.
 _CUSTOM_CONVERTERS = {"family": str, "d": int}
+# Seeds lie in [0, SEED_LIMIT).  Streams are keyed by the seed mod 2^64, so a
+# seed outside that word would alias another; the bound also leaves room for
+# the moment ladder's seed + j.
+SEED_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,8 @@ class ExperimentConfig:
         for key in ("ci_seeds", "eps_ladder"):
             if len(set(getattr(self, key))) < len(getattr(self, key)):
                 problems.append(f"{key} entries must be distinct")
+        if not all(0 <= s < SEED_LIMIT for s in (self.seed, *self.ci_seeds)):
+            problems.append("seed and ci_seeds entries must lie in [0, 2^63)")
         if not all(v != 0 and math.isfinite(v) for v in self.stability_shifts):
             problems.append("stability_shifts entries must be nonzero and finite")
         if problems:

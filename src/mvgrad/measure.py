@@ -23,6 +23,9 @@ ASSIGNMENT_CAP = 4096
 # are keyed by (seed, particle index).
 _INIT_STREAM_TAG = 0x1E17_5EED_0001_0001
 
+# A seed keys its streams as the 64-bit word seed mod 2^64.
+_MASK64 = 2**64 - 1
+
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
@@ -131,7 +134,7 @@ def lk_norm(phi, mu: EmpiricalMeasure, k: float) -> float:
 
 def _rng_for_seed(seed: int) -> np.random.Generator:
     # exact uint64 words: a list would send any word >= 2^63 through float64
-    key = np.array([seed & (2**64 - 1), _INIT_STREAM_TAG], dtype=np.uint64)
+    key = np.array([seed & _MASK64, _INIT_STREAM_TAG], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError, GridMismatch, MemoryBudgetExceeded, NonFinite
-from .measure import EmpiricalMeasure
+from .measure import _MASK64, EmpiricalMeasure
 from .model import BLOWUP_THRESHOLD, ModelSpec, _single_term
 
 Array = np.ndarray
@@ -36,8 +36,6 @@ DEFAULT_MEMORY_BUDGET_MB = 4096
 # Uniform draws are clamped away from 0 before the inverse normal CDF; the
 # event has probability 2^-53 per draw and would otherwise map to -inf.
 _U_FLOOR = 2.0 ** -60
-
-_MASK64 = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -75,9 +73,10 @@ def memory_budget_bytes() -> int:
     return int(budget * 1e6)
 
 
-def _guard_memory(need: int, reads) -> None:
+def _guard_memory(need: int, reads) -> int:
     """Raise MemoryBudgetExceeded if ``need`` bytes of trajectories, plus the paths a
-    reusing_work() block keeps unless the request ``reads(key, paths)``, exceed the budget."""
+    reusing_work() block keeps unless the request ``reads(key, paths)``, exceed the
+    budget; else return that total."""
     if _held.kept and not reads(*_held.kept):
         need += _held.kept[1].states.nbytes + _held.kept[1].moment_flow.nbytes
     budget = memory_budget_bytes()
@@ -86,6 +85,7 @@ def _guard_memory(need: int, reads) -> None:
             f"retained trajectories need {need / 1e6:.0f} MB, budget is "
             f"{budget / 1e6:.0f} MB (set {MEMORY_BUDGET_ENV} to raise it)"
         )
+    return need
 
 
 def _noise_tensor(grid: TimeGrid, seed: int, N: int, m: int) -> Array:
@@ -118,7 +118,7 @@ def reusing_work():
 
     The calling thread holds one entry per level, the last key and what was
     built for it: the noise tensor of a (seed, N, m, grid), the paths last handed
-    out on it, and the frozen tangent and coupling weight of one (paths, phi).  A
+    out on it, and the coupling weight of one (paths, phi).  A
     new key drops its level's entry and every one below before building anew.
     Paths asked for a second time are also kept until the tensor changes or the
     block ends, so a tensor holds at most two path sets.  Inner blocks join it.

@@ -20,7 +20,7 @@ rows mode=heuristic.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -36,67 +36,71 @@ def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) 
     diff = model.diffusion
     if diff.constant_in_x:
         return 0.0
-    if diff.grad_sigma is None:
-        raise MissingGradSigma(
-            "tangent integration needs grad_sigma for a state-dependent diffusion"
-        )
     S = np.asarray(diff.grad_sigma(t, X), dtype=float)      # (N, d, m, j)
     directional = np.einsum("admj,aj->adm", S, V)           # (N, d, m)
     return np.einsum("adm,am->ad", directional, dW)
 
 
 def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
-                      coupled: bool, values: bool = True
-                      ) -> tuple[Optional[Array], Optional[Array]]:
-    """The tangent recursion along stored paths, from V_0 = V0.
+                      coupled: bool, kept_slices: int = 0) -> Iterator:
+    """The tangent recursion along stored paths from V_0 = V0, as a stream.
 
     Each step adds (grad_x b) V dt and (grad sigma . V) dW; with ``coupled``
-    the measure-derivative term psi joins the drift part and is recorded
-    per step.  Returns the (n_steps+1, N, d) values and psi (None unless
-    coupled).  Without ``values`` V steps through a two-slice buffer by the
-    same operations, bit for bit, and the values come back as None.  The
-    memory guard counts the paths it reads and the arrays it allocates.
+    the measure-derivative term psi joins the drift part.  The stream yields
+    (V_s, psi_s) for s < n_steps, then (V_n, None) (psi None unless coupled).
+    V steps through two slices: V_s is overwritten when V_{s+2} is drawn, and
+    the blow-up guard on V_{s+1} runs when the stream is drawn past step s.
+    The checks and the memory guard run before anything is drawn; the guard
+    counts the paths read, the two slices and the caller's ``kept_slices``.
     """
     if V0.shape != (paths.N, paths.d):
         raise ValueError(f"start directions must have shape {(paths.N, paths.d)}, "
                          f"got {V0.shape}")
-    drift = model.meanfield_drift
-    n = paths.grid.n_steps
-    dt = paths.grid.dt
-    slices = n + 1 if values else 2
+    if not model.diffusion.constant_in_x and model.diffusion.grad_sigma is None:
+        raise MissingGradSigma(
+            "tangent integration needs grad_sigma for a state-dependent diffusion"
+        )
     _guard_memory(paths.states.nbytes + paths.noise.nbytes
-                  + 8 * paths.N * paths.d * (slices + (n if coupled else 0)),
+                  + 8 * paths.N * paths.d * (2 + kept_slices),
                   lambda _, kept: kept is paths)
-    trajectory = np.empty((slices, paths.N, paths.d))
-    trajectory[0] = V0
-    psi = np.empty((n, paths.N, paths.d)) if coupled else None
-    V = trajectory[0]
-    for s in range(n):
+    slices = np.empty((2, paths.N, paths.d))
+    slices[0] = V0
+    return _flow_steps(paths, model, slices, coupled)
+
+
+def _flow_steps(paths: ParticlePaths, model: ModelSpec, slices: Array,
+                coupled: bool) -> Iterator:
+    drift = model.meanfield_drift
+    dt = paths.grid.dt
+    V, psi = slices[0], None
+    for s in range(paths.grid.n_steps):
         t = s * dt
         X = paths.states[s]
         z = paths.moment_flow[s]
         G = model.drift_grad_x(t, X, z)
         drift_term = np.einsum("aij,aj->ai", G, V)
         if coupled:
-            psi[s] = cylindrical_coupling(drift, t, X, z, V)
-            drift_term += psi[s]
+            psi = cylindrical_coupling(drift, t, X, z, V)
+            drift_term += psi
+        yield V, psi
         noise_term = _diffusion_terms(model, t, X, V, paths.noise[s])
-        V = np.add(V, drift_term * dt, out=trajectory[(s + 1) % slices])
+        V = np.add(V, drift_term * dt, out=slices[(s + 1) % 2])
         V += noise_term
         if not np.abs(V).max() <= BLOWUP_THRESHOLD:
             raise NonFinite(f"tangent blow-up at step {s + 1}", step=s + 1)
-    return (trajectory if values else None), psi
+    yield V, None
 
 
-def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array) -> Array:
+def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array) -> Iterator[Array]:
     """Derivative of the decoupled flow in its starting point, along v0.
 
     Integrates V' = (grad_x b) V dt + (grad sigma . V) dW along the stored
-    paths with the measure flow frozen at the recorded moments and returns
-    the (n_steps+1, N, d) values.  Linear in v0 (bit-exactly so for
-    power-of-two rescalings).
+    paths with the measure flow frozen at the recorded moments, and streams
+    its n_steps+1 (N, d) slices (each valid until the next but one is drawn).
+    Linear in v0 (bit-exactly so for power-of-two rescalings).
     """
-    return _variational_flow(paths, model, np.asarray(v0, dtype=float), coupled=False)[0]
+    flow = _variational_flow(paths, model, np.asarray(v0, dtype=float), coupled=False)
+    return (V for V, _ in flow)
 
 
 def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
@@ -119,7 +123,7 @@ def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
 
 
 def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi,
-                      values: bool = True) -> tuple[Optional[Array], Array]:
+                      values: bool = True) -> tuple[Optional[Array], Iterable[Array]]:
     """Derivative of the particle flow along an initial-law perturbation phi.
 
     Starts from V_0 = phi(X_0) and adds the measure-derivative coupling to
@@ -128,9 +132,21 @@ def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi,
     :mod:`mvgrad.bismut` for what its bias measured.
     Returns the (n_steps+1, N, d) values and the (n_steps, N, d) coupling
     terms psi, which the second stochastic-integral weight reuses.  With
-    ``values=False`` only two slices of V are held and the values come back
-    as None: the estimator reads psi alone, the finite-difference check the
-    values alone.
+    ``values=False`` the values come back as None and psi as a stream of its
+    n_steps slices, each a fresh array; drawing the stream to its end also
+    runs the blow-up guard on V_n.  The estimator reads psi alone, the
+    finite-difference check the values alone.
     """
     V0 = np.asarray(phi(paths.states[0]), dtype=float)
-    return _variational_flow(paths, model, V0, coupled=True, values=values)
+    n = paths.grid.n_steps
+    flow = _variational_flow(paths, model, V0, coupled=True,
+                             kept_slices=2 * n + 1 if values else 0)
+    if not values:
+        return None, (psi for _, psi in flow if psi is not None)
+    trajectory = np.empty((n + 1, paths.N, paths.d))
+    psi = np.empty((n, paths.N, paths.d))
+    for s, (V, p) in enumerate(flow):
+        trajectory[s] = V
+        if p is not None:
+            psi[s] = p
+    return trajectory, psi

@@ -13,8 +13,9 @@ from mvgrad.config import ExperimentConfig
 from mvgrad.errors import (GridMismatch, MeasureDependence, MemoryBudgetExceeded,
                            NonFinite, ScheduleMismatch)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
-from mvgrad.model import (SCHEDULE_FACTORIES, CylindricalDrift, Diffusion, ModelSpec,
-                          linear_schedule, quadratic_schedule, scaled)
+from mvgrad.model import (BLOWUP_THRESHOLD, SCHEDULE_FACTORIES, CylindricalDrift,
+                          Diffusion, ModelSpec, linear_schedule, quadratic_schedule,
+                          scaled)
 from mvgrad.oracle import richardson_intrinsic
 from mvgrad.scenarios import (affine_drift, constant_observable, coord_observable,
                               coordinate_field, default_observables,
@@ -24,7 +25,8 @@ from mvgrad.simulate import (MEMORY_BUDGET_ENV, TimeGrid, reusing_work,
                              simulate_particles)
 from mvgrad.tangent import frozen_tangent, meanfield_tangent
 
-from conftest import brownian_model, csv_modes, gaussian_cloud, mfou_model, ou_model
+from conftest import (brownian_model, csv_modes, frozen_values, gaussian_cloud,
+                      mfou_model, ou_model)
 
 const_e1 = coordinate_field(0, 1.0)
 
@@ -112,6 +114,22 @@ class TestWeightMeanfield:
         w2 = weight_meanfield(
             paths, meanfield_tangent(paths, model, scaled(const_e1, 2.0))[1], model)
         assert np.array_equal(w2, 2.0 * w1)
+
+
+@pytest.mark.parametrize("estimator", ["intrinsic", "classical"])
+def test_tangent_blow_up_at_the_last_step_is_raised(estimator):
+    # grad b = 10 and dt = 0.1: V_s = 1.5e5 * 2^s up to rounding crosses the
+    # threshold only at V_10, the slice after the last one a weight reads;
+    # each tangent stream must still be drawn that far
+    assert 1.5e5 * 2**9 < 0.8 * BLOWUP_THRESHOLD and 1.5e5 * 2**10 > 1.5 * BLOWUP_THRESHOLD
+    model, grid, sched, f = ou_model(a=-10.0), TimeGrid(1.0, 10), linear_schedule(1.0), \
+        coord_observable(0)
+    with pytest.raises(NonFinite, match="^tangent blow-up at step 10$"):
+        if estimator == "intrinsic":
+            estimate_intrinsic(model, gaussian_cloud(50, seed=1), coordinate_field(0, 1.5e5),
+                               f, 1.0, grid, sched, 2)
+        else:
+            estimate_classical(model, [0.0], [1.5e5], f, 1.0, grid, sched, 2, 50)
 
 
 class TestEstimateIntrinsic:
@@ -329,24 +347,28 @@ class TestEstimateType:
 
 class TestMemory:
     def test_guard_counts_tangents(self, monkeypatch):
-        # states plus increments take 0.3216 MB and the frozen tangent's values
-        # add 0.1616 MB (0.4832 MB), both within a 0.484 MB budget; the
-        # mean-field pass adds two slices of V and psi (0.1632 MB, 0.4848 MB)
-        # and must not
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.484")
+        # states (101 x 200 x 8 B) plus increments (100 x 200 x 8 B) take
+        # 0.3216 MB; each tangent stream adds its two (200, 1) slices of V,
+        # 3200 B, for 0.3248 MB: within a 0.3249 MB budget, not within 0.3247
         model = mfou_model()
         mu0 = gaussian_cloud(200, seed=0)
         grid = TimeGrid(0.5, 100)
         paths = simulate_particles(model, mu0, grid, 1)
+        estimate = lambda: estimate_intrinsic(model, mu0, const_e1, coord_observable(0), 0.5,
+                                              grid, linear_schedule(0.5), 1)
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.3249")
         frozen_tangent(paths, model, np.ones((200, 1)))
+        estimate()
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.3247")
         with pytest.raises(MemoryBudgetExceeded):
-            estimate_intrinsic(model, mu0, const_e1, coord_observable(0), 0.5, grid,
-                               linear_schedule(0.5), 1)
+            frozen_tangent(paths, model, np.ones((200, 1)))
+        with pytest.raises(MemoryBudgetExceeded):
+            estimate()
 
     @pytest.mark.parametrize("scen_name", ["trig", "meanfield_ou"])
     def test_traced_peak_of_an_estimate(self, scen_name):
-        # states, increments and psi, then the frozen tangent in psi's place:
-        # about 3 trajectories
+        # states and increments (2 trajectories less one slice), two slices of
+        # each tangent stream and per-step temporaries
         scen = get_scenario(scen_name)
         model = scen.build()
         N, n = 2000, 200
@@ -359,7 +381,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * 8 * N * (n + 1) * model.d
+        assert peak <= 2.3 * 8 * N * (n + 1) * model.d
 
 
 def _planar_trig_sigma(t, x):
@@ -508,7 +530,7 @@ def test_weight_reads_beta_prime_as_one_point_calls(t, n, schedule):
     model = ou_model()
     grid = TimeGrid(t, n)
     paths = simulate_particles(model, gaussian_cloud(4, seed=1), grid, 2)
-    V = frozen_tangent(paths, model, np.ones((4, 1)))
+    V = frozen_values(paths, model, np.ones((4, 1)))
     sched = SCHEDULE_FACTORIES[schedule](t)
     w, qv = weight_frozen(paths, V, sched, model)
     want_w, want_qv = np.zeros(4), np.zeros(4)
@@ -534,26 +556,31 @@ def _reuse_case(name, N, n):
 
 @pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
 def test_values_free_pass_keeps_psi_bits(name):
+    # the stream's psi slices are fresh arrays, so they can be kept as drawn
     model, mu0, phi, _, grid = _reuse_case(name, 300, 40)
     paths = simulate_particles(model, mu0, grid, 6)
     values, psi = meanfield_tangent(paths, model, phi, values=False)
     assert values is None
-    assert psi.tobytes() == meanfield_tangent(paths, model, phi)[1].tobytes()
+    assert np.array(list(psi)).tobytes() == meanfield_tangent(paths, model, phi)[1].tobytes()
 
 
 @pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
 def test_values_free_guard_counts_what_the_pass_allocates(name, monkeypatch):
-    # psi and two slices of V outlive a step; the rest is per-step temporaries,
-    # well under the n - 1 slices of V that the pass no longer holds
+    # only the two slices of V outlive a step; the rest is per-step
+    # temporaries, psi_s among them, well under the 2n - 1 slices of V and
+    # psi that a values pass holds
     model, mu0, phi, _, grid = _reuse_case(name, 2000, 200)
     paths = simulate_particles(model, mu0, grid, 6)
     requests = []
     monkeypatch.setattr(tangent, "_guard_memory", lambda need, reads: requests.append(need))
-    _, psi = meanfield_tangent(paths, model, phi, values=False)
-    peak = _traced_peak(lambda: meanfield_tangent(paths, model, phi, values=False))
-    held = psi.nbytes + 2 * psi[0].nbytes
-    assert requests == [paths.states.nbytes + paths.noise.nbytes + held] * 2
-    assert held <= peak <= held + 20 * psi[0].nbytes
+    def drain():
+        for _ in meanfield_tangent(paths, model, phi, values=False)[1]:
+            pass
+
+    peak = _traced_peak(drain)
+    held = 2 * 8 * paths.N * paths.d
+    assert requests == [paths.states.nbytes + paths.noise.nbytes + held]
+    assert held <= peak <= held + 20 * 8 * paths.N * paths.d
 
 
 def _three_schedules(model, mu0, phi, f, grid):
@@ -563,9 +590,8 @@ def _three_schedules(model, mu0, phi, f, grid):
 
 @pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
 def test_schedules_sharing_work_are_bit_identical(name):
-    # inside the block the second and third schedule reuse the paths, the
-    # frozen tangent and the coupling weight of the first; another field
-    # reuses the paths only
+    # inside the block the second and third schedule reuse the paths and the
+    # coupling weight of the first; another field reuses the paths only
     model, mu0, phi, f, grid = case = _reuse_case(name, 300, 40)
     other = default_perturbations(model.d)["const_e1"]
     estimates = lambda: _three_schedules(*case) + [
@@ -587,7 +613,7 @@ def _traced_peak(run) -> int:
 
 @pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
 def test_schedules_sharing_work_keep_the_peak_of_one_estimate(name):
-    # the block holds the paths, the frozen tangent and w2 between estimates
+    # the block holds the paths and w2 between estimates
     # and drops them before it builds for the next seed: estimates in it peak
     # where one estimate outside it does
     model, mu0, phi, f, grid = case = _reuse_case(name, 2000, 200)

@@ -429,6 +429,11 @@ BAD_INPUTS = {
     "repeated-eps-ladder": ((("eps_ladder = 0.1, 0.05", "eps_ladder = 0.1, 0.1, 0.05"),), None),
     "repeated-ci-seeds": ((only_check("beta_invariance"),
                            ("ci_seeds = 1, 2", "ci_seeds = 5, 5")), None),
+    # streams are keyed by the seed mod 2^64: these would alias seeds 2^64 - 1, 1 and 0
+    "negative-seed": ((("seed = 7", "seed = -1"),), None),
+    "seed-beyond-range": ((("seed = 7", "seed = 18446744073709551617"),), None),
+    "ci-seed-beyond-range": ((("ci_seeds = 1, 2", "ci_seeds = 1, 18446744073709551616"),),
+                             None),
     "infinite-tv-shift": ((oracle_line("tv_shift = inf"),), None),
     "infinite-eps": ((("eps_ladder = 0.1, 0.05", "eps_ladder = 0.1, inf"),), None),
     "nan-stability-shift": ((oracle_line("stability_shifts = 0.2, nan"),), None),
@@ -441,6 +446,15 @@ BAD_INPUTS = {
                            ("[oracle]\n", "[custom]\nfamily = affine\nsigma = 0\n\n[oracle]\n")),
                           None),
 }
+
+
+def test_seed_range_leaves_room_for_the_moment_ladder():
+    # the ladder keys seed + j for j < len(moment_variances): from the largest
+    # seed that stays below 2^64, so it cannot wrap onto another seed's streams
+    ExperimentConfig(seed=2**63 - 1, ci_seeds=(0, 2**63 - 1)).validate()
+    for bad in (dict(seed=2**63), dict(ci_seeds=(1, 2**63))):
+        with pytest.raises(ConfigError, match=r"\[0, 2\^63\)"):
+            ExperimentConfig(**bad).validate()
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

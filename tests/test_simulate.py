@@ -283,11 +283,13 @@ class TestHeldPaths:
         assert simulate._held.chain is None and simulate._held.kept is None
 
     def test_guard_counts_the_kept_paths(self, monkeypatch):
-        # at N = 2000, n = 200 an estimate's mean-field pass requests 9.65 MB
-        # and a simulation 6.42 MB; the kept mu0 paths add 3.22 MB to each
-        # unless it reads them, so only the other cloud's tangent (12.87 MB)
-        # exceeds 11 MB
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, "11")
+        # at N = 2000, n = 200 a simulation requests its states and increments,
+        # 3.216 + 3.2 = 6.416 MB, and each tangent stream those plus two slices
+        # of V, 6.448 MB; the kept mu0 paths (states and one moment per node,
+        # 3.217608 MB) add to each unless it reads them, so the other cloud's
+        # simulation asks for 9.633608 MB and only its tangent (9.665608 MB)
+        # exceeds 9.65 MB
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "9.65")
         model, mu0, grid = mfou_model(), gaussian_cloud(2000, seed=1), TimeGrid(0.5, 200)
         estimate = lambda cloud: estimate_intrinsic(
             model, cloud, coordinate_field(0), coord_observable(0), 0.5, grid,
@@ -336,8 +338,9 @@ class TestHeldPaths:
     @pytest.mark.parametrize("config", ["meanfield_ou.cfg", "brownian.cfg"])
     def test_each_unit_peaks_near_its_largest_guard_request(self, config, monkeypatch):
         # what a unit holds beside a request is what the guard counts, and no
-        # unit holds more than an estimate's states, increments and one of psi
-        # or the frozen tangent, or one run of a moment ladder at a time
+        # unit holds more than a finite-difference run's paths beside the kept
+        # mu0 paths and their shared increments, or one run of a moment ladder
+        # at a time
         cfg, _ = load_config(Path(__file__).parent.parent / "configs" / config)
         bundle = resolve_bundle(replace(cfg, n_particles=2000, n_steps=200))
         names = list(bundle.checks)
@@ -345,8 +348,8 @@ class TestHeldPaths:
         requests = []
 
         def recorded(need, *reads):
-            requests.append(need)
-            guard(need, *reads)
+            # the total the guard compares, the kept paths included
+            requests.append(guard(need, *reads))
 
         guard = simulate._guard_memory
         monkeypatch.setattr(simulate, "_guard_memory", recorded)

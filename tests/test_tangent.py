@@ -12,7 +12,8 @@ from mvgrad.scenarios import (build_family, coord_observable, identity_field,
 from mvgrad.simulate import TimeGrid, simulate_particles
 from mvgrad.tangent import cylindrical_coupling, frozen_tangent, meanfield_tangent
 
-from conftest import brownian_model, csv_modes, gaussian_cloud, mfou_model, ou_model
+from conftest import (brownian_model, csv_modes, frozen_values, gaussian_cloud,
+                      mfou_model, ou_model)
 
 const_field = lambda x: np.ones_like(x)
 
@@ -38,7 +39,7 @@ class TestFrozenTangent:
         mu0 = gaussian_cloud(16, seed=0)
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 20), 1)
         v0 = rng.standard_normal((16, 1))
-        tang = frozen_tangent(paths, model, v0)
+        tang = frozen_values(paths, model, v0)
         assert np.array_equal(tang[-1], v0)
 
     def test_linear_decay_closed_form(self):
@@ -49,7 +50,7 @@ class TestFrozenTangent:
         grid = TimeGrid(t_end=1.0, n_steps=1000)
         paths = simulate_particles(model, mu0, grid, 2)
         v0 = np.full((8, 1), 2.0)
-        tang = frozen_tangent(paths, model, v0)
+        tang = frozen_values(paths, model, v0)
         expected = (1.0 - a * grid.dt) ** grid.n_steps * 2.0
         assert np.allclose(tang[-1], expected, rtol=1e-12)
         assert np.allclose(tang[-1], 2.0 * math.exp(-a), atol=4e-3)
@@ -59,7 +60,7 @@ class TestFrozenTangent:
         mu0 = gaussian_cloud(256, seed=3)
         grid = TimeGrid(t_end=0.5, n_steps=250)
         base = simulate_particles(model, mu0, grid, 5)
-        tang = frozen_tangent(base, model, np.ones((256, 1)))
+        tang = frozen_values(base, model, np.ones((256, 1)))
         errs = []
         for eps in (0.1, 0.05):
             shifted = EmpiricalMeasure(mu0.points + eps)
@@ -74,11 +75,11 @@ class TestFrozenTangent:
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 50), 6)
         u = rng.standard_normal((32, 1))
         w = rng.standard_normal((32, 1))
-        tu = frozen_tangent(paths, model, u)
-        tw = frozen_tangent(paths, model, w)
-        combo = frozen_tangent(paths, model, 2.0 * u)
+        tu = frozen_values(paths, model, u)
+        tw = frozen_values(paths, model, w)
+        combo = frozen_values(paths, model, 2.0 * u)
         assert np.array_equal(combo, 2.0 * tu)
-        both = frozen_tangent(paths, model, u + w)
+        both = frozen_values(paths, model, u + w)
         assert np.allclose(both, tu + tw, atol=1e-12)
 
     def test_boundedness_surrogate(self, rng):
@@ -89,7 +90,7 @@ class TestFrozenTangent:
         for _ in range(5):
             direction = rng.standard_normal(1)
             v0 = np.tile(direction, (128, 1))
-            tang = frozen_tangent(paths, model, v0)
+            tang = frozen_values(paths, model, v0)
             sup_norm = np.max(np.abs(tang), axis=0)
             ratio = np.mean(sup_norm**k) ** (1 / k) / abs(direction[0])
             assert ratio <= 2.0
@@ -111,7 +112,7 @@ class TestFrozenTangent:
         mu0 = gaussian_cloud(8, mean=1.0, std=0.2, seed=0)
         grid = TimeGrid(0.1, 10)
         paths = simulate_particles(model, mu0, grid, 0)
-        tang = frozen_tangent(paths, model, np.ones((8, 1)))
+        tang = frozen_values(paths, model, np.ones((8, 1)))
         assert np.all(np.isfinite(tang))
         assert all(np.all(np.isfinite(a)) for a in meanfield_tangent(paths, model, const_field))
         est = estimate_intrinsic(model, mu0, const_field, coord_observable(), 0.1,
@@ -134,7 +135,7 @@ class TestMeanfieldTangent:
         mu0 = gaussian_cloud(32, seed=2)
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 100), 3)
         mt, psi = meanfield_tangent(paths, model, identity_field())
-        ft = frozen_tangent(paths, model, identity_field()(paths.states[0]))
+        ft = frozen_values(paths, model, identity_field()(paths.states[0]))
         assert np.array_equal(mt, ft)
         assert np.all(psi == 0.0)
 
