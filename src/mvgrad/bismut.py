@@ -130,14 +130,15 @@ def weight_frozen(paths: ParticlePaths, V: Iterable[Array], sched: BismutSchedul
     return _ito_weight(paths, V, model, sched)
 
 
-def weight_meanfield(paths: ParticlePaths, psi: Iterable[Array], model: ModelSpec) -> Array:
+def weight_meanfield(paths: ParticlePaths, tangent: Iterable[tuple], model: ModelSpec) -> Array:
     """Coupling weight  w_i = sum_s <zeta(t_s, X_si) psi_si, dW_si>.
 
-    ``psi`` streams the per-step coupling terms of :func:`meanfield_tangent`,
-    or is their whole array.  No schedule derivative appears here: the
-    measure-derivative term of the identity enters with unit weight.
+    ``tangent`` is the mean-field stream of :func:`meanfield_tangent`, whose
+    per-step coupling terms psi are read as drawn; it is drawn to (V_n, None),
+    so its blow-up guard on V_n runs.  No schedule derivative appears here:
+    the measure-derivative term of the identity enters with unit weight.
     """
-    return _ito_weight(paths, psi, model, None)[0]
+    return _ito_weight(paths, (psi for _, psi in tangent), model, None)[0]
 
 
 def _mean_stderr(samples: Array) -> tuple[float, float]:
@@ -188,8 +189,7 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Callable,
     paths = simulate_particles(model, mu0, grid, seed)
     w2 = _reused(2, lambda k: k[0] is paths and k[1] is phi)
     if w2 is None:
-        w2 = weight_meanfield(paths, meanfield_tangent(paths, model, phi, values=False)[1],
-                              model)
+        w2 = weight_meanfield(paths, meanfield_tangent(paths, model, phi), model)
         w2.flags.writeable = False
         w2 = _hold(2, (paths, phi), w2)
     V = frozen_tangent(paths, model, np.asarray(phi(paths.states[0]), dtype=float))

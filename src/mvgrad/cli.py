@@ -10,13 +10,13 @@ Subcommands:
 Exit codes: 0 success, 1 a declared check failed, 2 configuration error,
 3 numerical failure.  ``validate`` and ``run`` check a config alike, and
 ``validate`` writes nothing; ``run`` then creates its output directory
-before the first check, and a directory it cannot create exits 2.  An
-unknown section or key, an unknown name, an unmet check need
-(``runner.CHECK_SPECS``), noise that is not elliptic at the initial law's
-mean (such as sigma = 0) or an MVGRAD_MEMORY_BUDGET_MB (the cap on retained
-trajectories: states plus increments, tangents with their coupling terms,
-and the path set a shared block keeps) that is not a finite positive number
-all exit 2.
+before the first check, and a directory it cannot create, or an output it
+cannot write there after the checks, exits 2.  An unknown section or key,
+an unknown name, an unmet check need (``runner.CHECK_SPECS``), noise that is
+not elliptic at the initial law's mean (such as sigma = 0) or an
+MVGRAD_MEMORY_BUDGET_MB (the cap on retained trajectories: states plus
+increments, two (N, d) slices per tangent stream, and the path set a shared
+block keeps) that is not a finite positive number all exit 2.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mvgrad",
         description="particle-system derivative estimation and verification suites",
         epilog=f"memory budget: set {MEMORY_BUDGET_ENV} (MB) to cap retained "
-               "trajectories (states plus increments, tangents and kept paths)",
+               "trajectories (states plus increments, two slices per tangent "
+               "stream and kept paths)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -88,7 +89,11 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         _config_error(f"cannot create output directory {cfg.out_dir}: {exc}")
         return 2
-    result = run_experiment(cfg, text, cfg.out_dir)
+    try:
+        result = run_experiment(cfg, text, cfg.out_dir)
+    except ConfigError as exc:      # an output it could not write there
+        _config_error(str(exc))
+        return 2
     print(f"wrote {result.csv_path} ({len(result.rows)} rows), exit {result.exit_code}")
     if result.errors:
         print(json.dumps({"error": "numerical", "records": result.errors}),

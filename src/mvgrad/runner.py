@@ -459,15 +459,19 @@ def check_tangent_fd_order(bundle: RunBundle):
     # needs a particle-varying field: uniform shifts propagate exactly
     # linearly through mean-coupled drifts and leave no O(eps) error to fit
     cfg, phi, mu0, grid = bundle.cfg, bundle.field("sine_field"), bundle.mu0(), bundle.grid()
-    base = simulate_particles(bundle.model, mu0, grid, cfg.seed)
-    tang = meanfield_tangent(base, bundle.model, phi)[0]
+    model = bundle.model
+    # mu0's paths are asked for here and on each rung, as oracle._fd_samples asks
+    # after an estimate: kept from the second ask on, a rung integrates only its
+    # perturbed run, and the guard counts the kept paths while it does
+    simulate_particles(model, mu0, grid, cfg.seed)
     errs, rows = [], []
     for eps in cfg.eps_ladder:
-        pert = simulate_particles(bundle.model, pushforward(mu0, phi, eps), grid,
-                                  cfg.seed).states
+        base = simulate_particles(model, mu0, grid, cfg.seed)
+        tangent = meanfield_tangent(base, model, phi)
+        pert = simulate_particles(model, pushforward(mu0, phi, eps), grid, cfg.seed).states
         # max over time slices of the mean over particles, one slice at a time
         err = float(np.max([np.mean(np.linalg.norm(v - (p - x) / eps, axis=1))
-                            for v, p, x in zip(tang, pert, base.states)]))
+                            for (v, _), p, x in zip(tangent, pert, base.states)]))
         del pert        # released before the next rung is integrated
         errs.append(err)
         rows.append(_row(bundle, "fd_oracle", f"tangent|eps={eps:g}", err, None,
@@ -726,7 +730,12 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
 
 
 def run_experiment(cfg: ExperimentConfig, config_text: str, out_dir) -> RunResult:
+    """run_suite, then write_outputs; an output it cannot write raises ConfigError."""
     start = time.perf_counter()
     rows, errors, check_records = run_suite(cfg)
     wall = time.perf_counter() - start
-    return write_outputs(cfg, config_text, rows, errors, Path(out_dir), wall, check_records)
+    try:
+        return write_outputs(cfg, config_text, rows, errors, Path(out_dir), wall,
+                             check_records)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from exc

@@ -20,7 +20,7 @@ rows mode=heuristic.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -42,7 +42,7 @@ def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) 
 
 
 def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
-                      coupled: bool, kept_slices: int = 0) -> Iterator:
+                      coupled: bool) -> Iterator:
     """The tangent recursion along stored paths from V_0 = V0, as a stream.
 
     Each step adds (grad_x b) V dt and (grad sigma . V) dW; with ``coupled``
@@ -51,7 +51,7 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
     V steps through two slices: V_s is overwritten when V_{s+2} is drawn, and
     the blow-up guard on V_{s+1} runs when the stream is drawn past step s.
     The checks and the memory guard run before anything is drawn; the guard
-    counts the paths read, the two slices and the caller's ``kept_slices``.
+    counts the paths read and the two slices.
     """
     if V0.shape != (paths.N, paths.d):
         raise ValueError(f"start directions must have shape {(paths.N, paths.d)}, "
@@ -60,8 +60,7 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
         raise MissingGradSigma(
             "tangent integration needs grad_sigma for a state-dependent diffusion"
         )
-    _guard_memory(paths.states.nbytes + paths.noise.nbytes
-                  + 8 * paths.N * paths.d * (2 + kept_slices),
+    _guard_memory(paths.states.nbytes + paths.noise.nbytes + 16 * paths.N * paths.d,
                   lambda _, kept: kept is paths)
     slices = np.empty((2, paths.N, paths.d))
     slices[0] = V0
@@ -122,31 +121,16 @@ def cylindrical_coupling(drift: CylindricalDrift, t: float, X: Array, z: Array,
     return _single_term(gz[:, :, 0], g) if drift.n == 1 else gz @ g
 
 
-def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi,
-                      values: bool = True) -> tuple[Optional[Array], Iterable[Array]]:
+def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi) -> Iterator:
     """Derivative of the particle flow along an initial-law perturbation phi.
 
     Starts from V_0 = phi(X_0) and adds the measure-derivative coupling to
     the frozen recursion each step.  The expectation in the coupling is the
     in-system empirical average (the propagation-of-chaos surrogate); see
     :mod:`mvgrad.bismut` for what its bias measured.
-    Returns the (n_steps+1, N, d) values and the (n_steps, N, d) coupling
-    terms psi, which the second stochastic-integral weight reuses.  With
-    ``values=False`` the values come back as None and psi as a stream of its
-    n_steps slices, each a fresh array; drawing the stream to its end also
-    runs the blow-up guard on V_n.  The estimator reads psi alone, the
-    finite-difference check the values alone.
+    Streams (V_s, psi_s) for s < n_steps, then (V_n, None): V as in
+    :func:`frozen_tangent`, and the coupling terms psi, fresh arrays that the
+    second stochastic-integral weight reads (:func:`mvgrad.bismut.weight_meanfield`).
     """
     V0 = np.asarray(phi(paths.states[0]), dtype=float)
-    n = paths.grid.n_steps
-    flow = _variational_flow(paths, model, V0, coupled=True,
-                             kept_slices=2 * n + 1 if values else 0)
-    if not values:
-        return None, (psi for _, psi in flow if psi is not None)
-    trajectory = np.empty((n + 1, paths.N, paths.d))
-    psi = np.empty((n, paths.N, paths.d))
-    for s, (V, p) in enumerate(flow):
-        trajectory[s] = V
-        if p is not None:
-            psi[s] = p
-    return trajectory, psi
+    return _variational_flow(paths, model, V0, coupled=True)

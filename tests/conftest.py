@@ -8,7 +8,6 @@ from mvgrad import runner
 from mvgrad.config import ExperimentConfig
 from mvgrad.measure import EmpiricalMeasure
 from mvgrad.scenarios import build_family
-from mvgrad.tangent import frozen_tangent
 
 # pytest imports this checkout's package from src/ (pyproject's pythonpath);
 # the programs the tests start, the CLI and perfbench, import it from there too
@@ -34,10 +33,19 @@ def gaussian_cloud(n, d=1, mean=0.0, std=1.0, seed=0):
     return EmpiricalMeasure(mean + std * rng.standard_normal((n, d)))
 
 
-def frozen_values(paths, model, v0):
-    """The (n_steps+1, N, d) values of frozen_tangent's stream, each slice
-    copied before the stream writes a later step into its buffer."""
-    return np.array([V.copy() for V in frozen_tangent(paths, model, v0)])
+def collect(stream):
+    """The whole arrays of a tangent stream, each slice copied as it is drawn,
+    since the stream overwrites it two draws later: frozen_tangent's
+    (n_steps+1, N, d) values, or meanfield_tangent's values and its
+    (n_steps, N, d) coupling terms psi."""
+    values, psi, paired = [], [], False
+    for item in stream:
+        paired = isinstance(item, tuple)
+        V, p = item if paired else (item, None)
+        values.append(V.copy())
+        if p is not None:
+            psi.append(p.copy())
+    return (np.array(values), np.array(psi)) if paired else np.array(values)
 
 
 def csv_modes(scenario):

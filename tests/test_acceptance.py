@@ -38,6 +38,8 @@ from mvgrad.tangent import meanfield_tangent
 from mvgrad.measure import pushforward
 from mvgrad.model import Diffusion
 
+from conftest import collect
+
 N_DESK = 5000
 DT_DESK = 1e-3
 T_DESK = 1.0
@@ -164,7 +166,7 @@ def test_criterion_05_tangent_fd_consistency_order():
         model = get_scenario(scen_name).build()
         mu0 = sample_initial(get_scenario(scen_name).initial_law, 2000, 51)
         base = simulate_particles(model, mu0, GRID_DESK, 52)
-        tang, _ = meanfield_tangent(base, model, phi)
+        tang, _ = collect(meanfield_tangent(base, model, phi))
         errs = []
         for eps in ladder:
             pert = simulate_particles(model, pushforward(mu0, phi, eps),

@@ -25,7 +25,7 @@ from mvgrad.simulate import (MEMORY_BUDGET_ENV, TimeGrid, reusing_work,
                              simulate_particles)
 from mvgrad.tangent import frozen_tangent, meanfield_tangent
 
-from conftest import (brownian_model, csv_modes, frozen_values, gaussian_cloud,
+from conftest import (brownian_model, collect, csv_modes, gaussian_cloud,
                       mfou_model, ou_model)
 
 const_e1 = coordinate_field(0, 1.0)
@@ -83,8 +83,7 @@ class TestWeightMeanfield:
         model = ou_model(a=1.0)
         mu0 = gaussian_cloud(64, seed=5)
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 50), 6)
-        _, psi = meanfield_tangent(paths, model, const_e1)
-        w = weight_meanfield(paths, psi, model)
+        w = weight_meanfield(paths, meanfield_tangent(paths, model, const_e1), model)
         assert np.all(w == 0.0)
 
     def test_meanfield_ou_ito_isometry(self):
@@ -95,8 +94,7 @@ class TestWeightMeanfield:
         mu0 = gaussian_cloud(n, seed=7)
         grid = TimeGrid(t_end=1.0, n_steps=200)
         paths = simulate_particles(model, mu0, grid, 8)
-        _, psi = meanfield_tangent(paths, model, const_e1)
-        w = weight_meanfield(paths, psi, model)
+        w = weight_meanfield(paths, meanfield_tangent(paths, model, const_e1), model)
 
         stderr = w.std(ddof=1) / math.sqrt(n)
         assert abs(w.mean()) < 3.0 * stderr
@@ -110,9 +108,9 @@ class TestWeightMeanfield:
         model = mfou_model()
         mu0 = gaussian_cloud(64, seed=9)
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 50), 10)
-        w1 = weight_meanfield(paths, meanfield_tangent(paths, model, const_e1)[1], model)
+        w1 = weight_meanfield(paths, meanfield_tangent(paths, model, const_e1), model)
         w2 = weight_meanfield(
-            paths, meanfield_tangent(paths, model, scaled(const_e1, 2.0))[1], model)
+            paths, meanfield_tangent(paths, model, scaled(const_e1, 2.0)), model)
         assert np.array_equal(w2, 2.0 * w1)
 
 
@@ -530,7 +528,7 @@ def test_weight_reads_beta_prime_as_one_point_calls(t, n, schedule):
     model = ou_model()
     grid = TimeGrid(t, n)
     paths = simulate_particles(model, gaussian_cloud(4, seed=1), grid, 2)
-    V = frozen_values(paths, model, np.ones((4, 1)))
+    V = collect(frozen_tangent(paths, model, np.ones((4, 1))))
     sched = SCHEDULE_FACTORIES[schedule](t)
     w, qv = weight_frozen(paths, V, sched, model)
     want_w, want_qv = np.zeros(4), np.zeros(4)
@@ -555,26 +553,15 @@ def _reuse_case(name, N, n):
 
 
 @pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
-def test_values_free_pass_keeps_psi_bits(name):
-    # the stream's psi slices are fresh arrays, so they can be kept as drawn
-    model, mu0, phi, _, grid = _reuse_case(name, 300, 40)
-    paths = simulate_particles(model, mu0, grid, 6)
-    values, psi = meanfield_tangent(paths, model, phi, values=False)
-    assert values is None
-    assert np.array(list(psi)).tobytes() == meanfield_tangent(paths, model, phi)[1].tobytes()
-
-
-@pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
 def test_values_free_guard_counts_what_the_pass_allocates(name, monkeypatch):
-    # only the two slices of V outlive a step; the rest is per-step
-    # temporaries, psi_s among them, well under the 2n - 1 slices of V and
-    # psi that a values pass holds
+    # a mean-field stream holds no values trajectory: only the two slices of
+    # V outlive a step, and the rest is per-step temporaries, psi_s among them
     model, mu0, phi, _, grid = _reuse_case(name, 2000, 200)
     paths = simulate_particles(model, mu0, grid, 6)
     requests = []
     monkeypatch.setattr(tangent, "_guard_memory", lambda need, reads: requests.append(need))
     def drain():
-        for _ in meanfield_tangent(paths, model, phi, values=False)[1]:
+        for _ in meanfield_tangent(paths, model, phi):
             pass
 
     peak = _traced_peak(drain)

@@ -507,6 +507,24 @@ def test_out_under_a_regular_file_is_config_error(tmp_path):
     assert json.loads(proc.stderr.strip().splitlines()[-1])["error"] == "config"
 
 
+@pytest.mark.parametrize("output", ["results.csv", "errors.json", "manifest.json"])
+def test_output_that_cannot_be_written_is_config_error(tmp_path, output):
+    # the checks have run, but an output in the directory is itself a
+    # directory: run exits 2 with a config record, not a traceback
+    text = SMALL_CONFIG.replace(CHECKS_LINE, "checks = linearity")
+    out = tmp_path / "out"
+    (out / output).mkdir(parents=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvgrad.cli", "run", "--config",
+         str(write_config(tmp_path, text)), "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    record = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert record["error"] == "config" and output in record["message"]
+
+
 def test_check_needs_are_known():
     # an unknown need name would reach getattr(cfg, need) and end in a traceback
     fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
@@ -679,6 +697,28 @@ def test_exact_tangent_passes_without_an_order(tmp_path):
     last = read_rows(out)[-1]
     assert (last["label"], last["value"], last["status"], last["params"]) == (
         "tangent-order", "", "pass", "reason=exact-tangent")
+
+
+# (three rung errors, fitted order) of tangent_fd_order as float.hex at N = 200,
+# n = 50, seed 7 and the default eps_ladder 0.1, 0.05, 0.025.  They guard the
+# per-rung tangent streams, which must reduce to the bits of one whole tangent.
+TANGENT_FD_ORDER_PINS = {
+    "trig": ("0x1.66610e44dff43p-9", "0x1.655c067acd388p-10", "0x1.64cdc58c27fdcp-11",
+             "0x1.00932214b8456p+0"),
+    "meanfield_sine": ("0x1.beb120088f9cdp-10", "0x1.ba8d66b5651f3p-11",
+                       "0x1.b8759f12d235cp-12", "0x1.01c0316e739c1p+0"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TANGENT_FD_ORDER_PINS))
+def test_tangent_fd_order_bits_are_pinned(scenario):
+    cfg = ExperimentConfig(scenario=scenario, n_particles=200, n_steps=50, seed=7,
+                           checks=("tangent_fd_order",))
+    rows = runner.check_tangent_fd_order(runner.resolve_bundle(cfg))
+    assert [r.label for r in rows] == ["tangent|eps=0.1", "tangent|eps=0.05",
+                                       "tangent|eps=0.025", "tangent-order"]
+    assert rows[-1].status == "pass"
+    assert tuple(r.value.hex() for r in rows) == TANGENT_FD_ORDER_PINS[scenario]
 
 
 def test_underflowed_exact_value_is_a_failed_slope_not_a_traceback(tmp_path, capfd):

@@ -35,6 +35,20 @@ def check_paths(paths, model, tol=1e-12):
             raise AssertionError(f"moment flow row {s} does not match its state slice")
 
 
+def record_guard_totals(monkeypatch) -> list:
+    """The list of totals that _guard_memory compares, the kept paths
+    included, appended as the simulator and the tangent streams request them."""
+    totals, guard = [], simulate._guard_memory
+
+    def recorded(need, reads):
+        totals.append(guard(need, reads))
+        return totals[-1]
+
+    monkeypatch.setattr(simulate, "_guard_memory", recorded)
+    monkeypatch.setattr(tangent, "_guard_memory", recorded)
+    return totals
+
+
 def zero_noise_model(a=0.0, d=1):
     return build_family("affine", d=d, a=a, kappa=0.0, sigma=0.0)
 
@@ -345,15 +359,7 @@ class TestHeldPaths:
         bundle = resolve_bundle(replace(cfg, n_particles=2000, n_steps=200))
         names = list(bundle.checks)
         trajectory = 8 * (200 + 1) * 2000 * bundle.model.d
-        requests = []
-
-        def recorded(need, *reads):
-            # the total the guard compares, the kept paths included
-            requests.append(guard(need, *reads))
-
-        guard = simulate._guard_memory
-        monkeypatch.setattr(simulate, "_guard_memory", recorded)
-        monkeypatch.setattr(tangent, "_guard_memory", recorded)
+        requests = record_guard_totals(monkeypatch)
         for unit in runner._units(names):
             requests.clear()
             tracemalloc.start()
@@ -368,21 +374,14 @@ class TestHeldPaths:
     @pytest.mark.parametrize("scenario", ["trig", "meanfield_sine"])
     def test_tangent_fd_order_peaks_near_its_largest_guard_request(self, scenario,
                                                                     monkeypatch):
-        # the check keeps the base paths, their noise and the tangent's values,
-        # and reduces each perturbed run one slice at a time before the next
+        # the check keeps the base paths and their noise, and on each rung draws
+        # a fresh tangent stream against the rung's perturbed run, one slice at
+        # a time, before it releases that run: about 3 trajectory sizes
         cfg = ExperimentConfig(scenario=scenario, n_particles=2000, n_steps=200,
                                seed=7, checks=("tangent_fd_order",))
         bundle = resolve_bundle(cfg)
         trajectory = 8 * (200 + 1) * 2000 * bundle.model.d
-        requests = []
-
-        def recorded(need, *reads):
-            requests.append(need)
-            guard(need, *reads)
-
-        guard = simulate._guard_memory
-        monkeypatch.setattr(simulate, "_guard_memory", recorded)
-        monkeypatch.setattr(tangent, "_guard_memory", recorded)
+        requests = record_guard_totals(monkeypatch)
         tracemalloc.start()
         try:
             runner._run_unit(bundle, ["tangent_fd_order"])
@@ -390,6 +389,7 @@ class TestHeldPaths:
         finally:
             tracemalloc.stop()
         assert peak <= max(requests) + 0.1 * trajectory
+        assert peak <= 3.2 * trajectory
 
     def test_states_are_read_only(self):
         paths = simulate_particles(mfou_model(), gaussian_cloud(16, seed=1), self.GRID, 3)

@@ -12,7 +12,7 @@ from mvgrad.scenarios import (build_family, coord_observable, identity_field,
 from mvgrad.simulate import TimeGrid, simulate_particles
 from mvgrad.tangent import cylindrical_coupling, frozen_tangent, meanfield_tangent
 
-from conftest import (brownian_model, csv_modes, frozen_values, gaussian_cloud,
+from conftest import (brownian_model, collect, csv_modes, gaussian_cloud,
                       mfou_model, ou_model)
 
 const_field = lambda x: np.ones_like(x)
@@ -39,7 +39,7 @@ class TestFrozenTangent:
         mu0 = gaussian_cloud(16, seed=0)
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 20), 1)
         v0 = rng.standard_normal((16, 1))
-        tang = frozen_values(paths, model, v0)
+        tang = collect(frozen_tangent(paths, model, v0))
         assert np.array_equal(tang[-1], v0)
 
     def test_linear_decay_closed_form(self):
@@ -50,7 +50,7 @@ class TestFrozenTangent:
         grid = TimeGrid(t_end=1.0, n_steps=1000)
         paths = simulate_particles(model, mu0, grid, 2)
         v0 = np.full((8, 1), 2.0)
-        tang = frozen_values(paths, model, v0)
+        tang = collect(frozen_tangent(paths, model, v0))
         expected = (1.0 - a * grid.dt) ** grid.n_steps * 2.0
         assert np.allclose(tang[-1], expected, rtol=1e-12)
         assert np.allclose(tang[-1], 2.0 * math.exp(-a), atol=4e-3)
@@ -60,7 +60,7 @@ class TestFrozenTangent:
         mu0 = gaussian_cloud(256, seed=3)
         grid = TimeGrid(t_end=0.5, n_steps=250)
         base = simulate_particles(model, mu0, grid, 5)
-        tang = frozen_values(base, model, np.ones((256, 1)))
+        tang = collect(frozen_tangent(base, model, np.ones((256, 1))))
         errs = []
         for eps in (0.1, 0.05):
             shifted = EmpiricalMeasure(mu0.points + eps)
@@ -75,11 +75,11 @@ class TestFrozenTangent:
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 50), 6)
         u = rng.standard_normal((32, 1))
         w = rng.standard_normal((32, 1))
-        tu = frozen_values(paths, model, u)
-        tw = frozen_values(paths, model, w)
-        combo = frozen_values(paths, model, 2.0 * u)
+        tu = collect(frozen_tangent(paths, model, u))
+        tw = collect(frozen_tangent(paths, model, w))
+        combo = collect(frozen_tangent(paths, model, 2.0 * u))
         assert np.array_equal(combo, 2.0 * tu)
-        both = frozen_values(paths, model, u + w)
+        both = collect(frozen_tangent(paths, model, u + w))
         assert np.allclose(both, tu + tw, atol=1e-12)
 
     def test_boundedness_surrogate(self, rng):
@@ -90,7 +90,7 @@ class TestFrozenTangent:
         for _ in range(5):
             direction = rng.standard_normal(1)
             v0 = np.tile(direction, (128, 1))
-            tang = frozen_values(paths, model, v0)
+            tang = collect(frozen_tangent(paths, model, v0))
             sup_norm = np.max(np.abs(tang), axis=0)
             ratio = np.mean(sup_norm**k) ** (1 / k) / abs(direction[0])
             assert ratio <= 2.0
@@ -112,9 +112,10 @@ class TestFrozenTangent:
         mu0 = gaussian_cloud(8, mean=1.0, std=0.2, seed=0)
         grid = TimeGrid(0.1, 10)
         paths = simulate_particles(model, mu0, grid, 0)
-        tang = frozen_values(paths, model, np.ones((8, 1)))
+        tang = collect(frozen_tangent(paths, model, np.ones((8, 1))))
         assert np.all(np.isfinite(tang))
-        assert all(np.all(np.isfinite(a)) for a in meanfield_tangent(paths, model, const_field))
+        values, psi = collect(meanfield_tangent(paths, model, const_field))
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(psi))
         est = estimate_intrinsic(model, mu0, const_field, coord_observable(), 0.1,
                                  grid, linear_schedule(0.1), 0)
         assert np.isfinite(est.value)
@@ -134,8 +135,8 @@ class TestMeanfieldTangent:
         model = ou_model(a=0.7)
         mu0 = gaussian_cloud(32, seed=2)
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 100), 3)
-        mt, psi = meanfield_tangent(paths, model, identity_field())
-        ft = frozen_values(paths, model, identity_field()(paths.states[0]))
+        mt, psi = collect(meanfield_tangent(paths, model, identity_field()))
+        ft = collect(frozen_tangent(paths, model, identity_field()(paths.states[0])))
         assert np.array_equal(mt, ft)
         assert np.all(psi == 0.0)
 
@@ -147,7 +148,7 @@ class TestMeanfieldTangent:
         mu0 = gaussian_cloud(64, seed=9)
         grid = TimeGrid(t_end=1.0, n_steps=1000)
         paths = simulate_particles(model, mu0, grid, 10)
-        tang, _ = meanfield_tangent(paths, model, const_field)
+        tang, _ = collect(meanfield_tangent(paths, model, const_field))
         expected = (1.0 - a * grid.dt) ** grid.n_steps
         assert np.allclose(tang[-1], expected, rtol=1e-10)
         assert np.allclose(tang[-1], math.exp(-a), atol=3e-3)
@@ -157,8 +158,8 @@ class TestMeanfieldTangent:
         mu0 = gaussian_cloud(32, seed=11)
         paths = simulate_particles(model, mu0, TimeGrid(0.5, 50), 12)
         phi = sine_field()
-        base, base_psi = meanfield_tangent(paths, model, phi)
-        twice, twice_psi = meanfield_tangent(paths, model, scaled(phi, 2.0))
+        base, base_psi = collect(meanfield_tangent(paths, model, phi))
+        twice, twice_psi = collect(meanfield_tangent(paths, model, scaled(phi, 2.0)))
         assert np.array_equal(twice, 2.0 * base)
         assert np.array_equal(twice_psi, 2.0 * base_psi)
 
@@ -180,7 +181,7 @@ class TestMeanfieldTangent:
         grid = TimeGrid(t_end=0.5, n_steps=250)
         base = simulate_particles(model, mu0, grid, 14)
         phi = sine_field()
-        tang, _ = meanfield_tangent(base, model, phi)
+        tang, _ = collect(meanfield_tangent(base, model, phi))
         errs = []
         for eps in (0.1, 0.05, 0.025):
             pert = simulate_particles(model, pushforward(mu0, phi, eps), grid, 14)
@@ -193,7 +194,7 @@ class TestMeanfieldTangent:
         model = mfou_model()
         mu0 = gaussian_cloud(16, seed=15)
         paths = simulate_particles(model, mu0, TimeGrid(0.2, 10), 16)
-        tang, psi = meanfield_tangent(paths, model, const_field)
+        tang, psi = collect(meanfield_tangent(paths, model, const_field))
         assert psi.shape == (10, 16, 1)
         drift = model.meanfield_drift
         psi0 = cylindrical_coupling(drift, 0.0, paths.states[0],
