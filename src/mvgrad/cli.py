@@ -9,11 +9,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 a declared check failed, 2 configuration error,
 3 numerical failure.  ``validate`` and ``run`` check a config alike, and
-``validate`` writes nothing; ``run`` then creates its output directory
-before the first check, and a directory it cannot create, or an output it
-cannot write there after the checks, exits 2.  An unknown section or key,
-an unknown name, an unmet check need (``runner.CHECK_SPECS``), noise that is
-not elliptic at the initial law's mean (such as sigma = 0) or an
+``validate`` writes nothing; ``run`` then creates its output directory before
+the first check, and a directory it cannot create, or an output it cannot
+write there after the checks, exits 2 (the old manifest.json goes first and
+the new one is written last, so a failed write leaves none).  An unknown
+section or key, an unknown name, an unmet check need (``runner.CHECK_SPECS``),
+noise that is not elliptic at the initial law's mean (such as sigma = 0) or an
 MVGRAD_MEMORY_BUDGET_MB (the cap on retained trajectories: states plus
 increments, two (N, d) slices per tangent stream, and the path set a shared
 block keeps) that is not a finite positive number all exit 2.

@@ -55,9 +55,10 @@ TANGENT_ORDER_MIN = 0.8
 # Finite-difference errors at or below this on every ladder entry mean an
 # exact tangent (an affine flow): they are rounding noise, with no order to fit.
 TANGENT_EXACT_TOL = 1e-10
-# A Richardson or closed-form row fails when the estimate's stderr exceeds
-# this multiple of the reference's scale: a diverged estimate's own stderr
-# would otherwise widen the 3-sigma tolerance until any gap passes.
+# _gate's rows (Richardson, coord1|...|exact, classical|...) and the schedule
+# rows fail with reason=spread when the estimate's stderr exceeds this multiple
+# of a nonzero scale (_spread): a diverged estimate's own stderr would widen the
+# 3-sigma tolerance past any gap. A zero scale leaves the 3-sigma test alone.
 ESTIMATE_SPREAD_CAP = 100.0
 
 
@@ -206,6 +207,17 @@ def _row(bundle, quantity, label, value, stderr, status, seed, **params) -> Resu
                      params=_params_echo(**params), seed=seed)
 
 
+def _spread(stderr: float, scale: float) -> dict:
+    return {"reason": "spread"} if scale > 0 and stderr > ESTIMATE_SPREAD_CAP * scale else {}
+
+
+def _gate(est, ref: float, ref_se: float, scale: float, slack: float = 0.0):
+    """(status, {gap, tol, any reason}) vs ref +- ref_se: 3 sigma + slack, unless _spread."""
+    gap, tol = abs(est.value - ref), 3.0 * float(np.hypot(est.stderr, ref_se)) + slack
+    spread = _spread(est.stderr, scale)
+    return "pass" if gap <= tol and not spread else "fail", dict(gap=gap, tol=tol, **spread)
+
+
 def check_intrinsic_estimate(bundle: RunBundle):
     cfg = bundle.cfg
     rows = []
@@ -240,12 +252,9 @@ def check_intrinsic_vs_fd(bundle: RunBundle):
             rows.append(_row(bundle, "fd_oracle", label, rich.value, rich.stderr,
                              "ok", cfg.seed, reason="degenerate-oracle"))
             continue
-        gap = abs(est.value - rich.value)
-        tol = 3.0 * float(np.hypot(est.stderr, rich.stderr))
-        spread = est.stderr > ESTIMATE_SPREAD_CAP * scale
-        status = "pass" if gap <= tol and not spread else "fail"
+        status, verdict = _gate(est, rich.value, rich.stderr, scale)
         rows.append(_row(bundle, "fd_oracle", label, rich.value, rich.stderr,
-                         status, cfg.seed, gap=gap, tol=tol, estimate=est.value))
+                         status, cfg.seed, estimate=est.value, **verdict))
     return rows
 
 
@@ -273,14 +282,9 @@ def check_intrinsic_closed_form(bundle: RunBundle):
         ref = affine_reference(scen.family, scen.params, "coord1", cfg.t, mu0.points,
                                phi(mu0.points))
         # (alpha + gamma) mean ||phi||_1 bounds |ref| and is 0 only where phi = 0
-        scale = _derivative_scale(bundle, mu0, "coord1", phi)
-        gap = abs(est.value - ref)
-        tol = 3.0 * est.stderr
-        spread = est.stderr > ESTIMATE_SPREAD_CAP * scale
-        status = "pass" if gap <= tol and not spread else "fail"
+        status, verdict = _gate(est, ref, 0.0, _derivative_scale(bundle, mu0, "coord1", phi))
         rows.append(_row(bundle, "closed_form", f"coord1|{p_name}|exact",
-                         est.value, est.stderr, status, cfg.seed,
-                         reference=ref, gap=gap, tol=tol))
+                         est.value, est.stderr, status, cfg.seed, reference=ref, **verdict))
     return rows
 
 
@@ -304,20 +308,17 @@ def check_classical_gradient(bundle: RunBundle):
         rows.append(_row(bundle, "closed_form", f"classical|{f_name}",
                          None, None, "ok", cfg.seed, reason="no-closed-form"))
         return rows
-    gap = abs(est.value - ref)
-    tol = 3.0 * est.stderr + 2.0 * cfg.dt
-    status = "pass" if gap <= tol else "fail"
+    status, verdict = _gate(est, ref, 0.0, abs(ref), 2.0 * cfg.dt)
     rows.append(_row(bundle, "closed_form", f"classical|{f_name}",
-                     ref, 0.0, status, cfg.seed, estimate=est.value,
-                     gap=gap, tol=tol))
+                     ref, 0.0, status, cfg.seed, estimate=est.value, **verdict))
     return rows
 
 
 def check_beta_invariance(bundle: RunBundle):
     """Each schedule's mean estimate over the ci seeds; a pair of schedules
     passes when its gap is within 3 sigma of their combined standard errors.
-    A schedule whose stderr exceeds ESTIMATE_SPREAD_CAP times a nonzero
-    _derivative_scale fails (reason=spread), or a diverged one passes every pair.
+    A schedule fails with reason=spread when _spread finds its stderr too wide
+    for _derivative_scale, or a diverged one would pass every pair.
     Seeds run outer and schedules inner, so consecutive estimates share their
     noise, and identical schedules give bit-identical means."""
     cfg = bundle.cfg
@@ -334,7 +335,7 @@ def check_beta_invariance(bundle: RunBundle):
         # one seed has no spread across seeds: its per-particle stderr stands in
         se = ests[0].stderr if len(ests) == 1 else se
         stats.append((mean, se))
-        spread = {"reason": "spread"} if scale > 0 and se > ESTIMATE_SPREAD_CAP * scale else {}
+        spread = _spread(se, scale)
         rows.append(_row(bundle, "beta_check", f"schedule={name}", mean, se,
                          "fail" if spread else "ok", cfg.ci_seeds[0],
                          n_seeds=len(cfg.ci_seeds), **spread))
@@ -686,12 +687,11 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
                   errors: list, out_dir: Path, wall_clock: float,
                   check_records: list) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the manifest is written last, so a write that fails leaves none at all
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.as_csv())
+        csv.writer(fh).writerows([CSV_HEADER] + [row.as_csv() for row in rows])
 
     statuses = [r.status for r in rows]
     summary = {s: statuses.count(s) for s in ("ok", "pass", "fail", "error")}
@@ -700,8 +700,7 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
     exit_code = 3 if errors else 1 if summary["fail"] else 0
 
     if errors:
-        with open(out_dir / "errors.json", "w") as fh:
-            json.dump(errors, fh, indent=2, sort_keys=True)
+        (out_dir / "errors.json").write_text(json.dumps(errors, indent=2, sort_keys=True))
     else:
         (out_dir / "errors.json").unlink(missing_ok=True)   # a previous run's
 
@@ -724,8 +723,7 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
         "outputs": {"results_csv": csv_path.name,
                     "errors_json": "errors.json" if errors else None},
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return RunResult(rows=rows, errors=errors, exit_code=exit_code, csv_path=csv_path)
 
 

@@ -271,6 +271,64 @@ checks = intrinsic_closed_form
         assert [(r["label"], r["status"]) for r in read_rows(out)] == [
             ("coord1|const_e1|exact", "fail")]
 
+    def test_unstable_euler_grid_fails_every_gated_row_on_spread(self, tmp_path):
+        # a * dt = 2.1 makes the Euler grid unstable: every estimate diverges
+        # (the classical one to about -1.9e4 +- 6.5e5 against the exact
+        # 6.3e-92), and the classical row's tolerance grows with it
+        text = """\
+[experiment]
+scenario = custom
+n_particles = 200
+n_steps = 100
+t = 1.0
+seed = 7
+
+[estimator]
+checks = classical_gradient, intrinsic_closed_form, intrinsic_vs_fd, beta_invariance
+
+[custom]
+family = affine
+a = 210
+"""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        gated = [r for r in read_rows(out) if r["quantity"] == "closed_form"
+                 or r["label"].endswith("richardson") or r["label"].startswith("schedule=")]
+        assert [r["label"] for r in gated] == [
+            "classical|coord1", "coord1|const_e1|exact", "coord1|const_e1|richardson",
+            "schedule=linear", "schedule=quadratic", "schedule=sine"]
+        assert all(r["status"] == "fail" and "reason=spread" in r["params"].split("|")
+                   for r in gated)
+
+    def test_underflowed_exact_derivative_leaves_the_closed_form_rows_to_3_sigma(
+            self, tmp_path):
+        # a * t = 800 underflows the exact derivative to 0.0, so there is no
+        # scale to cap the estimate's spread against; the gap is within 3 sigma
+        text = """\
+[experiment]
+scenario = custom
+n_particles = 200
+n_steps = 2000
+t = 1.0
+seed = 7
+
+[estimator]
+checks = intrinsic_closed_form, classical_gradient
+
+[custom]
+family = affine
+a = 800
+"""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        rows = [r for r in read_rows(out) if r["quantity"] == "closed_form"]
+        assert [(r["label"], r["status"]) for r in rows] == [
+            ("coord1|const_e1|exact", "pass"), ("classical|coord1", "pass")]
+        exact, classical = rows
+        assert "reference=0.0" in exact["params"].split("|") and float(classical["value"]) == 0.0
+
     def test_diverged_estimate_fails_its_schedule_rows(self, tmp_path):
         # at t = 1e-12 each schedule's mean over the ci seeds is in the
         # thousands, against the exact 1.0; each pair's 3-sigma tolerance,
@@ -523,6 +581,19 @@ def test_output_that_cannot_be_written_is_config_error(tmp_path, output):
     assert "Traceback" not in proc.stderr
     record = json.loads(proc.stderr.strip().splitlines()[-1])
     assert record["error"] == "config" and output in record["message"]
+
+
+def test_failed_write_leaves_no_other_runs_manifest(tmp_path):
+    # the seed-3 run cannot replace errors.json (a directory), so it exits 2;
+    # its results.csv must not stand beside the seed-7 run's manifest.json
+    text = SMALL_CONFIG.replace(CHECKS_LINE, "checks = linearity")
+    cfg, out = write_config(tmp_path, text), tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["resolved_config"]["seed"] == 7
+    (out / "errors.json").mkdir()
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 2
+    assert {r["seed"] for r in read_rows(out)} == {"3"}
+    assert not (out / "manifest.json").exists()
 
 
 def test_check_needs_are_known():
