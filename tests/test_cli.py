@@ -301,6 +301,33 @@ a = 210
         assert all(r["status"] == "fail" and "reason=spread" in r["params"].split("|")
                    for r in gated)
 
+    def test_classical_row_passes_a_correct_estimate_of_a_tiny_derivative(self, tmp_path):
+        # at x0 = 0 the classical estimate's stderr keeps a Monte Carlo floor
+        # (about 1.9e-3 here) while the exact derivative is e^{-20} = 2.1e-9:
+        # the spread cap's scale keeps the 2 * dt slack, so a correct estimate
+        # is not failed for a stderr above 100 times the exact value
+        text = """\
+[experiment]
+scenario = custom
+n_particles = 200
+n_steps = 100
+t = 1.0
+seed = 7
+
+[estimator]
+checks = classical_gradient
+
+[custom]
+family = affine
+a = 20
+"""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        (row,) = [r for r in read_rows(out) if r["quantity"] == "closed_form"]
+        assert row["label"] == "classical|coord1" and row["status"] == "pass"
+        assert "reason=spread" not in row["params"].split("|")
+
     def test_underflowed_exact_derivative_leaves_the_closed_form_rows_to_3_sigma(
             self, tmp_path):
         # a * t = 800 underflows the exact derivative to 0.0, so there is no
