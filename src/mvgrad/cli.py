@@ -66,7 +66,6 @@ def _checked_config(path, **overrides):
         overrides = {key: val for key, val in overrides.items() if val is not None}
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
-            cfg.validate()
         resolve_bundle(cfg)  # surfaces name, needs, horizon and budget problems
     except ConfigError as exc:
         _config_error(str(exc))

@@ -32,7 +32,6 @@ CONFIG_KEYS = {
     ("experiment", "t"): ("t", float),
     ("experiment", "seed"): ("seed", int),
     ("experiment", "ci_seeds"): ("ci_seeds", _list_of(int)),
-    ("estimator", "schedule"): ("schedule", str),
     ("estimator", "schedules"): ("schedules", _list_of(str)),
     ("estimator", "observables"): ("observables", _list_of(str)),
     ("estimator", "perturbations"): ("perturbations", _list_of(str)),
@@ -56,7 +55,7 @@ SEED_LIMIT = 2**63
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Experiment description, validated when it is made (also by ``dataclasses.replace``)."""
 
     scenario: str = "brownian"
     n_particles: int = 5000
@@ -65,8 +64,7 @@ class ExperimentConfig:
     seed: int = 7
     ci_seeds: tuple = (101, 202, 303, 404)
 
-    schedule: str = "linear"
-    schedules: tuple = ("linear", "quadratic", "sine")
+    schedules: tuple = ("linear", "quadratic", "sine")   # the first is the run's
     observables: tuple = ("coord1",)
     perturbations: tuple = ("const_e1",)
     checks: tuple = ()            # empty: use the scenario's declared checks
@@ -80,6 +78,9 @@ class ExperimentConfig:
     out_dir: str = "out"
     parallel: int = 1
     custom: Optional[dict] = None
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def dt(self) -> float:
@@ -97,7 +98,7 @@ class ExperimentConfig:
         for key in ("n_particles", "n_steps", "t", "parallel", "tv_shift"):
             if not 0 < getattr(self, key) < math.inf:
                 problems.append(f"{key} must be positive and finite")
-        for key in ("ci_seeds", "observables", "perturbations"):
+        for key in ("ci_seeds", "schedules", "observables", "perturbations"):
             if not getattr(self, key):
                 problems.append(f"{key} must be nonempty")
         for key in ("eps_ladder", "t_grid", "moment_variances"):
@@ -138,9 +139,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"config value error: {exc}") from exc
 
-    cfg = ExperimentConfig(**kw)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kw)
 
 
 def load_config(path) -> tuple[ExperimentConfig, str]:

@@ -19,12 +19,12 @@ Array = np.ndarray
 #: Largest N accepted by the exact assignment path.
 ASSIGNMENT_CAP = 4096
 
-# Stream tag separating initial-law sampling from path-noise streams, which
-# are keyed by (seed, particle index).
+# Every random stream is Philox(key=[seed mod 2^64, word]) (see _stream): path
+# noise takes the particle index as its word, the initial law this tag.
 _INIT_STREAM_TAG = 0x1E17_5EED_0001_0001
-
-# A seed keys its streams as the 64-bit word seed mod 2^64.
 _MASK64 = 2**64 - 1
+# A fresh Philox stream's state outside its key: counter 0 and an empty buffer.
+_FRESH = dict(bit_generator="Philox", buffer=(0,) * 4, buffer_pos=4, has_uint32=0, uinteger=0)
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,15 @@ def lk_norm(phi, mu: EmpiricalMeasure, k: float) -> float:
     return float(np.mean(norms ** k) ** (1.0 / k))
 
 
-def _rng_for_seed(seed: int) -> np.random.Generator:
-    # exact uint64 words: a list would send any word >= 2^63 through float64
-    key = np.array([seed & _MASK64, _INIT_STREAM_TAG], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream(seed: int, word: int, gen=None) -> np.random.Generator:
+    """``gen``, or a new generator, set to the fresh state of
+    ``Philox(key=[seed mod 2^64, word])``; re-keying one generator per stream
+    costs less than building one."""
+    if gen is None:
+        gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = dict(_FRESH, state={"counter": (0,) * 4,
+                                                  "key": (seed & _MASK64, word)})
+    return gen
 
 
 def sample_initial(dist_spec: dict, N: int, seed: int) -> EmpiricalMeasure:
@@ -151,5 +156,5 @@ def sample_initial(dist_spec: dict, N: int, seed: int) -> EmpiricalMeasure:
     if family != "gaussian":
         raise UnknownFamily(f"unknown initial-law family {family!r}")
     mean = np.atleast_1d(np.asarray(dist_spec.get("mean", 0.0), dtype=float))
-    z = _rng_for_seed(seed).standard_normal((N, mean.shape[0]))
+    z = _stream(seed, _INIT_STREAM_TAG).standard_normal((N, mean.shape[0]))
     return EmpiricalMeasure(mean + math.sqrt(float(dist_spec.get("cov", 1.0))) * z)

@@ -83,7 +83,7 @@ def _affine_flow(family: str, params: dict, t: float) -> tuple:
     rate = a + kappa
     alpha = math.exp(-rate * t)
     gamma = math.exp(-a * t) - alpha
-    decay = t if rate == 0.0 else (1.0 - math.exp(-2.0 * rate * t)) / (2.0 * rate)
+    decay = t if rate == 0.0 else -math.expm1(-2.0 * rate * t) / (2.0 * rate)
     return alpha, gamma, sigma * sigma * decay
 
 

@@ -117,7 +117,7 @@ class RunBundle:
         return TimeGrid(t_end=t, n_steps=max(1, int(round(t / cfg.dt))))
 
     def sched(self, name: Optional[str] = None, t: Optional[float] = None):
-        return SCHEDULE_FACTORIES[name or self.cfg.schedule](self.cfg.t if t is None else t)
+        return SCHEDULE_FACTORIES[name or self.cfg.schedules[0]](self.cfg.t if t is None else t)
 
     def obs(self, name: str):
         return self.observables[name]      # names are resolved by resolve_bundle
@@ -183,8 +183,7 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
     observables = default_observables(model.d)
     perturbations = default_perturbations(model.d)
     for kind, names, known in (("check", checks, CHECK_SPECS),
-                               ("schedule", (cfg.schedule,) + cfg.schedules,
-                                SCHEDULE_FACTORIES),
+                               ("schedule", cfg.schedules, SCHEDULE_FACTORIES),
                                ("observable", cfg.observables, observables),
                                ("perturbation", cfg.perturbations, perturbations)):
         unknown = [n for n in names if n not in known]
@@ -588,7 +587,7 @@ def _run_one_check(bundle: RunBundle, name: str):
     start, before = time.perf_counter(), work_counts()
     try:
         rows, errors = CHECKS[name](bundle), []
-    except (MVGradError, FloatingPointError) as exc:
+    except (MVGradError, ArithmeticError) as exc:
         rows, errors, _ = _error_result(bundle, name, exc, 0.0)
     tensors, integrations = (b - a for a, b in zip(before, work_counts()))
     return rows, errors, {"wall_s": time.perf_counter() - start,

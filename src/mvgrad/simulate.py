@@ -1,11 +1,10 @@
 """Euler integration of the interacting particle system.
 
-Owns all path randomness.  Brownian increments come from counter-based
-(Philox) streams keyed by (seed, particle index) with the step index
-addressing the position inside the stream, so output is bit-identical for
-any parallel schedule and any single particle's noise can be regenerated in
-isolation.  A tensor is built from one generator, re-keyed per particle to
-the state a fresh stream starts in.  Increments are retained in memory
+Brownian increments come from counter-based (Philox) streams keyed by
+(seed, particle index) through :func:`mvgrad.measure._stream`, which keys
+every stream, with the step index addressing the position inside the stream,
+so output is bit-identical for any parallel schedule and any single particle's
+noise can be regenerated in isolation.  Increments are retained in memory
 (they are the raw material for every stochastic-integral weight); a budget
 guard, which the tangent flows also call, errors out instead of spilling to
 disk.  Inside a :func:`reusing_work` block, consecutive simulations on the
@@ -25,7 +24,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError, GridMismatch, MemoryBudgetExceeded, NonFinite
-from .measure import _MASK64, EmpiricalMeasure
+from .measure import EmpiricalMeasure, _stream
 from .model import BLOWUP_THRESHOLD, ModelSpec, _single_term
 
 Array = np.ndarray
@@ -89,15 +88,12 @@ def _guard_memory(need: int, reads) -> int:
 
 
 def _noise_tensor(grid: TimeGrid, seed: int, N: int, m: int) -> Array:
-    """Increments of N particles, (n_steps, N, m), from one Philox set per
-    particle i to counter 0 and an empty buffer, the state of
-    ``Philox(key=[seed, i])``."""
+    """Increments of N particles, (n_steps, N, m), from one generator re-keyed
+    per particle i to the fresh stream ``Philox(key=[seed, i])``."""
     out = np.empty((grid.n_steps, N, m))
-    gen = np.random.Generator(np.random.Philox(0))
-    state = dict(bit_generator="Philox", buffer=(0,) * 4, buffer_pos=4, has_uint32=0, uinteger=0)
+    gen = None
     for i in range(N):
-        key = (seed & _MASK64, i & _MASK64)
-        gen.bit_generator.state = dict(state, state={"counter": (0,) * 4, "key": key})
+        gen = _stream(seed, i, gen)
         u = gen.random((grid.n_steps, m))
         out[:, i, :] = ndtri(np.maximum(u, _U_FLOOR)) * np.sqrt(grid.dt)
     return out

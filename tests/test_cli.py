@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvgrad import runner, simulate
+from mvgrad.bismut import estimate_intrinsic
 from mvgrad.cli import main
 from mvgrad.config import ExperimentConfig, load_config
 from mvgrad.errors import ConfigError
@@ -454,7 +455,11 @@ def oracle_line(line):
 # (config edits as (old, new) replacements, MVGRAD_MEMORY_BUDGET_MB value)
 BAD_INPUTS = {
     "unknown-check": ((("checks = intrinsic_vs_fd,", "checks = intrinsic_vs_fdd,"),), None),
-    "unknown-schedule": ((("[estimator]\n", "[estimator]\nschedule = cubic\n"),), None),
+    "unknown-schedule": ((("[estimator]\n", "[estimator]\nschedules = linear, cubic\n"),),
+                         None),
+    # the run's schedule is the first entry of schedules: there is no schedule key
+    "schedule-key": ((("[estimator]\n", "[estimator]\nschedule = linear\n"),), None),
+    "empty-schedules": ((("[estimator]\n", "[estimator]\nschedules =\n"),), None),
     "unknown-observable": ((("observables = coord1", "observables = nosuch"),), None),
     "unknown-perturbation": ((("perturbations = const_e1", "perturbations = nosuch"),), None),
     "budget-not-a-number": ((), "banana"),
@@ -863,6 +868,59 @@ def test_zero_gap_is_a_failed_check_not_a_numerical_error(tmp_path):
     assert not (out / "errors.json").exists()
 
 
+AFFINE_TV = """\
+[experiment]
+scenario = custom
+n_particles = 200
+n_steps = 100
+
+[estimator]
+checks = tv_scaling
+
+[custom]
+family = affine
+a = {a}
+"""
+
+
+@pytest.mark.parametrize("a, kind", [("-1000", "OverflowError"),
+                                     ("1e308", "ZeroDivisionError")])
+def test_arithmetic_error_in_a_reference_is_an_error_row(a, kind, tmp_path):
+    # tv_sign_reference evaluates the affine flow before any simulation: at
+    # a = -1000 exp(1000 t) overflows, and at a = 1e308 the variance is 0
+    cfg, out = write_config(tmp_path, AFFINE_TV.format(a=a)), tmp_path / "out"
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "mvgrad.cli", "run", "--config", str(cfg),
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert [(r["label"], r["status"], r["params"]) for r in read_rows(out)] == [
+        ("tv_scaling", "error", f"error={kind}")]
+    assert json.loads((out / "errors.json").read_text())[0]["type"] == kind
+
+
+def test_config_is_checked_when_it_is_made():
+    cfg = ExperimentConfig()
+    for bad in (dict(schedules=()), dict(n_particles=0), dict(seed=-1)):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, **bad)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
+
+
+def test_first_schedule_is_the_runs():
+    cfg = ExperimentConfig(n_particles=50, n_steps=10, schedules=("sine", "linear"))
+    bundle = runner.resolve_bundle(cfg)
+    phi, f = bundle.field("const_e1"), bundle.obs("coord1")
+    by_name = {name: estimate_intrinsic(bundle.model, bundle.mu0(), phi, f, cfg.t, bundle.grid(),
+                                        SCHEDULE_FACTORIES[name](cfg.t), cfg.seed).value
+               for name in cfg.schedules}
+    assert bundle.estimate(phi, f).value == by_name["sine"] != by_name["linear"]
+
+
 def test_parallel_run_leaves_warning_filters_alone(tmp_path):
     text = (SMALL_CONFIG.replace("scenario = brownian", "scenario = singular_demo")
             .replace(CHECKS_LINE, "checks = intrinsic_estimate, determinism, moment_bound")
@@ -1214,6 +1272,10 @@ BAD_ENTRIES = [
     ("output", "parallel", "0"), ("oracle", "eps_ladder", "0.05, 0.05"),
 ]
 
+# [custom] affine rates a: exp(-a t) overflows at -1000, the variance's
+# (1 - e^{-2at}) / 2a cancels at 1e-20, and 2a overflows at 1e308
+AFFINE_RATES = ["-1000", "-3", "0", "1e-20", "0.5", "1e308"]
+
 
 @st.composite
 def generated_configs(draw):
@@ -1226,7 +1288,6 @@ def generated_configs(draw):
             "seed": str(draw(st.integers(0, 99))),
         },
         "estimator": {
-            "schedule": draw(st.sampled_from(sorted(SCHEDULE_FACTORIES))),
             "checks": ", ".join(draw(st.sets(st.sampled_from(sorted(CHECKS))))),
         },
         "oracle": {"tv_shift": draw(st.sampled_from(["0.25", "0.5", "1.0"]))},
@@ -1241,6 +1302,9 @@ def generated_configs(draw):
         unique = key == "eps_ladder" or draw(st.sampled_from((True, True, True, False)))
         sections[section][key] = ", ".join(draw(st.lists(
             entry, min_size=length, max_size=length, unique=unique)))
+    if draw(st.sampled_from((False, False, True))):
+        sections["experiment"]["scenario"] = "custom"
+        sections["custom"] = {"family": "affine", "a": draw(st.sampled_from(AFFINE_RATES))}
     if draw(st.sampled_from((False, False, False, False, True))):
         section, key, value = draw(st.sampled_from(BAD_ENTRIES))
         sections.setdefault(section, {})[key] = value
@@ -1255,10 +1319,15 @@ def test_generated_configs_exit_cleanly(text):
         cfg = Path(tmp) / "gen.cfg"
         cfg.write_text(text)
         validated = main(["validate", "--config", str(cfg)])
-        ran = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        # numpy's overflow warnings are recorded, as the command line prints
+        # them, rather than raised: a run that warns must end in exit 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ran = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
     assert validated in (0, 2)
     assert ran in (0, 1, 2, 3)
     assert (validated == 2) == (ran == 2)
+    assert not caught or ran == 3
 
 
 def test_readme_library_example_runs(capsys):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mvgrad.errors import NonFinite, SizeCap, UnequalSupport, UnknownFamily
 from mvgrad.measure import (ASSIGNMENT_CAP, EmpiricalMeasure, TransportPlan,
-                            _assignment, lk_norm, pushforward, sample_initial,
-                            wasserstein)
+                            _assignment, _stream, lk_norm, pushforward,
+                            sample_initial, wasserstein)
 from mvgrad.model import CylindricalDrift
 
 identity = lambda x: np.array(x, copy=True)
@@ -226,6 +226,18 @@ class TestSampleInitial:
         assert np.array_equal(draws[-1], draws[2**64 - 1])
         for a, b in [(-1, -2), (-1, -1000), (2**63, 2**63 + 1)]:
             assert not np.array_equal(draws[a], draws[b])
+
+    def test_a_reused_generator_starts_each_fresh_stream(self):
+        # _stream re-keys one generator, whatever it drew before, to the start
+        # of Philox(key=[seed mod 2^64, word])
+        gen = None
+        for seed, word in itertools.product((0, 7, -1, 2**63, 12345678901234567890),
+                                            (0, 5, 2**64 - 1)):
+            gen = _stream(seed, word, gen)
+            fresh = np.random.Generator(np.random.Philox(
+                key=np.array([seed % 2**64, word], dtype=np.uint64)))
+            assert gen.standard_normal(5).tobytes() == fresh.standard_normal(5).tobytes()
+            gen.integers(0, 2**32, 3, dtype=np.uint32)     # a half-used buffer word
 
     # The point_mass, uniform_box, mixture and points families are deleted:
     # each formerly valid spec must be refused, not drawn as another law.

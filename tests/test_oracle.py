@@ -220,6 +220,18 @@ def test_normal_law_matches_scipy_stats_bit_for_bit():
             assert got.tobytes() == want.tobytes(), (t, a, kappa, sigma, shift)
 
 
+def test_affine_variance_keeps_its_small_rate_limit():
+    # v = (1 - e^{-2rt}) / 2r cancels for a small rate r: it read 0.0 at
+    # r = 1e-20 and 1 - 2.2e-5 at r = 1e-12, where the series gives t - r t^2
+    for rate in (1e-20, 1e-12):
+        var = _affine_flow("affine", family_params("affine", a=rate), 1.0)[2]
+        assert var == pytest.approx(1.0 - rate, rel=1e-15)
+    # so tv_scaling's exact gaps at a = 1e-20 are the driftless ones, not a 0/0
+    for t in (0.05, 0.1, 0.2, 0.4):
+        assert (tv_sign_reference("affine", family_params("affine", a=1e-20), 0.5, t)
+                == tv_sign_reference("affine", family_params("affine"), 0.5, t))
+
+
 def brownian_tv(shift, sigma, t):
     """tv_sign_reference's gap for the driftless affine flow with noise scale sigma."""
     return tv_sign_reference("affine", family_params("affine", sigma=sigma), shift, t)[1]
