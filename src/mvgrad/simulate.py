@@ -242,21 +242,23 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     flow = np.empty((n + 1, drift.n))
 
     X = states[0]
-    for s in range(n):
-        t = s * dt
-        z = drift.moment_vector(X)
-        flow[s] = z
-        b = model.drift(t, X, z)
-        sig = model.diffusion(t, X if not model.diffusion.constant_in_x else X[:1])
-        if model.m == 1:
-            incr = _single_term(sig[:, :, 0], dW[s])
-        elif sig.shape[0] == 1 and N > 1:
-            incr = dW[s] @ sig[0].T
-        else:
-            incr = np.einsum("idm,im->id", sig, dW[s])
-        X = np.add(X, b * dt, out=states[s + 1])
-        X += incr
-        _step_guard(X, s + 1)
+    # an overflow raises FloatingPointError (an error row), not a RuntimeWarning
+    with np.errstate(over="raise"):
+        for s in range(n):
+            t = s * dt
+            z = drift.moment_vector(X)
+            flow[s] = z
+            b = model.drift(t, X, z)
+            sig = model.diffusion(t, X if not model.diffusion.constant_in_x else X[:1])
+            if model.m == 1:
+                incr = _single_term(sig[:, :, 0], dW[s])
+            elif sig.shape[0] == 1 and N > 1:
+                incr = dW[s] @ sig[0].T
+            else:
+                incr = np.einsum("idm,im->id", sig, dW[s])
+            X = np.add(X, b * dt, out=states[s + 1])
+            X += incr
+            _step_guard(X, s + 1)
     flow[n] = drift.moment_vector(X)
     states.flags.writeable = flow.flags.writeable = False
     return _hold(1, (model, dW, start),
