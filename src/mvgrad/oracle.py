@@ -10,6 +10,7 @@ The only shared code is the particle integrator and measure arithmetic.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,8 +35,13 @@ def _fd_samples(model: ModelSpec, mu0: EmpiricalMeasure, phi, f: Callable,
     """Per-particle difference quotients under shared noise and indices."""
     if base is None:
         base = simulate_particles(model, mu0, grid, seed)
-    pert = simulate_particles(model, pushforward(mu0, phi, eps), grid, seed)
-    return (f(pert.terminal()) - f(base.terminal())) / eps
+    pert = _terminal(model, pushforward(mu0, phi, eps), grid, seed)
+    return (f(pert) - f(base.terminal())) / eps
+
+
+def _terminal(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid, seed: int) -> Array:
+    """X_n of a streamed run, which holds two slices at a time."""
+    return deque(simulate_particles(model, mu0, grid, seed, stream=True), maxlen=1).pop()
 
 
 def finite_difference_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure,
@@ -171,13 +177,14 @@ def stability_report(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalMeas
         return 0.0, 0.0, 0.0        # identical initial clouds: ratios reported as 0
     nu_matched = EmpiricalMeasure(nu0.points[plan.pairing])
     run1 = simulate_particles(model, mu0, grid, seed)
-    run2 = simulate_particles(model, nu_matched, grid, seed)
+    run2 = simulate_particles(model, nu_matched, grid, seed, stream=True)
     # each particle's largest gap over the time slices, one slice at a time
     sup = np.zeros(mu0.N)
-    for x1, x2 in zip(run1.states, run2.states):
+    for x1, x2 in zip(run1.states, run2):
         np.maximum(sup, np.linalg.norm(x1 - x2, axis=1), out=sup)
     sup_k = float(np.mean(sup ** k) ** (1.0 / k))
-    wt, _ = wasserstein(EmpiricalMeasure(run1.terminal()), EmpiricalMeasure(run2.terminal()), k)
+    # x2 is the last slice drawn, run2's terminal one
+    wt, _ = wasserstein(EmpiricalMeasure(run1.terminal()), EmpiricalMeasure(x2), k)
     return w0, sup_k / w0, wt / w0
 
 
@@ -185,13 +192,13 @@ def moment_report(model: ModelSpec, mu0_ladder: Sequence[EmpiricalMeasure],
                   grid: TimeGrid, seed: int) -> list:
     """Per initial law, (E-hat |X_0|^k, sup_s E-hat |X_s|^k) of its run.
 
-    Each run is reduced to its per-slice moments and released before the
-    next one is integrated, so the ladder holds one run at a time.
+    Each run is streamed and reduced to its per-slice moments, so the ladder
+    holds two slices of one run at a time.
     """
     pairs = []
     for mu0 in mu0_ladder:
         per_slice = [float((np.linalg.norm(x, axis=1) ** model.k).mean())
-                     for x in simulate_particles(model, mu0, grid, seed).states]
+                     for x in simulate_particles(model, mu0, grid, seed, stream=True)]
         pairs.append((per_slice[0], max(per_slice)))
     return pairs
 
@@ -209,8 +216,7 @@ def tv_gradient_scaling(model: ModelSpec, mu0: EmpiricalMeasure, nu0: EmpiricalM
     """
     if mu0.N != nu0.N:
         raise UnequalSupport("tv scaling needs equal sample counts")
-    # each run is reduced to its step mean before the next one is integrated
     step = lambda mu, grid, theta: float(np.mean(np.sign(
-        simulate_particles(model, mu, grid, seed).terminal()[:, 0] - theta)))
+        _terminal(model, mu, grid, seed)[:, 0] - theta)))
     return [abs(step(mu0, grid, theta) - step(nu0, grid, theta))
             for grid, theta in zip(grids, thetas, strict=True)]

@@ -430,10 +430,16 @@ def check_wasserstein_lipschitz(bundle: RunBundle):
         shift[0] = c
         nu0 = mu0.shifted(shift)
         w0, sup, terminal = stability_report(bundle.model, mu0, nu0, bundle.grid(), cfg.seed)
-        ratios.append(terminal)
+        # a shift that vanishes on the cloud in floating point has w0 = 0 and no ratios
+        status, why = ("ok", {}) if w0 > 0 else ("fail", {"reason": "zero-shift"})
+        ratios += [terminal] if w0 > 0 else []
         rows.append(_row(bundle, "stability", f"shift={c:g}|terminal",
-                         terminal, None, "ok", cfg.seed, w0=w0))
-        rows.append(_row(bundle, "stability", f"shift={c:g}|sup", sup, None, "ok", cfg.seed))
+                         terminal, None, status, cfg.seed, w0=w0, **why))
+        rows.append(_row(bundle, "stability", f"shift={c:g}|sup", sup, None, status, cfg.seed,
+                         **why))
+    if len(ratios) < 2:
+        return rows + [_row(bundle, "stability", "ratio-variation", None, None, "fail",
+                            cfg.seed, reason="zero-shift")]
     variation = (max(ratios) - min(ratios)) / max(ratios) if max(ratios) > 0 else 0.0
     status = "pass" if variation < LIPSCHITZ_VARIATION_CAP else "fail"
     rows.append(_row(bundle, "stability", "ratio-variation", variation, None,
@@ -465,18 +471,18 @@ def check_tangent_fd_order(bundle: RunBundle):
     cfg, phi, mu0, grid = bundle.cfg, bundle.field("sine_field"), bundle.mu0(), bundle.grid()
     model = bundle.model
     # mu0's paths are asked for here and on each rung, as oracle._fd_samples asks
-    # after an estimate: kept from the second ask on, a rung integrates only its
-    # perturbed run, and the guard counts the kept paths while it does
+    # after an estimate: kept from the second ask on, so the guard counts them
+    # while each rung streams its perturbed run beside them
     simulate_particles(model, mu0, grid, cfg.seed)
     errs, rows = [], []
     for eps in cfg.eps_ladder:
         base = simulate_particles(model, mu0, grid, cfg.seed)
         tangent = meanfield_tangent(base, model, phi)
-        pert = simulate_particles(model, pushforward(mu0, phi, eps), grid, cfg.seed).states
+        pert = simulate_particles(model, pushforward(mu0, phi, eps), grid, cfg.seed,
+                                  stream=True)
         # max over time slices of the mean over particles, one slice at a time
         err = float(np.max([np.mean(np.linalg.norm(v - (p - x) / eps, axis=1))
-                            for (v, _), p, x in zip(tangent, pert, base.states)]))
-        del pert        # released before the next rung is integrated
+                            for p, (v, _), x in zip(pert, tangent, base.states)]))
         errs.append(err)
         rows.append(_row(bundle, "fd_oracle", f"tangent|eps={eps:g}", err, None,
                          "ok", cfg.seed))

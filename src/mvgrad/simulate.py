@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 import numpy as np
 from scipy.special import ndtri
 
@@ -204,47 +206,15 @@ def _step_guard(X: Array, step: int) -> None:
         raise NonFinite(f"blow-up guard tripped at step {step}", step=step)
 
 
-def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
-                       seed: int) -> ParticlePaths:
-    """Integrate the N-particle interacting system.
-
-    Each step computes the empirical drift moments of the current slice
-    (the only cross-particle synchronization), then updates all particles
-    independently with their own noise.  Output is fully determined by
-    (model, mu0, grid, seed); inside :func:`reusing_work` the held or kept paths
-    of the same model, noise and starting points (bit for bit) are returned and held.
-    """
-    if grid.t_end > model.horizon + 1e-12:
-        raise GridMismatch(f"grid end {grid.t_end} exceeds model horizon {model.horizon}")
-    if mu0.d != model.d:
-        raise ValueError(f"initial measure dimension {mu0.d} != model dimension {model.d}")
-    N, d = mu0.points.shape
-    n = grid.n_steps
-    dt = grid.dt
-    start = mu0.points.tobytes()
-    # a kept hit reads the kept paths, and a new tensor frees them
-    _guard_memory(8 * N * ((n + 1) * d + n * model.m),
-                  lambda key, _: key[0] is model and key[2] == start
-                  or _held.chain[0][0] != (seed, N, model.m, grid))
-
-    dW = brownian_increments(grid, N, model.m, seed)
-    matches = lambda k: k[0] is model and k[1] is dW and k[2] == start
-    held = _reused(1, matches)
-    if held is not None:
-        _held.kept = ((model, dW, start), held)
-        return held
-    if _held.kept is not None and matches(_held.kept[0]):
-        return _hold(1, *_held.kept)
-    _held.integrations += 1
-    states = np.empty((n + 1, N, d))
-    states[0] = mu0.points
-    drift = model.meanfield_drift
-    flow = np.empty((n + 1, drift.n))
-
-    X = states[0]
-    # an overflow raises FloatingPointError (an error row), not a RuntimeWarning
-    with np.errstate(over="raise"):
-        for s in range(n):
+def _euler(model: ModelSpec, X0: Array, dW: Array, dt: float, slices: Array,
+           flow: Array) -> Iterator[Array]:
+    """X_0, ..., X_n from X0 on dW, each drawn into slices[s % len(slices)], its moments
+    into ``flow``; an overflow raises FloatingPointError (an error row), not a warning."""
+    drift, X = model.meanfield_drift, slices[0]
+    X[...] = X0
+    for s in range(len(dW)):
+        yield X
+        with np.errstate(over="raise"):
             t = s * dt
             z = drift.moment_vector(X)
             flow[s] = z
@@ -252,14 +222,57 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
             sig = model.diffusion(t, X if not model.diffusion.constant_in_x else X[:1])
             if model.m == 1:
                 incr = _single_term(sig[:, :, 0], dW[s])
-            elif sig.shape[0] == 1 and N > 1:
+            elif sig.shape[0] == 1 and len(X) > 1:
                 incr = dW[s] @ sig[0].T
             else:
                 incr = np.einsum("idm,im->id", sig, dW[s])
-            X = np.add(X, b * dt, out=states[s + 1])
+            X = np.add(X, b * dt, out=slices[(s + 1) % len(slices)])
             X += incr
             _step_guard(X, s + 1)
-    flow[n] = drift.moment_vector(X)
-    states.flags.writeable = flow.flags.writeable = False
-    return _hold(1, (model, dW, start),
-                 ParticlePaths(states=states, noise=dW, grid=grid, moment_flow=flow))
+    flow[-1] = drift.moment_vector(X)
+    yield X
+
+
+def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
+                       seed: int, stream: bool = False):
+    """Integrate the N-particle interacting system.
+
+    Each step computes the empirical drift moments of the current slice
+    (the only cross-particle synchronization), then updates all particles
+    independently with their own noise.  Output is fully determined by
+    (model, mu0, grid, seed); inside :func:`reusing_work` the held or kept paths
+    of the same model, noise and starting points (bit for bit) are returned and held.
+    With ``stream``, an iterator over X_0, ..., X_n: each is valid until the next but
+    one is drawn, and the stream puts no paths of its own in the work chain.
+    """
+    if grid.t_end > model.horizon + 1e-12:
+        raise GridMismatch(f"grid end {grid.t_end} exceeds model horizon {model.horizon}")
+    if mu0.d != model.d:
+        raise ValueError(f"initial measure dimension {mu0.d} != model dimension {model.d}")
+    N, d = mu0.points.shape
+    n = grid.n_steps
+    start = mu0.points.tobytes()
+    # a kept hit reads the kept paths, and a new tensor frees them
+    _guard_memory(8 * N * ((2 if stream else n + 1) * d + n * model.m),
+                  lambda key, _: key[0] is model and key[2] == start
+                  or _held.chain[0][0] != (seed, N, model.m, grid))
+
+    dW = brownian_increments(grid, N, model.m, seed)
+    matches = lambda k: k[0] is model and k[1] is dW and k[2] == start
+    chain = [] if _held.chain is None else _held.chain
+    if len(chain) > 1 and matches(chain[1][0]):
+        _held.kept = chain[1]
+    elif _held.kept is not None and matches(_held.kept[0]):
+        _hold(1, *_held.kept)
+    else:
+        _held.integrations += 1
+        flow = np.empty((n + 1, model.meanfield_drift.n))
+        if stream:
+            return _euler(model, mu0.points, dW, grid.dt, np.empty((2, N, d)), flow)
+        del chain[1:]
+        states = np.empty((n + 1, N, d))
+        deque(_euler(model, mu0.points, dW, grid.dt, states, flow), maxlen=0)
+        states.flags.writeable = flow.flags.writeable = False
+        return _hold(1, (model, dW, start),
+                     ParticlePaths(states=states, noise=dW, grid=grid, moment_flow=flow))
+    return iter(_held.kept[1].states) if stream else _held.kept[1]   # a hit is kept

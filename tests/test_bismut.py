@@ -14,10 +14,9 @@ from mvgrad.errors import (GridMismatch, MeasureDependence, MemoryBudgetExceeded
                            NonFinite, ScheduleMismatch)
 from mvgrad.measure import EmpiricalMeasure, sample_initial
 from mvgrad.model import (BLOWUP_THRESHOLD, SCHEDULE_FACTORIES, CylindricalDrift,
-                          Diffusion, ModelSpec, linear_schedule, quadratic_schedule,
-                          scaled)
+                          linear_schedule, quadratic_schedule, scaled)
 from mvgrad.oracle import richardson_intrinsic
-from mvgrad.scenarios import (affine_drift, constant_observable, coord_observable,
+from mvgrad.scenarios import (constant_observable, coord_observable,
                               coordinate_field, default_observables,
                               default_perturbations, get_scenario, identity_field,
                               sign_observable, sin_observable)
@@ -26,7 +25,8 @@ from mvgrad.simulate import (MEMORY_BUDGET_ENV, TimeGrid, reusing_work,
 from mvgrad.tangent import frozen_tangent, meanfield_tangent
 
 from conftest import (brownian_model, collect, csv_modes, gaussian_cloud,
-                      mfou_model, ou_model)
+                      mfou_model, ou_model, planar_trig_grad_sigma, planar_trig_model,
+                      planar_trig_sigma)
 
 const_e1 = coordinate_field(0, 1.0)
 
@@ -382,40 +382,6 @@ class TestMemory:
         assert peak <= 2.3 * 8 * N * (n + 1) * model.d
 
 
-def _planar_trig_sigma(t, x):
-    """d = 2, m = 3 state-dependent noise; rows stay nearly orthonormal."""
-    s0, c0 = np.sin(x[:, 0]), np.cos(x[:, 0])
-    s1, c1 = np.sin(x[:, 1]), np.cos(x[:, 1])
-    out = np.empty((x.shape[0], 2, 3))
-    out[:, 0, 0] = 1.0 + 0.25 * s0
-    out[:, 0, 1] = 0.2 * c1
-    out[:, 0, 2] = 0.3
-    out[:, 1, 0] = 0.2 * s1
-    out[:, 1, 1] = 1.0 + 0.25 * c0
-    out[:, 1, 2] = 0.3 * s0
-    return out
-
-
-def _planar_trig_grad_sigma(t, x):
-    """Entry [i, a, b, j] = d sigma_ab / dx_j of :func:`_planar_trig_sigma`."""
-    s0, c0 = np.sin(x[:, 0]), np.cos(x[:, 0])
-    s1, c1 = np.sin(x[:, 1]), np.cos(x[:, 1])
-    out = np.zeros((x.shape[0], 2, 3, 2))
-    out[:, 0, 0, 0] = 0.25 * c0
-    out[:, 0, 1, 1] = -0.2 * s1
-    out[:, 1, 0, 1] = 0.2 * c1
-    out[:, 1, 1, 0] = -0.25 * s0
-    out[:, 1, 2, 0] = 0.3 * c0
-    return out
-
-
-def planar_trig_model() -> ModelSpec:
-    """d = 2 state, m = 3 noise: runs the per-particle zeta solve with m > d."""
-    diff = Diffusion(sigma=_planar_trig_sigma, grad_sigma=_planar_trig_grad_sigma)
-    return ModelSpec(d=2, m=3, k=2.0, meanfield_drift=affine_drift(2, 1.0, 0.5),
-                     diffusion=diff, horizon=4.0)
-
-
 class TestPlanarStateDependentNoise:
     def test_grad_sigma_is_exact(self):
         x = np.random.default_rng(0).normal(size=(50, 2))
@@ -423,8 +389,8 @@ class TestPlanarStateDependentNoise:
         for j in range(2):
             step = np.zeros(2)
             step[j] = h
-            fd = (_planar_trig_sigma(0.0, x + step) - _planar_trig_sigma(0.0, x - step)) / (2 * h)
-            assert np.max(np.abs(fd - _planar_trig_grad_sigma(0.0, x)[..., j])) < 1e-8
+            fd = (planar_trig_sigma(0.0, x + step) - planar_trig_sigma(0.0, x - step)) / (2 * h)
+            assert np.max(np.abs(fd - planar_trig_grad_sigma(0.0, x)[..., j])) < 1e-8
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("f_name,p_name", [("coord1", "const_e1"), ("sin", "sine_field")])

@@ -868,6 +868,26 @@ def test_zero_gap_is_a_failed_check_not_a_numerical_error(tmp_path):
     assert not (out / "errors.json").exists()
 
 
+def test_zero_shift_is_a_failed_stability_row(tmp_path):
+    # 1e-300 vanishes on the cloud in floating point, so w0 = 0 and its ratios
+    # are not figures of the flow; the variation is taken over the other shifts
+    text = (SMALL_CONFIG.replace("scenario = brownian", "scenario = meanfield_ou")
+            .replace("n_particles = 400", "n_particles = 200")
+            .replace(CHECKS_LINE, "checks = wasserstein_lipschitz")
+            .replace("[oracle]\n", "[oracle]\nstability_shifts = 1e-300, 0.2, 2.0\n"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(out)]) == 1
+    rows = [(r["label"], r["status"], r["params"]) for r in read_rows(out)]
+    assert rows[:2] == [("shift=1e-300|terminal", "fail", "reason=zero-shift|w0=0.0"),
+                        ("shift=1e-300|sup", "fail", "reason=zero-shift")]
+    assert [status for _, status, _ in rows[2:]] == ["ok"] * 4 + ["pass"]
+    one_left = text.replace("1e-300, 0.2, 2.0", "1e-300, 0.2")
+    assert main(["run", "--config", str(write_config(tmp_path, one_left)),
+                 "--out", str(out)]) == 1
+    assert read_rows(out)[-1]["params"] == "reason=zero-shift"
+
+
 AFFINE_TV = """\
 [experiment]
 scenario = custom
