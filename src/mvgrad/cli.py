@@ -16,8 +16,8 @@ the new one is written last, so a failed write leaves none).  An unknown
 section or key, an unknown name, an unmet check need (``runner.CHECK_SPECS``),
 noise that is not elliptic at the initial law's mean (such as sigma = 0) or an
 MVGRAD_MEMORY_BUDGET_MB (the cap on retained trajectories: states plus
-increments, two (N, d) slices per tangent stream, and the path set a shared
-block keeps) that is not a finite positive number all exit 2.
+increments, two (N, d) slices per stream, and the path set a shared block
+holds beside a stream) that is not a finite positive number all exit 2.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mvgrad",
         description="particle-system derivative estimation and verification suites",
         epilog=f"memory budget: set {MEMORY_BUDGET_ENV} (MB) to cap retained "
-               "trajectories (states plus increments, two slices per tangent "
-               "stream and kept paths)",
+               "trajectories (states plus increments, two slices per stream "
+               "and the held paths beside it)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

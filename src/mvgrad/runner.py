@@ -151,27 +151,28 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
         params = dict(cfg.custom or {})
         family = params.pop("family", None)
         try:
-            # only the affine family reads d; the others are one-dimensional
-            d = int(family_params(family, **params).get("d", 1))
-            law = {"family": "gaussian", "mean": [0.0] * d, "cov": 1.0}
-            scen = Scenario(name="custom", description="[custom] section", family=family,
-                            params=params, initial_law=law,
-                            checks=("intrinsic_estimate", "determinism"))
+            params = family_params(family, **params)
         except (MVGradError, ValueError) as exc:
             raise ConfigError(f"[custom] {exc}") from exc
     else:
         scen = get_scenario(cfg.scenario)
+        params = scen.params
     # an invalid MVGRAD_MEMORY_BUDGET_MB raises ConfigError here; so does a
     # starting cloud, or the d x d matrices that the build and the ellipticity
     # check hold (drift, diffusion, sigma sigma* and the eigensolver's copy),
-    # that alone exceed the budget, before anything allocates them
-    d, budget = int(scen.params.get("d", 1)), memory_budget_bytes()
+    # that alone exceed the budget, before anything allocates them (a [custom]
+    # law's mean included); only the affine family reads d, the others are 1-D
+    d, budget = int(params.get("d", 1)), memory_budget_bytes()
     for what, need in ((f"a starting cloud of {cfg.n_particles} particles",
                         8 * cfg.n_particles * d),
                        (f"a model of dimension d = {d}", 4 * 8 * d * d)):
         if need > budget:
             raise ConfigError(f"{what} needs {need / 1e6:.0f} MB, budget is "
                               f"{budget / 1e6:.0f} MB (set {MEMORY_BUDGET_ENV} to raise it)")
+    if cfg.scenario == "custom":
+        scen = Scenario(name="custom", description="[custom] section", family=family,
+                        params=params, checks=("intrinsic_estimate", "determinism"),
+                        initial_law={"family": "gaussian", "mean": [0.0] * d, "cov": 1.0})
     try:
         model = scen.build()
         validate_ellipticity(model.diffusion, np.atleast_1d(scen.initial_law["mean"]))
@@ -470,10 +471,6 @@ def check_tangent_fd_order(bundle: RunBundle):
     # linearly through mean-coupled drifts and leave no O(eps) error to fit
     cfg, phi, mu0, grid = bundle.cfg, bundle.field("sine_field"), bundle.mu0(), bundle.grid()
     model = bundle.model
-    # mu0's paths are asked for here and on each rung, as oracle._fd_samples asks
-    # after an estimate: kept from the second ask on, so the guard counts them
-    # while each rung streams its perturbed run beside them
-    simulate_particles(model, mu0, grid, cfg.seed)
     errs, rows = [], []
     for eps in cfg.eps_ladder:
         base = simulate_particles(model, mu0, grid, cfg.seed)

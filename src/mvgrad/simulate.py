@@ -76,10 +76,11 @@ def memory_budget_bytes() -> int:
 
 def _guard_memory(need: int, reads) -> int:
     """Raise MemoryBudgetExceeded if ``need`` bytes of trajectories, plus the paths a
-    reusing_work() block keeps unless the request ``reads(key, paths)``, exceed the
-    budget; else return that total."""
-    if _held.kept and not reads(*_held.kept):
-        need += _held.kept[1].states.nbytes + _held.kept[1].moment_flow.nbytes
+    reusing_work() block holds unless the request ``reads(key, paths)`` them or frees
+    them, exceed the budget; else return that total."""
+    chain = _held.chain or ()
+    if len(chain) > 1 and not reads(*chain[1]):
+        need += chain[1][1].states.nbytes + chain[1][1].moment_flow.nbytes
     budget = memory_budget_bytes()
     if need > budget:
         raise MemoryBudgetExceeded(
@@ -103,7 +104,6 @@ def _noise_tensor(grid: TimeGrid, seed: int, N: int, m: int) -> Array:
 
 class _Held(threading.local):
     chain = None                    # inside reusing_work(): (key, value) per level
-    kept = None                     # (key, paths) asked for twice on the held tensor
     tensors = integrations = 0      # work_counts()
 
 
@@ -115,11 +115,11 @@ def reusing_work():
     """Let a call in this block hand back what the last one of its kind built.
 
     The calling thread holds one entry per level, the last key and what was
-    built for it: the noise tensor of a (seed, N, m, grid), the paths last handed
-    out on it, and the coupling weight of one (paths, phi).  A
-    new key drops its level's entry and every one below before building anew.
-    Paths asked for a second time are also kept until the tensor changes or the
-    block ends, so a tensor holds at most two path sets.  Inner blocks join it.
+    built for it: the noise tensor of a (seed, N, m, grid), the paths last built
+    on it, and the coupling weight of one (paths, phi).  A new key drops its
+    level's entry and every one below before building anew, so a tensor holds
+    at most one path set; a streamed run builds nothing into the chain.  Inner
+    blocks join it.
     """
     if _held.chain is not None:
         yield
@@ -128,7 +128,7 @@ def reusing_work():
     try:
         yield
     finally:
-        _held.chain = _held.kept = None
+        _held.chain = None
 
 
 def _reused(level: int, matches):
@@ -165,7 +165,6 @@ def brownian_increments(grid: TimeGrid, N: int, m: int, seed: int) -> Array:
     if held is not None:
         return held
     _held.tensors += 1
-    _held.kept = None
     out = _noise_tensor(grid, seed, N, m)
     out.flags.writeable = False
     return _hold(0, key, out)
@@ -240,10 +239,11 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     Each step computes the empirical drift moments of the current slice
     (the only cross-particle synchronization), then updates all particles
     independently with their own noise.  Output is fully determined by
-    (model, mu0, grid, seed); inside :func:`reusing_work` the held or kept paths
-    of the same model, noise and starting points (bit for bit) are returned and held.
-    With ``stream``, an iterator over X_0, ..., X_n: each is valid until the next but
-    one is drawn, and the stream puts no paths of its own in the work chain.
+    (model, mu0, grid, seed); inside :func:`reusing_work` the held paths of the
+    same model, noise and starting points (bit for bit) are returned, and any
+    other paths are built and held in their place.  With ``stream``, an iterator
+    over X_0, ..., X_n (the held paths' states on a hit): each is valid until the
+    next but one is drawn, and the stream leaves the work chain as it found it.
     """
     if grid.t_end > model.horizon + 1e-12:
         raise GridMismatch(f"grid end {grid.t_end} exceeds model horizon {model.horizon}")
@@ -252,27 +252,25 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     N, d = mu0.points.shape
     n = grid.n_steps
     start = mu0.points.tobytes()
-    # a kept hit reads the kept paths, and a new tensor frees them
+    # held paths sit on the held tensor, so they match on model and start alone
+    same = lambda key: key[0] is model and key[1] == start
+    # a hit reads the held paths, a stored build drops them first and a new tensor
+    # frees them, so only a stream from another start is counted beside them
     _guard_memory(8 * N * ((2 if stream else n + 1) * d + n * model.m),
-                  lambda key, _: key[0] is model and key[2] == start
+                  lambda key, _: not stream or same(key)
                   or _held.chain[0][0] != (seed, N, model.m, grid))
 
     dW = brownian_increments(grid, N, model.m, seed)
-    matches = lambda k: k[0] is model and k[1] is dW and k[2] == start
     chain = [] if _held.chain is None else _held.chain
-    if len(chain) > 1 and matches(chain[1][0]):
-        _held.kept = chain[1]
-    elif _held.kept is not None and matches(_held.kept[0]):
-        _hold(1, *_held.kept)
-    else:
-        _held.integrations += 1
-        flow = np.empty((n + 1, model.meanfield_drift.n))
-        if stream:
-            return _euler(model, mu0.points, dW, grid.dt, np.empty((2, N, d)), flow)
-        del chain[1:]
-        states = np.empty((n + 1, N, d))
-        deque(_euler(model, mu0.points, dW, grid.dt, states, flow), maxlen=0)
-        states.flags.writeable = flow.flags.writeable = False
-        return _hold(1, (model, dW, start),
-                     ParticlePaths(states=states, noise=dW, grid=grid, moment_flow=flow))
-    return iter(_held.kept[1].states) if stream else _held.kept[1]   # a hit is kept
+    if len(chain) > 1 and same(chain[1][0]):
+        return iter(chain[1][1].states) if stream else chain[1][1]
+    _held.integrations += 1
+    flow = np.empty((n + 1, model.meanfield_drift.n))
+    if stream:
+        return _euler(model, mu0.points, dW, grid.dt, np.empty((2, N, d)), flow)
+    del chain[1:]
+    states = np.empty((n + 1, N, d))
+    deque(_euler(model, mu0.points, dW, grid.dt, states, flow), maxlen=0)
+    states.flags.writeable = flow.flags.writeable = False
+    return _hold(1, (model, start),
+                 ParticlePaths(states=states, noise=dW, grid=grid, moment_flow=flow))

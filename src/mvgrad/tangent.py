@@ -61,7 +61,7 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
             "tangent integration needs grad_sigma for a state-dependent diffusion"
         )
     _guard_memory(paths.states.nbytes + paths.noise.nbytes + 16 * paths.N * paths.d,
-                  lambda _, kept: kept is paths)
+                  lambda _, held: held is paths)
     slices = np.empty((2, paths.N, paths.d))
     slices[0] = V0
     return _flow_steps(paths, model, slices, coupled)

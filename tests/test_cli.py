@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -545,6 +546,22 @@ def test_seed_range_leaves_room_for_the_moment_ladder():
     for bad in (dict(seed=2**63), dict(ci_seeds=(1, 2**63))):
         with pytest.raises(ConfigError, match=r"\[0, 2\^63\)"):
             ExperimentConfig(**bad).validate()
+
+
+def test_custom_dimension_is_checked_before_its_law_is_built(monkeypatch):
+    # a [custom] law's mean holds d floats: at d = 10^6 (8 MB) the budget check
+    # on the d x d matrices refuses the config before the mean is built
+    monkeypatch.setenv("MVGRAD_MEMORY_BUDGET_MB", "4096")
+    cfg = ExperimentConfig(scenario="custom", custom={"family": "affine", "d": 10**6},
+                           n_particles=100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="dimension d = 1000000"):
+            runner.resolve_bundle(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -1095,16 +1112,18 @@ def test_shipped_config_results_are_pinned(config, seed, tmp_path):
 
 # (noise tensors built, paths integrated) per check.  The checks on the run's
 # own noise key share one block, in declaration order: the first of them
-# builds its tensor, and each integrates once per simulation from a cloud that
-# is neither the last one built nor the one kept (the first asked for twice,
-# here mu0 at the run's seed).  Each other check has a block of its own, and
-# determinism regenerates both of its runs.  Counted from runner.py:
-#   intrinsic_vs_fd: mu0 for the estimate, kept when the first eps asks for
-#     it again; the 3 pushforwards of the ladder, then Richardson's eps and
-#     eps/2 pushforwards, as only the last one built is held: 1 + 3 + 2 = 6
+# builds its tensor, and each integrates once per simulation from a cloud
+# other than the one whose paths are held (the last stored run on the tensor,
+# here mu0 at the run's seed), and once per streamed run, which is never held.
+# Each other check has a block of its own, and determinism regenerates both of
+# its runs.  Counted from runner.py:
+#   intrinsic_vs_fd: mu0 for the estimate, held while every eps reads it; the
+#     3 pushforwards of the ladder, then Richardson's eps and eps/2
+#     pushforwards, all streamed: 1 + 3 + 2 = 6
 #   beta_invariance: one per ci seed, the schedules reuse it
-#   wasserstein_lipschitz: mu0 is kept, so only each shift's matched cloud: 3
-#   moment_bound: 4 ladder laws; linearity, intrinsic_closed_form: mu0 is kept
+#   wasserstein_lipschitz: mu0 is held, so only each shift's matched cloud: 3
+#   moment_bound: 4 streamed ladder laws; linearity, intrinsic_closed_form:
+#     mu0 is held
 #   classical_gradient: the point mass, first on the run's key
 #   dual_norm_scaling: per horizon, +-e1 start at one point mass
 #   tv_scaling: per horizon, two point masses
@@ -1160,9 +1179,17 @@ def small_shipped_config(config):
     return dataclasses.replace(cfg, n_particles=200, n_steps=100)
 
 
-@pytest.mark.parametrize("config", sorted(WORK_PER_CHECK))
-def test_shared_unit_rows_equal_each_check_run_alone(config):
+@pytest.mark.parametrize("config, checks", [
+    pytest.param("brownian.cfg", None, id="brownian.cfg"),
+    pytest.param("meanfield_ou.cfg", None, id="meanfield_ou.cfg"),
+    # classical_gradient between two mu0 checks drops mu0's paths, so
+    # linearity integrates them again
+    pytest.param("brownian.cfg", ("intrinsic_vs_fd", "classical_gradient", "linearity",
+                                  "intrinsic_closed_form"), id="brownian.cfg-reordered")])
+def test_shared_unit_rows_equal_each_check_run_alone(config, checks):
     cfg = small_shipped_config(config)
+    if checks:
+        cfg = dataclasses.replace(cfg, checks=checks)
     rows, errors, _ = runner.run_suite(cfg)
     alone = [row for name in runner.resolve_bundle(cfg).checks
              for row in runner.run_suite(dataclasses.replace(cfg, checks=(name,)))[0]]
@@ -1170,12 +1197,11 @@ def test_shared_unit_rows_equal_each_check_run_alone(config):
 
 
 def test_raising_check_leaves_the_rest_of_its_unit_unchanged(monkeypatch):
-    # moment_bound keeps mu0, then raises in a build; linearity follows it on
-    # the kept paths with the chain cut back to the tensor
+    # moment_bound holds mu0's paths, then raises in a build, which drops them
+    # first; linearity follows it on the chain cut back to the tensor
     def raising(bundle):
-        for _ in range(2):
-            simulate.simulate_particles(bundle.model, bundle.mu0(), bundle.grid(),
-                                        bundle.cfg.seed)
+        simulate.simulate_particles(bundle.model, bundle.mu0(), bundle.grid(),
+                                    bundle.cfg.seed)
         blow_up = EmpiricalMeasure(np.full((bundle.cfg.n_particles, 1), 1e9))
         simulate.simulate_particles(bundle.model, blow_up, bundle.grid(), bundle.cfg.seed)
 

@@ -36,7 +36,7 @@ def check_paths(paths, model, tol=1e-12):
 
 
 def record_guard_totals(monkeypatch) -> list:
-    """The list of totals that _guard_memory compares, the kept paths
+    """The list of totals that _guard_memory compares, the held paths
     included, appended as the simulator and the tangent streams request them."""
     totals, guard = [], simulate._guard_memory
 
@@ -204,85 +204,68 @@ class TestHeldPaths:
         p2 = simulate_particles(model, mu0, self.GRID, 3)
         assert p1 is not p2 and p1.states is not p2.states and p1.noise is not p2.noise
         assert np.array_equal(p1.states, p2.states)
-        # nor kept: a third call from the same cloud, after another, integrates anew
+        # nor held: a third call from the same cloud, after another, integrates anew
         simulate_particles(model, gaussian_cloud(16, seed=2), self.GRID, 3)
         p3 = simulate_particles(model, mu0, self.GRID, 3)
         assert p3 is not p1 and p3 is not p2
-        assert simulate._held.kept is None
-
-    def test_a_second_ask_keeps_the_paths(self):
-        # handing out the kept paths frees the last ones built: asked for
-        # again, they are integrated anew
-        model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
-        with reusing_work():
-            base = simulate_particles(model, mu0, self.GRID, 3)
-            assert simulate_particles(model, mu0, self.GRID, 3) is base
-            built = simulate_particles(model, gaussian_cloud(16, seed=2), self.GRID, 3)
-            want, built = built.states.copy(), weakref.ref(built)
-            assert simulate_particles(model, mu0, self.GRID, 3) is base
-            assert built() is None
-            before = simulate.work_counts()
-            again = simulate_particles(model, gaussian_cloud(16, seed=2), self.GRID, 3)
-            assert simulate.work_counts() == (before[0], before[1] + 1)
-        assert np.array_equal(again.states, want)
-
-    def test_a_third_start_evicts_the_last_built_not_the_kept(self):
-        model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
-        with reusing_work():
-            base = simulate_particles(model, mu0, self.GRID, 3)
-            simulate_particles(model, mu0, self.GRID, 3)
-            last = weakref.ref(simulate_particles(model, gaussian_cloud(16, seed=2),
-                                                  self.GRID, 3))
-            third = weakref.ref(simulate_particles(model, gaussian_cloud(16, seed=3),
-                                                   self.GRID, 3))
-            assert last() is None and third() is not None
-            assert simulate_particles(model, mu0, self.GRID, 3) is base
-            assert third() is None
+        assert simulate._held.chain is None
 
     @pytest.mark.parametrize("end", ["new tensor", "block end"])
     def test_kept_paths_are_freed(self, end):
+        # a hit, an estimate and a stream from another cloud leave the held
+        # paths in place; a new tensor or the block's end frees them
         model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
         with reusing_work():
-            kept = weakref.ref(simulate_particles(model, mu0, self.GRID, 3))
+            held = weakref.ref(simulate_particles(model, mu0, self.GRID, 3))
             simulate_particles(model, mu0, self.GRID, 3)
-            simulate_particles(model, gaussian_cloud(16, seed=2), self.GRID, 3)
-            assert kept() is not None
+            estimate_intrinsic(model, mu0, coordinate_field(0), coord_observable(0),
+                               self.GRID.t_end, self.GRID, linear_schedule(self.GRID.t_end), 3)
+            for _ in simulate_particles(model, gaussian_cloud(16, seed=2), self.GRID, 3,
+                                        stream=True):
+                pass
+            assert held() is not None
             if end == "new tensor":
                 simulate_particles(model, mu0, self.GRID, 4)
-                assert kept() is None
-        assert kept() is None
+                assert held() is None
+        assert held() is None
 
     def test_kept_paths_after_a_raised_build(self):
-        # the failed build leaves the chain at the tensor alone; an estimate
-        # on the kept paths holds them again, and their tangent below them
+        # the failed build drops the held paths first and leaves the chain at
+        # the tensor alone; an estimate from mu0 then builds and holds its
+        # paths again, and their coupling weight below them
         model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
         phi, f = coordinate_field(0), coord_observable(0)
         sched = linear_schedule(self.GRID.t_end)
         want = estimate_intrinsic(model, mu0, phi, f, self.GRID.t_end, self.GRID, sched, 3)
         with reusing_work():
             base = simulate_particles(model, mu0, self.GRID, 3)
-            simulate_particles(model, mu0, self.GRID, 3)
             with pytest.raises(NonFinite):
                 simulate_particles(model, EmpiricalMeasure(np.full((16, 1), 1e9)),
                                    self.GRID, 3)
+            assert len(simulate._held.chain) == 1
             got = estimate_intrinsic(model, mu0, phi, f, self.GRID.t_end, self.GRID, sched, 3)
             chain = simulate._held.chain
             assert len(chain) == 3 and chain[0][0] == (3, 16, 1, self.GRID)
-            assert chain[1][1] is base and chain[2][0] == (base, phi)
+            paths = chain[1][1]
+            assert paths is not base and paths.states.tobytes() == base.states.tobytes()
+            assert chain[2][0] == (paths, phi)
         assert got == want
 
     def test_the_held_paths_are_the_ones_handed_out(self):
+        # a build, a hit, then builds only: one path set is held, so a cloud
+        # asked for again after another is integrated anew
         model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
         blowup = EmpiricalMeasure(np.full((16, 1), 1e9))
-        # a build, a level-1 hit, a build, a kept hit, a raised build, a kept hit
         clouds = [mu0, mu0, gaussian_cloud(16, seed=2), mu0, blowup, mu0]
         with reusing_work():
+            before = simulate.work_counts()
             for cloud in clouds:
                 try:
                     paths = simulate_particles(model, cloud, self.GRID, 3)
                 except NonFinite:
                     continue
                 assert simulate._held.chain[1][1] is paths
+            assert simulate.work_counts() == (before[0] + 1, before[1] + 5)
 
     def test_an_inner_block_joins_the_outer_one(self):
         model, mu0 = mfou_model(), gaussian_cloud(16, seed=1)
@@ -294,44 +277,66 @@ class TestHeldPaths:
             assert simulate_particles(model, mu0, self.GRID, 3) is a
             assert brownian_increments(self.GRID, 16, 1, 3) is a.noise
             assert simulate.work_counts() == (before[0] + 1, before[1] + 1)
-        assert simulate._held.chain is None and simulate._held.kept is None
+        assert simulate._held.chain is None
 
     def test_guard_counts_the_kept_paths(self, monkeypatch):
-        # at N = 2000, n = 200 a simulation requests its states and increments,
-        # 3.216 + 3.2 = 6.416 MB, and each tangent stream those plus two slices
-        # of V, 6.448 MB; the kept mu0 paths (states and one moment per node,
-        # 3.217608 MB) add to each unless it reads them, so the other cloud's
-        # simulation asks for 9.633608 MB and only its tangent (9.665608 MB)
-        # exceeds 9.65 MB
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, "9.65")
-        model, mu0, grid = mfou_model(), gaussian_cloud(2000, seed=1), TimeGrid(0.5, 200)
-        estimate = lambda cloud: estimate_intrinsic(
-            model, cloud, coordinate_field(0), coord_observable(0), 0.5, grid,
-            linear_schedule(0.5), 3)
-        with reusing_work():
-            simulate_particles(model, mu0, grid, 3)
-            simulate_particles(model, mu0, grid, 3)
-            with pytest.raises(MemoryBudgetExceeded):
-                estimate(gaussian_cloud(2000, seed=2))
-            estimate(mu0)
-
-    def test_guard_skips_kept_paths_that_a_new_noise_key_frees(self, monkeypatch):
-        # at N = 2000, n = 200 a simulation request is 6.42 MB and the kept mu0
-        # paths 3.22 MB; a request on another noise key drops them before it builds
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, "8.02")
+        # at N = 2000, n = 200 a stream requests its increments and two slices,
+        # 3.2 + 0.032 = 3.232 MB, a simulation its states and increments,
+        # 6.416 MB, and a tangent stream the paths it reads plus two slices of
+        # V, 6.448 MB; the held mu0 paths (states and one moment per node,
+        # 3.217608 MB) add to a request that neither reads them nor drops them,
+        # so only a stream from another cloud (6.449608 MB) exceeds 6.449 MB
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "6.449")
         model, mu0, grid = mfou_model(), gaussian_cloud(2000, seed=1), TimeGrid(0.5, 200)
         other = gaussian_cloud(2000, seed=2)
         with reusing_work():
             simulate_particles(model, mu0, grid, 3)
+            with pytest.raises(MemoryBudgetExceeded):
+                simulate_particles(model, other, grid, 3, stream=True)
+            estimate_intrinsic(model, mu0, coordinate_field(0), coord_observable(0), 0.5,
+                               grid, linear_schedule(0.5), 3)
+            for _ in simulate_particles(model, mu0, grid, 3, stream=True):
+                pass
+            simulate_particles(model, other, grid, 3)
+
+    def test_guard_skips_kept_paths_that_a_new_noise_key_frees(self, monkeypatch):
+        # the held mu0 paths (3.22 MB) make a stream from another cloud on
+        # their tensor ask for 6.45 MB; on another noise key it asks for its
+        # own 3.23 MB, as the new tensor's build drops them
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "6.449")
+        model, mu0, grid = mfou_model(), gaussian_cloud(2000, seed=1), TimeGrid(0.5, 200)
+        other = gaussian_cloud(2000, seed=2)
+        with reusing_work():
             simulate_particles(model, mu0, grid, 3)
             with pytest.raises(MemoryBudgetExceeded):
-                simulate_particles(model, other, grid, 3)
-            simulate_particles(model, other, grid, 4)
-            assert simulate._held.kept is None
+                simulate_particles(model, other, grid, 3, stream=True)
+            for _ in simulate_particles(model, other, grid, 4, stream=True):
+                pass
+            assert len(simulate._held.chain) == 1
+
+    def test_wasserstein_reruns_count_the_held_paths(self, monkeypatch):
+        # each shift streams its matched cloud's run beside the held mu0 run,
+        # so each stream asks the guard for both: at least 2 trajectory sizes
+        cfg, _ = load_config(Path(__file__).parent.parent / "configs" / "meanfield_ou.cfg")
+        bundle = resolve_bundle(replace(cfg, n_particles=2000, n_steps=200,
+                                        checks=("wasserstein_lipschitz",)))
+        N, n, d, m = 2000, 200, bundle.model.d, bundle.model.m
+        stream_need, requests, guard = 8 * N * (2 * d + n * m), [], simulate._guard_memory
+
+        def recorded(need, reads):
+            total = guard(need, reads)
+            if need == stream_need:
+                requests.append(total)
+            return total
+
+        monkeypatch.setattr(simulate, "_guard_memory", recorded)
+        runner._run_unit(bundle, ["wasserstein_lipschitz"])
+        assert len(requests) == 3
+        assert min(requests) >= 2.0 * 8 * (n + 1) * N * d
 
     @pytest.mark.parametrize("config", ["meanfield_ou.cfg", "brownian.cfg"])
     def test_shared_unit_peaks_near_its_largest_check(self, config):
-        # the kept set is the one handed out, so it adds no trajectory to the
+        # the held set is the one handed out, so it adds no trajectory to the
         # largest check's peak
         cfg, _ = load_config(Path(__file__).parent.parent / "configs" / config)
         bundle = resolve_bundle(replace(cfg, n_particles=2000, n_steps=200))
@@ -352,7 +357,7 @@ class TestHeldPaths:
     @pytest.mark.parametrize("config", ["meanfield_ou.cfg", "brownian.cfg"])
     def test_each_unit_peaks_near_its_largest_guard_request(self, config, monkeypatch):
         # what a unit holds beside a request is what the guard counts, and no
-        # unit holds more than the kept mu0 paths and their shared increments,
+        # unit holds more than the held mu0 paths and their shared increments,
         # beside which an oracle rerun streams two slices at a time
         cfg, _ = load_config(Path(__file__).parent.parent / "configs" / config)
         bundle = resolve_bundle(replace(cfg, n_particles=2000, n_steps=200))
@@ -373,7 +378,7 @@ class TestHeldPaths:
     @pytest.mark.parametrize("scenario", ["trig", "meanfield_sine"])
     def test_tangent_fd_order_peaks_near_its_largest_guard_request(self, scenario,
                                                                     monkeypatch):
-        # the check keeps the base paths and their noise, and on each rung draws
+        # the check holds the base paths and their noise, and on each rung draws
         # a fresh tangent stream against the rung's streamed perturbed run, one
         # slice of each at a time: about 2 trajectory sizes
         cfg = ExperimentConfig(scenario=scenario, n_particles=2000, n_steps=200,
@@ -421,8 +426,8 @@ class TestStream:
         with reusing_work():
             estimate_intrinsic(model, mu0, phi, f, self.GRID.t_end, self.GRID, sched, 3)
             base = simulate_particles(model, mu0, self.GRID, 3)
-            chain, kept = list(simulate._held.chain), simulate._held.kept
-            assert len(chain) == 3 and kept[1] is base
+            chain = list(simulate._held.chain)
+            assert len(chain) == 3 and chain[1][1] is base
             before = simulate.work_counts()
             stream = simulate_particles(model, other, self.GRID, 3, stream=True)
             assert simulate.work_counts() == (before[0], before[1] + 1)
@@ -430,13 +435,11 @@ class TestStream:
                 pass
             assert simulate.work_counts() == (before[0], before[1] + 1)
             assert all(a is b for a, b in zip(simulate._held.chain, chain, strict=True))
-            assert simulate._held.kept is kept
-            # a stream whose key is the kept paths' is served from them
-            simulate_particles(model, other, self.GRID, 3)
+            # a stream whose key is the held paths' is served from them
             served = [x for x in simulate_particles(model, mu0, self.GRID, 3, stream=True)]
             assert all(np.shares_memory(x, base.states) for x in served)
-            assert simulate.work_counts() == (before[0], before[1] + 2)
-            assert simulate._held.chain[1][1] is base
+            assert simulate.work_counts() == (before[0], before[1] + 1)
+            assert all(a is b for a, b in zip(simulate._held.chain, chain, strict=True))
 
     def test_guard_counts_the_noise_and_two_slices(self, monkeypatch):
         # at N = 2000, n = 200 a stream requests its increments and two slices,
