@@ -10,11 +10,10 @@ class SingularDiffusion(MVGradError):
 
 
 class NonFinite(MVGradError):
-    """A NaN/Inf appeared, or a trajectory exceeded the blow-up guard."""
+    """A NaN/Inf appeared, or a trajectory exceeded the blow-up guard.
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
+    The integrators name the step in the message ("... at step k").
+    """
 
 
 class UnequalSupport(MVGradError):

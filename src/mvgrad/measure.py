@@ -29,14 +29,16 @@ _FRESH = dict(bit_generator="Philox", buffer=(0,) * 4, buffer_pos=4, has_uint32=
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Uniform-weight point cloud standing in for a probability measure."""
+    """Uniform-weight point cloud standing in for a probability measure.
+
+    ``points`` is an (N, d) array with N >= 1; any other shape, a single
+    point (d,) included, raises ValueError.
+    """
 
     points: Array
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float, copy=True)
-        if pts.ndim == 1:
-            pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError(f"points must be an (N, d) array with N >= 1, got {pts.shape}")
         if not np.all(np.isfinite(pts)):

@@ -49,16 +49,6 @@ def _single_term(a, b) -> Array:
     return out
 
 
-def _batch(x) -> tuple[Array, bool]:
-    """Promote a single point (d,) to a batch (1, d); report if promoted."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim != 2:
-        raise ValueError(f"expected point or batch of points, got shape {arr.shape}")
-    return arr, False
-
-
 @dataclass(frozen=True)
 class CylindricalDrift:
     """Mean-field drift of cylindrical form F(x, mu(h_1), ..., mu(h_n)).
@@ -232,14 +222,17 @@ def zeta(diffusion: Diffusion, t: float, x) -> Array:
     """Right pseudo-inverse sigma*(sigma sigma*)^{-1} of the diffusion.
 
     This is the matrix that converts a state-space direction into the noise
-    coordinates paired against the Brownian increments, so the result is
-    (m, d) per point and sigma(t,x) @ zeta(t,x) = I_d.  Conditioning is
+    coordinates paired against the Brownian increments: for an (N, d) batch
+    x the result is (N, m, d), with sigma(t,x) @ zeta(t,x) = I_d per point.
+    Any other shape of x raises ValueError.  Conditioning is
     :func:`validate_ellipticity`'s job; an exactly singular a = sigma sigma*
     raises :class:`SingularDiffusion`.  For d = 1, zeta is sigma*/a
     elementwise.
     """
-    xb, single = _batch(x)
-    sig = diffusion(t, xb)                      # (N, d, m)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"x must be an (N, d) array, got {x.shape}")
+    sig = diffusion(t, x)                       # (N, d, m)
     sig_t = np.swapaxes(sig, 1, 2)
     a = _single_term(sig, sig_t) if sig.shape[2] == 1 else sig @ sig_t   # (N, d, d)
     if sig.shape[1] == 1:
@@ -252,18 +245,19 @@ def zeta(diffusion: Diffusion, t: float, x) -> Array:
         except np.linalg.LinAlgError as exc:
             raise SingularDiffusion(str(exc)) from exc
         out = np.swapaxes(z, 1, 2)              # sigma* a^{-1}: (N, m, d)
-    return out[0] if single else out
+    return out
 
 
 def validate_ellipticity(diffusion: Diffusion, probe_points) -> None:
     """Raise :class:`SingularDiffusion` unless sigma sigma* is elliptic at t = 0.
 
-    Over the probe points the smallest eigenvalue of a = sigma sigma* must
-    exceed 1e-10 and the condition number stay within ``COND_CAP``.
+    Over the probe points, a nonempty (N, d) array (any other shape raises
+    ValueError), the smallest eigenvalue of a = sigma sigma* must exceed
+    1e-10 and the condition number stay within ``COND_CAP``.
     """
-    pts, _ = _batch(probe_points)
-    if len(pts) == 0:
-        raise ValueError("probe set must be nonempty")
+    pts = np.asarray(probe_points, dtype=float)
+    if pts.ndim != 2 or len(pts) == 0:
+        raise ValueError(f"probe points must be an (N, d) array with N >= 1, got {pts.shape}")
     sig = diffusion(0.0, pts)
     eigs = np.linalg.eigvalsh(sig @ np.swapaxes(sig, 1, 2))
     lo, hi = float(eigs[:, 0].min()), float(eigs[:, -1].max())

@@ -175,7 +175,7 @@ def resolve_bundle(cfg: ExperimentConfig) -> RunBundle:
                         initial_law={"family": "gaussian", "mean": [0.0] * d, "cov": 1.0})
     try:
         model = scen.build()
-        validate_ellipticity(model.diffusion, np.atleast_1d(scen.initial_law["mean"]))
+        validate_ellipticity(model.diffusion, np.atleast_2d(scen.initial_law["mean"]))
     except (MVGradError, ValueError) as exc:
         raise ConfigError(f"scenario {scen.name}: {exc}") from exc
     checks = cfg.checks or scen.checks

@@ -201,8 +201,8 @@ def _step_guard(X: Array, step: int) -> None:
     peak = np.abs(X).max()
     if not peak <= BLOWUP_THRESHOLD:
         if not np.isfinite(peak):
-            raise NonFinite(f"non-finite state at step {step}", step=step)
-        raise NonFinite(f"blow-up guard tripped at step {step}", step=step)
+            raise NonFinite(f"non-finite state at step {step}")
+        raise NonFinite(f"blow-up guard tripped at step {step}")
 
 
 def _euler(model: ModelSpec, X0: Array, dW: Array, dt: float, slices: Array,

@@ -86,7 +86,7 @@ def _flow_steps(paths: ParticlePaths, model: ModelSpec, slices: Array,
         V = np.add(V, drift_term * dt, out=slices[(s + 1) % 2])
         V += noise_term
         if not np.abs(V).max() <= BLOWUP_THRESHOLD:
-            raise NonFinite(f"tangent blow-up at step {s + 1}", step=s + 1)
+            raise NonFinite(f"tangent blow-up at step {s + 1}")
     yield V, None
 
 

@@ -1432,7 +1432,7 @@ class TestOtherCommands:
             "solver = lambda: sorted(m for m in sys.modules",
             "                        if m.startswith(('scipy.optimize', 'scipy.spatial',",
             "                                         'scipy.linalg')))",
-            "w1, _ = wasserstein(EmpiricalMeasure([0.0, 2.0]), EmpiricalMeasure([3.0, 1.0]), 2)",
+            "w1, _ = wasserstein(EmpiricalMeasure([[0.0], [2.0]]), EmpiricalMeasure([[3.0], [1.0]]), 2)",
             "print(w1, solver() == [])",
             "a = EmpiricalMeasure([[0.0, 0.0], [1.0, 1.0]])",
             "w2, plan = wasserstein(a, EmpiricalMeasure(a.points[::-1]), 2)",

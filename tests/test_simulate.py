@@ -548,7 +548,6 @@ class TestSimulateParticles:
         grid = TimeGrid(t_end=5.0, n_steps=50)
         with pytest.raises(NonFinite) as err:
             simulate_particles(model, mu0, grid, 0)
-        assert err.value.step is not None
         assert str(err.value).startswith("blow-up guard tripped at step ")
 
     def test_degenerate_diffusion_rejected_by_precheck(self):
