@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (GridMismatch, MeasureDependence, NonFinite,
 from .measure import EmpiricalMeasure, lk_norm
 from .model import (BismutSchedule, ModelSpec, _single_term, scaled,
                     validate_ellipticity, zeta)
-from .simulate import ParticlePaths, TimeGrid, _hold, _reused, simulate_particles
+from .simulate import ParticlePaths, TimeGrid, _held, _hold, _reused, simulate_particles
 from .tangent import frozen_tangent, meanfield_tangent
 
 Array = np.ndarray
@@ -83,6 +84,12 @@ def _check_schedule(paths: ParticlePaths, sched: BismutSchedule) -> None:
         )
 
 
+def _ito_term(model: ModelSpec, t: float, X: Array, D: Array, dW: Array) -> tuple[Array, Array]:
+    """One step's zeta(t, X_i) D_i, (N, m), and its Ito increment <zeta D, dW>_i, (N,)."""
+    zv = _zeta_apply(model, t, X, D)
+    return zv, _sum_over_m(zv, dW)
+
+
 def _ito_weight(paths: ParticlePaths, directions: Iterable[Array], model: ModelSpec,
                 sched: Optional[BismutSchedule]) -> tuple[Array, Optional[Array]]:
     """Left-point Ito sum  w_i = sum_s beta'(t_s) <zeta(t_s, X_si) D_si, dW_si>.
@@ -106,9 +113,8 @@ def _ito_weight(paths: ParticlePaths, directions: Iterable[Array], model: ModelS
     bps = [1.0] * n if sched is None else np.broadcast_to(
         sched.beta_prime(np.arange(n) * dt), n).tolist()
     for s, (D, bp) in enumerate(zip(directions, bps)):
-        t = s * dt
-        zv = _zeta_apply(model, t, paths.states[s], D)
-        w += bp * _sum_over_m(zv, paths.noise[s])
+        zv, dw = _ito_term(model, s * dt, paths.states[s], D, paths.noise[s])
+        w += bp * dw
         if qv is not None:
             qv += (bp * bp * dt) * _sum_over_m(zv, zv)
     if not np.isfinite(w).all():
@@ -176,24 +182,39 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Callable,
                        seed: int, scenario: str = "") -> Estimate:
     """Directional measure derivative of mu -> E f(X_t) along phi at mu0.
 
-    Runs one interacting system and reuses its paths for both terms:
-    the point-derivative term pairs the payoff against the frozen-tangent
-    weight started from phi(X_0), the coupling term against the mean-field
-    weight.  The whole pipeline is linear in phi for fixed seed.  Only the
-    first weight depends on ``sched``, so inside ``reusing_work`` the held
-    coupling weight of (paths, phi) serves every schedule; the frozen tangent
-    is streamed into each schedule's weight, so an estimate holds the paths,
-    their noise and a few (N, d) slices, never a tangent trajectory.
+    One forward loop draws each state X_s, advances the mean-field tangent and
+    the frozen tangent from phi(X_0), and adds the step's Ito terms
+    (:func:`_ito_term`) to both weights: the point-derivative term pairs the
+    payoff with the frozen tangent's weight w1, which carries beta', and the
+    coupling term with the weight w2 of the mean-field psi, which carries none.
+    It is linear in phi for fixed seed.  Outside ``reusing_work`` the paths are
+    streamed, so an estimate holds their increments and a few (N, d) slices;
+    inside it the loop reads the held paths, and the held w2 of (paths, phi)
+    serves every schedule, which then runs the frozen tangent alone.
     """
     _check_grid(grid, t)
-    paths = simulate_particles(model, mu0, grid, seed)
+    paths = simulate_particles(model, mu0, grid, seed, stream=_held.chain is None)
+    _check_schedule(paths, sched)
+    validate_ellipticity(model.diffusion, paths.states[0][:: max(1, mu0.N // 64)])
     w2 = _reused(2, lambda k: k[0] is paths and k[1] is phi)
+    coupled = repeat((None, None)) if w2 is not None else meanfield_tangent(paths, model, phi)
+    frozen = frozen_tangent(paths, model, np.asarray(phi(paths.states[0]), dtype=float))
+    n, dt = grid.n_steps, grid.dt
+    bps = np.broadcast_to(sched.beta_prime(np.arange(n) * dt), n).tolist()
+    w1, w2_new = np.zeros(mu0.N), np.zeros(mu0.N)
+    # zip draws X_s before the tangents, which finish step s - 1 and read X_s, so
+    # the tangents' blow-up guards on V_n run before the loop ends at s = n
+    for s, (X, V, (_, psi)) in enumerate(zip(paths, frozen, coupled)):
+        if s == n:
+            break
+        w1 += bps[s] * _ito_term(model, s * dt, X, V, paths.noise[s])[1]
+        if psi is not None:
+            w2_new += _ito_term(model, s * dt, X, psi, paths.noise[s])[1]
+    if not (np.isfinite(w1).all() and np.isfinite(w2_new).all()):
+        raise NonFinite("weight vector contains non-finite entries")
     if w2 is None:
-        w2 = weight_meanfield(paths, meanfield_tangent(paths, model, phi), model)
-        w2.flags.writeable = False
-        w2 = _hold(2, (paths, phi), w2)
-    V = frozen_tangent(paths, model, np.asarray(phi(paths.states[0]), dtype=float))
-    w1, _ = weight_frozen(paths, V, sched, model)
+        w2_new.flags.writeable = False
+        w2 = _hold(2, (paths, phi), w2_new)
 
     fx = f(paths.terminal())
     g = fx * (w1 + w2)

@@ -40,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mvgrad",
         description="particle-system derivative estimation and verification suites",
         epilog=f"memory budget: set {MEMORY_BUDGET_ENV} (MB) to cap retained "
-               "trajectories (states plus increments, two slices per stream "
-               "and the held paths beside it)",
+               "trajectories (states plus increments, or increments and two slices per "
+               "stream, as an estimate outside a shared block has, and held paths)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

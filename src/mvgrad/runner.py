@@ -605,6 +605,11 @@ def _units(names: list) -> list:
     return sorted(units + [shared] if shared else units)
 
 
+def _workers(cfg: ExperimentConfig, names: list) -> int:
+    """min(parallel, units): above 1, the worker processes a run of ``names`` forks."""
+    return min(cfg.parallel, len(_units(names)))
+
+
 def _run_unit(bundle: RunBundle, names: list) -> list:
     """_run_one_check of each name in order, in one ``reusing_work`` block
     unless the unit is a regenerating check."""
@@ -670,7 +675,7 @@ def run_suite(cfg: ExperimentConfig) -> tuple[list, list, list]:
     names = list(bundle.checks)
     units = _units(names)
     jobs = [[names[i] for i in unit] for unit in units]
-    workers = min(cfg.parallel, len(jobs))
+    workers = _workers(cfg, names)
     by_unit = (_run_in_workers(bundle, jobs, workers) if workers > 1
                else [_run_unit(bundle, job) for job in jobs])
     # back in declaration order: the indices are distinct, so only they are compared
@@ -723,11 +728,12 @@ def write_outputs(cfg: ExperimentConfig, config_text: str, rows: list,
         "exit_code": exit_code,
         "wall_clock_s": wall_clock,
         # ru_maxrss is in KiB on Linux: the process's peak so far, in MiB,
-        # and the largest peak among its finished child processes (the
-        # check workers of a parallel run)
+        # and, when check workers ran, the largest peak among its finished
+        # child processes (null otherwise: a serial run's reading is not a worker's)
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "workers_peak_rss_mb":
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+            if _workers(cfg, [c["name"] for c in check_records]) > 1 else None,
         "checks": check_records,
         "versions": _versions(),
         "outputs": {"results_csv": csv_path.name,

@@ -174,9 +174,10 @@ def brownian_increments(grid: TimeGrid, N: int, m: int, seed: int) -> Array:
 class ParticlePaths:
     """Time-gridded trajectories with their driving noise retained.
 
-    The read-only ``states`` are (n_steps+1, N, d), ``noise`` (n_steps, N, m),
-    and ``moment_flow`` records the empirical moments mu_s(h_l) of each time
-    slice, one row per grid node.
+    The read-only ``states`` are (n_steps+1, N, d), or a stream's two slices
+    (:func:`simulate_particles`), ``noise`` (n_steps, N, m), and ``moment_flow``
+    records the empirical moments mu_s(h_l) of each time slice, one row per grid
+    node.  Iterating reads X_0, ..., X_n; a stream draws each as it is read.
     """
 
     states: Array
@@ -192,8 +193,25 @@ class ParticlePaths:
     def d(self) -> int:
         return self.states.shape[2]
 
+    def __iter__(self) -> Iterator[Array]:
+        return iter(self.states)
+
     def terminal(self) -> Array:
-        return self.states[-1]
+        return self.states[self.grid.n_steps]
+
+
+class _Slices:
+    """A stream's states: X_s is slice s % len(slices) until drawn over; iterating draws."""
+
+    def __init__(self, slices: Array, steps: Iterator[Array]):
+        self.slices, self.steps = slices, steps
+        self.shape, self.nbytes = slices.shape, slices.nbytes
+
+    def __getitem__(self, s: int) -> Array:
+        return self.slices[s % len(self.slices)]
+
+    def __iter__(self) -> Iterator[Array]:
+        return self.steps
 
 
 def _step_guard(X: Array, step: int) -> None:
@@ -205,18 +223,17 @@ def _step_guard(X: Array, step: int) -> None:
         raise NonFinite(f"blow-up guard tripped at step {step}")
 
 
-def _euler(model: ModelSpec, X0: Array, dW: Array, dt: float, slices: Array,
+def _euler(model: ModelSpec, dW: Array, dt: float, slices: Array,
            flow: Array) -> Iterator[Array]:
-    """X_0, ..., X_n from X0 on dW, each drawn into slices[s % len(slices)], its moments
-    into ``flow``; an overflow raises FloatingPointError (an error row), not a warning."""
+    """X_0 = slices[0], ..., X_n on dW, each drawn into slices[s % len(slices)] with its
+    moments in ``flow``; an overflow raises FloatingPointError (an error row)."""
     drift, X = model.meanfield_drift, slices[0]
-    X[...] = X0
     for s in range(len(dW)):
+        with np.errstate(over="raise"):
+            flow[s] = z = drift.moment_vector(X)
         yield X
         with np.errstate(over="raise"):
             t = s * dt
-            z = drift.moment_vector(X)
-            flow[s] = z
             b = model.drift(t, X, z)
             sig = model.diffusion(t, X if not model.diffusion.constant_in_x else X[:1])
             if model.m == 1:
@@ -241,9 +258,11 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     independently with their own noise.  Output is fully determined by
     (model, mu0, grid, seed); inside :func:`reusing_work` the held paths of the
     same model, noise and starting points (bit for bit) are returned, and any
-    other paths are built and held in their place.  With ``stream``, an iterator
-    over X_0, ..., X_n (the held paths' states on a hit): each is valid until the
-    next but one is drawn, and the stream leaves the work chain as it found it.
+    other paths are built and held in their place.  With ``stream``, paths that
+    draw X_0, ..., X_n as they are iterated (the held paths on a hit) and read as
+    stored ones for the steps drawn: ``states[s]`` is valid until the next but one
+    is drawn, and ``moment_flow[s]`` is recorded when X_s is.  A stream leaves the
+    work chain as it found it.
     """
     if grid.t_end > model.horizon + 1e-12:
         raise GridMismatch(f"grid end {grid.t_end} exceeds model horizon {model.horizon}")
@@ -263,14 +282,18 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     dW = brownian_increments(grid, N, model.m, seed)
     chain = [] if _held.chain is None else _held.chain
     if len(chain) > 1 and same(chain[1][0]):
-        return iter(chain[1][1].states) if stream else chain[1][1]
+        return chain[1][1]
     _held.integrations += 1
+    if not stream:
+        del chain[1:]
     flow = np.empty((n + 1, model.meanfield_drift.n))
+    states = np.empty((2 if stream else n + 1, N, d))
+    states[0] = mu0.points
+    steps = _euler(model, dW, grid.dt, states, flow)
     if stream:
-        return _euler(model, mu0.points, dW, grid.dt, np.empty((2, N, d)), flow)
-    del chain[1:]
-    states = np.empty((n + 1, N, d))
-    deque(_euler(model, mu0.points, dW, grid.dt, states, flow), maxlen=0)
+        return ParticlePaths(states=_Slices(states, steps), noise=dW, grid=grid,
+                             moment_flow=flow)
+    deque(steps, maxlen=0)
     states.flags.writeable = flow.flags.writeable = False
     return _hold(1, (model, start),
                  ParticlePaths(states=states, noise=dW, grid=grid, moment_flow=flow))

@@ -1,4 +1,4 @@
-"""Linear variational flows along stored particle paths.
+"""Linear variational flows along stored or streamed particle paths.
 
 Two variants share one recursion.  The frozen-measure tangent differentiates
 the decoupled dynamics with respect to the starting point, so only the state
@@ -43,15 +43,15 @@ def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) 
 
 def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
                       coupled: bool) -> Iterator:
-    """The tangent recursion along stored paths from V_0 = V0, as a stream.
+    """The tangent recursion along the paths from V_0 = V0, as a stream.
 
     Each step adds (grad_x b) V dt and (grad sigma . V) dW; with ``coupled``
     the measure-derivative term psi joins the drift part.  The stream yields
     (V_s, psi_s) for s < n_steps, then (V_n, None) (psi None unless coupled).
     V steps through two slices: V_s is overwritten when V_{s+2} is drawn, and
-    the blow-up guard on V_{s+1} runs when the stream is drawn past step s.
-    The checks and the memory guard run before anything is drawn; the guard
-    counts the paths read and the two slices.
+    the blow-up guard on V_{s+1} runs when the stream is drawn past step s; a
+    streamed run must be drawn to X_s first.  The checks and the memory guard
+    run before anything is drawn; the guard counts the paths read and the two slices.
     """
     if V0.shape != (paths.N, paths.d):
         raise ValueError(f"start directions must have shape {(paths.N, paths.d)}, "
@@ -93,7 +93,7 @@ def _flow_steps(paths: ParticlePaths, model: ModelSpec, slices: Array,
 def frozen_tangent(paths: ParticlePaths, model: ModelSpec, v0: Array) -> Iterator[Array]:
     """Derivative of the decoupled flow in its starting point, along v0.
 
-    Integrates V' = (grad_x b) V dt + (grad sigma . V) dW along the stored
+    Integrates V' = (grad_x b) V dt + (grad sigma . V) dW along the
     paths with the measure flow frozen at the recorded moments, and streams
     its n_steps+1 (N, d) slices (each valid until the next but one is drawn).
     Linear in v0 (bit-exactly so for power-of-two rescalings).
@@ -130,7 +130,7 @@ def meanfield_tangent(paths: ParticlePaths, model: ModelSpec, phi) -> Iterator:
     :mod:`mvgrad.bismut` for what its bias measured.
     Streams (V_s, psi_s) for s < n_steps, then (V_n, None): V as in
     :func:`frozen_tangent`, and the coupling terms psi, fresh arrays that the
-    second stochastic-integral weight reads (:func:`mvgrad.bismut.weight_meanfield`).
+    second stochastic-integral weight reads (:func:`mvgrad.bismut.estimate_intrinsic`).
     """
     V0 = np.asarray(phi(paths.states[0]), dtype=float)
     return _variational_flow(paths, model, V0, coupled=True)

@@ -156,7 +156,8 @@ class TestRun:
             "intrinsic_vs_fd", "intrinsic_closed_form", "linearity", "determinism"]
         assert all(c["wall_s"] > 0 for c in manifest["checks"])
         assert manifest["peak_rss_mb"] > 0
-        assert manifest["workers_peak_rss_mb"] >= 0
+        # a serial run forks no worker, so no child's peak is a worker's
+        assert manifest["workers_peak_rss_mb"] is None
         # a fresh process, whose only children are the run's check workers
         par = tmp_path / "par"
         src = str(Path(runner.__file__).resolve().parents[1])
@@ -710,6 +711,14 @@ kappa = 0
     assert [r["label"] for r in read_rows(out)][:2] == ["classical|coord1", "classical|coord1"]
 
 
+def test_singular_demo_writes_each_row_once(tmp_path):
+    # its checks once declared both intrinsic_estimate and intrinsic_vs_fd,
+    # which writes the same intrinsic_estimate row itself
+    cfg = ExperimentConfig(scenario="singular_demo", n_particles=100, n_steps=1000)
+    keys = [(r.quantity, r.label) for r in run_experiment(cfg, "", tmp_path).rows]
+    assert len(keys) == len(set(keys))
+
+
 @pytest.mark.parametrize("name", scenario_names())
 def test_registry_entry_runs_its_checks(name, tmp_path):
     # singular_demo's explicit tangent needs dt <= 2 delta / strength
@@ -743,7 +752,8 @@ def test_error_row_carries_the_quantity_of_its_check(tmp_path):
     # singular_demo's tangent needs dt <= 2 delta / strength = 0.002, so at
     # n = 80 (dt = 0.0125) every estimate blows up; a check's error row then
     # sits under the quantity of its own gated rows
-    cfg = ExperimentConfig(scenario="singular_demo", n_particles=300, n_steps=80, seed=3)
+    cfg = ExperimentConfig(scenario="singular_demo", n_particles=300, n_steps=80, seed=3,
+                           checks=("intrinsic_estimate", "intrinsic_vs_fd", "determinism"))
     result = run_experiment(cfg, "", tmp_path)
     assert result.exit_code == 3
     assert [(r.label, r.quantity) for r in result.rows if r.status == "error"] == [
