@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (GridMismatch, MeasureDependence, NonFinite,
                      ScheduleMismatch)
 from .measure import EmpiricalMeasure, lk_norm
-from .model import (BismutSchedule, ModelSpec, _single_term, scaled,
+from .model import (BismutSchedule, Coefficients, ModelSpec, _single_term, scaled,
                     validate_ellipticity, zeta)
 from .simulate import ParticlePaths, TimeGrid, _held, _hold, _reused, simulate_particles
 from .tangent import frozen_tangent, meanfield_tangent
@@ -58,10 +58,10 @@ class Estimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def _zeta_apply(model: ModelSpec, t: float, X: Array, direction: Array) -> Array:
-    """zeta(t, X) applied per particle to a (N, d) direction -> (N, m)."""
+def _zeta_apply(model: ModelSpec, coef: Coefficients, direction: Array) -> Array:
+    """zeta of the step's sigma applied per particle to a (N, d) direction -> (N, m)."""
     const = model.diffusion.constant_in_x
-    z = zeta(model.diffusion, t, X[:1] if const else X)    # (1 or N, m, d)
+    z = zeta(coef.sigma)                                    # (1 or N, m, d)
     if model.d == 1:
         return _single_term(z[:, :, 0], direction)
     return direction @ z[0].T if const else np.einsum("amd,ad->am", z, direction)
@@ -84,9 +84,9 @@ def _check_schedule(paths: ParticlePaths, sched: BismutSchedule) -> None:
         )
 
 
-def _ito_term(model: ModelSpec, t: float, X: Array, D: Array, dW: Array) -> tuple[Array, Array]:
+def _ito_term(model: ModelSpec, coef: Coefficients, D: Array, dW: Array) -> tuple[Array, Array]:
     """One step's zeta(t, X_i) D_i, (N, m), and its Ito increment <zeta D, dW>_i, (N,)."""
-    zv = _zeta_apply(model, t, X, D)
+    zv = _zeta_apply(model, coef, D)
     return zv, _sum_over_m(zv, dW)
 
 
@@ -113,7 +113,7 @@ def _ito_weight(paths: ParticlePaths, directions: Iterable[Array], model: ModelS
     bps = [1.0] * n if sched is None else np.broadcast_to(
         sched.beta_prime(np.arange(n) * dt), n).tolist()
     for s, (D, bp) in enumerate(zip(directions, bps)):
-        zv, dw = _ito_term(model, s * dt, paths.states[s], D, paths.noise[s])
+        zv, dw = _ito_term(model, paths.at(s, model), D, paths.noise[s])
         w += bp * dw
         if qv is not None:
             qv += (bp * bp * dt) * _sum_over_m(zv, zv)
@@ -204,12 +204,13 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Callable,
     w1, w2_new = np.zeros(mu0.N), np.zeros(mu0.N)
     # zip draws X_s before the tangents, which finish step s - 1 and read X_s, so
     # the tangents' blow-up guards on V_n run before the loop ends at s = n
-    for s, (X, V, (_, psi)) in enumerate(zip(paths, frozen, coupled)):
+    for s, (_, V, (_, psi)) in enumerate(zip(paths, frozen, coupled)):
         if s == n:
             break
-        w1 += bps[s] * _ito_term(model, s * dt, X, V, paths.noise[s])[1]
+        coef = paths.at(s, model)
+        w1 += bps[s] * _ito_term(model, coef, V, paths.noise[s])[1]
         if psi is not None:
-            w2_new += _ito_term(model, s * dt, X, psi, paths.noise[s])[1]
+            w2_new += _ito_term(model, coef, psi, paths.noise[s])[1]
     if not (np.isfinite(w1).all() and np.isfinite(w2_new).all()):
         raise NonFinite("weight vector contains non-finite entries")
     if w2 is None:

@@ -174,9 +174,8 @@ class ModelSpec:
 
     The drift splits as b = b0 + F(x, mu(h)) with b0 the optional
     regularized singular part and F the cylindrical mean-field part;
-    :meth:`drift` and :meth:`drift_grad_x` are the only places that add
-    the two.  ``k`` is the Wasserstein exponent the instance lives in and
-    ``horizon`` the largest admissible terminal time.
+    :class:`Coefficients` is the only place that adds the two.  ``k`` is the
+    Wasserstein exponent and ``horizon`` the largest admissible terminal time.
     """
 
     d: int
@@ -199,45 +198,73 @@ class ModelSpec:
     def has_singular_part(self) -> bool:
         return self.singular_drift is not None
 
-    def drift(self, t: float, x: Array, z: Array) -> Array:
-        """The full drift F(t, x, z) + b0(t, x), (N, d)."""
-        b = np.asarray(self.meanfield_drift.F(t, x, z), dtype=float)
-        if self.singular_drift is not None:
-            b = b + self.singular_drift(t, x)
-        return b
 
-    def drift_grad_x(self, t: float, x: Array, z: Array) -> Array:
-        """State gradient of :meth:`drift`, (N, d, d)."""
-        G = np.asarray(self.meanfield_drift.grad_x_F(t, x, z), dtype=float)
-        if self.singular_drift is not None:
-            G = G + np.asarray(self.singular_drift.grad(t, x), dtype=float)
-        return G
+class Coefficients:
+    """The coefficients at one time slice (t, X, z), each evaluated when first read and
+    kept in a plain slot: the drift F + b0, (N, d), and its state gradient, (N, d, d), the
+    only sums of the two; sigma, one row if constant in x, and grad sigma, None then."""
+
+    __slots__ = ("model", "t", "X", "z", "_b", "_sig", "_G", "_S")
+
+    def __init__(self, model: ModelSpec, t: float, X: Array, z: Array):
+        self.model, self.t, self.X, self.z = model, t, X, z
+        self._b = self._sig = self._G = self._S = None
+
+    @property
+    def drift(self) -> Array:
+        if self._b is None:
+            b0 = self.model.singular_drift
+            self._b = np.asarray(self.model.meanfield_drift.F(self.t, self.X, self.z), dtype=float)
+            if b0 is not None:
+                self._b = self._b + b0(self.t, self.X)
+        return self._b
+
+    @property
+    def sigma(self) -> Array:
+        if self._sig is None:
+            diff = self.model.diffusion
+            self._sig = diff(self.t, self.X[:1] if diff.constant_in_x else self.X)
+        return self._sig
+
+    @property
+    def drift_grad_x(self) -> Array:
+        if self._G is None:
+            b0, F = self.model.singular_drift, self.model.meanfield_drift
+            self._G = np.asarray(F.grad_x_F(self.t, self.X, self.z), dtype=float)
+            if b0 is not None:
+                self._G = self._G + np.asarray(b0.grad(self.t, self.X), dtype=float)
+        return self._G
+
+    @property
+    def grad_sigma(self) -> Optional[Array]:
+        diff = self.model.diffusion
+        if self._S is None and not diff.constant_in_x:
+            self._S = np.asarray(diff.grad_sigma(self.t, self.X), dtype=float)
+        return self._S
 
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
-def zeta(diffusion: Diffusion, t: float, x) -> Array:
-    """Right pseudo-inverse sigma*(sigma sigma*)^{-1} of the diffusion.
+def zeta(sig: Array) -> Array:
+    """Right pseudo-inverse sigma*(sigma sigma*)^{-1} of a batch of sigma values.
 
     This is the matrix that converts a state-space direction into the noise
-    coordinates paired against the Brownian increments: for an (N, d) batch
-    x the result is (N, m, d), with sigma(t,x) @ zeta(t,x) = I_d per point.
-    Any other shape of x raises ValueError.  Conditioning is
-    :func:`validate_ellipticity`'s job; an exactly singular a = sigma sigma*
-    raises :class:`SingularDiffusion`.  For d = 1, zeta is sigma*/a
-    elementwise.
+    coordinates paired against the Brownian increments: for the (N, d, m)
+    values ``sig`` of the diffusion at N points (:attr:`Coefficients.sigma`)
+    the result is (N, m, d), with sig @ zeta = I_d per point.  Any other
+    shape raises ValueError.  Conditioning is :func:`validate_ellipticity`'s
+    job; an exactly singular a = sigma sigma* raises :class:`SingularDiffusion`.
+    For d = 1, zeta is sigma*/a elementwise.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"x must be an (N, d) array, got {x.shape}")
-    sig = diffusion(t, x)                       # (N, d, m)
+    if sig.ndim != 3:
+        raise ValueError(f"sigma must be (N, d, m), at an (N, d) array of points, got {sig.shape}")
     sig_t = np.swapaxes(sig, 1, 2)
     a = _single_term(sig, sig_t) if sig.shape[2] == 1 else sig @ sig_t   # (N, d, d)
     if sig.shape[1] == 1:
         if not a.all():
-            raise SingularDiffusion(f"sigma sigma* vanishes at t={t}")
+            raise SingularDiffusion("sigma sigma* vanishes")
         out = sig_t / a                         # sigma* a^{-1}: (N, m, 1)
     else:
         try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, GridMismatch, MemoryBudgetExceeded, NonFinite
 from .measure import EmpiricalMeasure, _stream
-from .model import BLOWUP_THRESHOLD, ModelSpec, _single_term
+from .model import BLOWUP_THRESHOLD, Coefficients, ModelSpec, _single_term
 
 Array = np.ndarray
 
@@ -37,6 +38,9 @@ DEFAULT_MEMORY_BUDGET_MB = 4096
 # Uniform draws are clamped away from 0 before the inverse normal CDF; the
 # event has probability 2^-53 per draw and would otherwise map to -inf.
 _U_FLOOR = 2.0 ** -60
+
+# Particles per contiguous block of the noise builder, its only memory beside the tensor.
+_NOISE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -92,13 +96,17 @@ def _guard_memory(need: int, reads) -> int:
 
 def _noise_tensor(grid: TimeGrid, seed: int, N: int, m: int) -> Array:
     """Increments of N particles, (n_steps, N, m), from one generator re-keyed
-    per particle i to the fresh stream ``Philox(key=[seed, i])``."""
+    per particle i to the fresh stream ``Philox(key=[seed, i])``, in blocks of particles."""
     out = np.empty((grid.n_steps, N, m))
+    block = np.empty((min(N, _NOISE_BLOCK), grid.n_steps, m))
     gen = None
-    for i in range(N):
-        gen = _stream(seed, i, gen)
-        u = gen.random((grid.n_steps, m))
-        out[:, i, :] = ndtri(np.maximum(u, _U_FLOOR)) * np.sqrt(grid.dt)
+    for lo in range(0, N, _NOISE_BLOCK):
+        u = block[:N - lo]
+        for i, row in enumerate(u, lo):
+            gen = _stream(seed, i, gen)
+            gen.random(out=row)
+        ndtri(np.maximum(u, _U_FLOOR, out=u), out=u)
+        np.multiply(u.transpose(1, 0, 2), np.sqrt(grid.dt), out=out[:, lo:lo + len(u)])
     return out
 
 
@@ -184,6 +192,7 @@ class ParticlePaths:
     noise: Array
     grid: TimeGrid
     moment_flow: Array
+    _entry = (None, None, None)     # (step, model, record) of the last at(); not a field
 
     @property
     def N(self) -> int:
@@ -194,18 +203,26 @@ class ParticlePaths:
         return self.states.shape[2]
 
     def __iter__(self) -> Iterator[Array]:
-        return iter(self.states)
+        yield from self.states      # holds the paths, whose stream reads them by proxy
 
     def terminal(self) -> Array:
         return self.states[self.grid.n_steps]
+
+    def at(self, s: int, model: ModelSpec) -> Coefficients:
+        """``model``'s coefficients at step s, one record for all the step's readers, replaced
+        as one tuple; a stream's record holds until X_{s+2} is drawn, as X_s does."""
+        step, held, record = self._entry
+        if step != s or held is not model:
+            record = Coefficients(model, s * self.grid.dt, self.states[s], self.moment_flow[s])
+            object.__setattr__(self, "_entry", (s, model, record))
+        return record
 
 
 class _Slices:
     """A stream's states: X_s is slice s % len(slices) until drawn over; iterating draws."""
 
-    def __init__(self, slices: Array, steps: Iterator[Array]):
-        self.slices, self.steps = slices, steps
-        self.shape, self.nbytes = slices.shape, slices.nbytes
+    def __init__(self, slices: Array):
+        self.slices, self.steps, self.shape, self.nbytes = slices, None, slices.shape, slices.nbytes
 
     def __getitem__(self, s: int) -> Array:
         return self.slices[s % len(self.slices)]
@@ -223,19 +240,17 @@ def _step_guard(X: Array, step: int) -> None:
         raise NonFinite(f"blow-up guard tripped at step {step}")
 
 
-def _euler(model: ModelSpec, dW: Array, dt: float, slices: Array,
-           flow: Array) -> Iterator[Array]:
-    """X_0 = slices[0], ..., X_n on dW, each drawn into slices[s % len(slices)] with its
-    moments in ``flow``; an overflow raises FloatingPointError (an error row)."""
-    drift, X = model.meanfield_drift, slices[0]
+def _euler(model: ModelSpec, paths: ParticlePaths, slices: Array) -> Iterator[Array]:
+    """X_0 = slices[0], ..., X_n into slices[s % len(slices)], moments into ``moment_flow``,
+    each step from ``paths.at(s, model)``; an overflow raises FloatingPointError (an error row)."""
+    drift, X, dW, dt = model.meanfield_drift, slices[0], paths.noise, paths.grid.dt
     for s in range(len(dW)):
         with np.errstate(over="raise"):
-            flow[s] = z = drift.moment_vector(X)
+            paths.moment_flow[s] = drift.moment_vector(X)
         yield X
         with np.errstate(over="raise"):
-            t = s * dt
-            b = model.drift(t, X, z)
-            sig = model.diffusion(t, X if not model.diffusion.constant_in_x else X[:1])
+            coef = paths.at(s, model)
+            b, sig = coef.drift, coef.sigma
             if model.m == 1:
                 incr = _single_term(sig[:, :, 0], dW[s])
             elif sig.shape[0] == 1 and len(X) > 1:
@@ -245,7 +260,7 @@ def _euler(model: ModelSpec, dW: Array, dt: float, slices: Array,
             X = np.add(X, b * dt, out=slices[(s + 1) % len(slices)])
             X += incr
             _step_guard(X, s + 1)
-    flow[-1] = drift.moment_vector(X)
+    paths.moment_flow[-1] = drift.moment_vector(X)
     yield X
 
 
@@ -289,11 +304,12 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     flow = np.empty((n + 1, model.meanfield_drift.n))
     states = np.empty((2 if stream else n + 1, N, d))
     states[0] = mu0.points
-    steps = _euler(model, dW, grid.dt, states, flow)
+    paths = ParticlePaths(_Slices(states) if stream else states, dW, grid, flow)
+    steps = _euler(model, weakref.proxy(paths), states)     # no cycle through the paths
     if stream:
-        return ParticlePaths(states=_Slices(states, steps), noise=dW, grid=grid,
-                             moment_flow=flow)
+        paths.states.steps = steps
+        return paths
     deque(steps, maxlen=0)
     states.flags.writeable = flow.flags.writeable = False
-    return _hold(1, (model, start),
-                 ParticlePaths(states=states, noise=dW, grid=grid, moment_flow=flow))
+    object.__delattr__(paths, "_entry")     # its record's X was a view of writable states
+    return _hold(1, (model, start), paths)

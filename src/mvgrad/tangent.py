@@ -9,7 +9,7 @@ particle's tangent.  For cylindrical drifts that coupling costs O(N n) per
 step instead of O(N^2).
 
 Both recursions take the drift's state gradient from
-:meth:`ModelSpec.drift_grad_x`, which includes the exact gradient of a
+:attr:`Coefficients.drift_grad_x`, which includes the exact gradient of a
 regularized singular part b0.  They are certified only when b0 is absent
 (the smooth regime, where the transformed and plain variational equations
 coincide).  With b0 present the recursion is the exact variational
@@ -25,18 +25,17 @@ from typing import Iterator
 import numpy as np
 
 from .errors import MissingGradSigma, NonFinite
-from .model import BLOWUP_THRESHOLD, CylindricalDrift, ModelSpec, _single_term
+from .model import BLOWUP_THRESHOLD, Coefficients, CylindricalDrift, ModelSpec, _single_term
 from .simulate import ParticlePaths, _guard_memory
 
 Array = np.ndarray
 
 
-def _diffusion_terms(model: ModelSpec, t: float, X: Array, V: Array, dW: Array) -> Array:
+def _diffusion_terms(coef: Coefficients, V: Array, dW: Array) -> Array:
     """(sum_j d_j sigma V_j) dW for one step; zero for state-constant sigma."""
-    diff = model.diffusion
-    if diff.constant_in_x:
+    S = coef.grad_sigma                                     # (N, d, m, j)
+    if S is None:
         return 0.0
-    S = np.asarray(diff.grad_sigma(t, X), dtype=float)      # (N, d, m, j)
     directional = np.einsum("admj,aj->adm", S, V)           # (N, d, m)
     return np.einsum("adm,am->ad", directional, dW)
 
@@ -69,20 +68,17 @@ def _variational_flow(paths: ParticlePaths, model: ModelSpec, V0: Array,
 
 def _flow_steps(paths: ParticlePaths, model: ModelSpec, slices: Array,
                 coupled: bool) -> Iterator:
-    drift = model.meanfield_drift
     dt = paths.grid.dt
     V, psi = slices[0], None
     for s in range(paths.grid.n_steps):
-        t = s * dt
-        X = paths.states[s]
-        z = paths.moment_flow[s]
-        G = model.drift_grad_x(t, X, z)
-        drift_term = np.einsum("aij,aj->ai", G, V)
+        # the step's record is read whole before V_s goes out, so its other readers find it
+        coef = paths.at(s, model)
+        drift_term = np.einsum("aij,aj->ai", coef.drift_grad_x, V)
         if coupled:
-            psi = cylindrical_coupling(drift, t, X, z, V)
+            psi = cylindrical_coupling(model.meanfield_drift, coef.t, coef.X, coef.z, V)
             drift_term += psi
+        noise_term = _diffusion_terms(coef, V, paths.noise[s])
         yield V, psi
-        noise_term = _diffusion_terms(model, t, X, V, paths.noise[s])
         V = np.add(V, drift_term * dt, out=slices[(s + 1) % 2])
         V += noise_term
         if not np.abs(V).max() <= BLOWUP_THRESHOLD:

@@ -288,7 +288,7 @@ def test_criterion_10_exact_micro_oracles():
         diff = Diffusion(sigma=lambda t, x, mat=mat:
                          np.broadcast_to(mat, (x.shape[0], *mat.shape)),
                          constant_in_x=True)
-        z = zeta(diff, 0.0, np.zeros((1, d)))
+        z = zeta(diff(0.0, np.zeros((1, d))))
         assert z.shape == (1, m, d)
         assert np.max(np.abs(mat @ z[0] - np.eye(d))) <= 1e-10
         checked += 1

@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -5,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvgrad import runner, tangent
+from mvgrad import bismut, runner, tangent
 from mvgrad.bismut import (Estimate, _sum_over_m, _zeta_apply, dual_norm_lower_bound,
                            estimate_classical, estimate_intrinsic, weight_frozen,
                            weight_meanfield)
@@ -15,6 +17,7 @@ from mvgrad.errors import (GridMismatch, MeasureDependence, MemoryBudgetExceeded
 from mvgrad.measure import EmpiricalMeasure, sample_initial
 from mvgrad.model import (BLOWUP_THRESHOLD, SCHEDULE_FACTORIES, CylindricalDrift,
                           linear_schedule, quadratic_schedule, scaled)
+from mvgrad.model import zeta as model_zeta
 from mvgrad.oracle import richardson_intrinsic
 from mvgrad.scenarios import (constant_observable, coord_observable,
                               coordinate_field, default_observables,
@@ -507,10 +510,46 @@ def test_weight_reads_beta_prime_as_one_point_calls(t, n, schedule):
     want_w, want_qv = np.zeros(4), np.zeros(4)
     for s in range(n):
         bp = float(sched.beta_prime(np.array(s * grid.dt)))
-        zv = _zeta_apply(model, s * grid.dt, paths.states[s], V[s])
+        zv = _zeta_apply(model, paths.at(s, model), V[s])
         want_w += bp * _sum_over_m(zv, paths.noise[s])
         want_qv += (bp * bp * grid.dt) * _sum_over_m(zv, zv)
     assert w.tobytes() == want_w.tobytes() and qv.tobytes() == want_qv.tobytes()
+
+
+def counted_trig(counts):
+    """The trig model whose four coefficient callables add their calls to ``counts``."""
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+    model = get_scenario("trig").build()
+    drift, diff = model.meanfield_drift, model.diffusion
+    return dataclasses.replace(
+        model, meanfield_drift=dataclasses.replace(
+            drift, F=counted("F", drift.F), grad_x_F=counted("grad_x_F", drift.grad_x_F)),
+        diffusion=dataclasses.replace(diff, sigma=counted("sigma", diff.sigma),
+                                      grad_sigma=counted("grad_sigma", diff.grad_sigma)))
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["streamed", "held paths"])
+def test_each_coefficient_is_evaluated_once_per_step(held, monkeypatch):
+    # the Euler step, both tangents and both Ito terms of step s read one record;
+    # sigma's extra call is validate_ellipticity's probe of the starting points,
+    # and zeta is still applied twice per step, once per weight
+    counts, zetas = collections.Counter(), []
+    monkeypatch.setattr(bismut, "zeta", lambda *a: zetas.append(1) or model_zeta(*a))
+    model, (N, n) = counted_trig(counts), (100, 50)
+    mu0, grid = sample_initial(get_scenario("trig").initial_law, N, 3), TimeGrid(1.0, n)
+    args = (model, mu0, const_e1, sin_observable(), 1.0, grid, linear_schedule(1.0), 3)
+    with reusing_work() if held else contextlib.nullcontext():
+        if held:
+            simulate_particles(model, mu0, grid, 3)
+            assert dict(counts) == {"F": n, "sigma": n}
+            counts.clear()
+        estimate_intrinsic(*args)
+    want = {"sigma": n + 1, "grad_x_F": n, "grad_sigma": n} | ({} if held else {"F": n})
+    assert dict(counts) == want and len(zetas) == 2 * n
 
 
 def _reuse_case(name, N, n):

@@ -87,7 +87,7 @@ class TestZeta:
 
     @staticmethod
     def one_point(diff, d, m):
-        z = zeta(diff, 0.0, np.zeros((1, d)))
+        z = zeta(diff(0.0, np.zeros((1, d))))
         assert z.shape == (1, m, d)
         return z[0]
 
@@ -121,19 +121,19 @@ class TestZeta:
 
     def test_batch_shape(self):
         diff = const_diffusion_matrix(np.eye(2))
-        out = zeta(diff, 0.0, np.zeros((7, 2)))
+        out = zeta(diff(0.0, np.zeros((7, 2))))
         assert out.shape == (7, 2, 2)
 
     def test_singular_raises(self):
         diff = const_diffusion_matrix(np.diag([1.0, 0.0]))
         with pytest.raises(SingularDiffusion):
-            zeta(diff, 0.0, np.zeros((1, 2)))
+            zeta(diff(0.0, np.zeros((1, 2))))
 
 
 @pytest.mark.parametrize("x", [[0.0, 2.0], np.zeros((1, 2, 1))], ids=["point", "3d"])
 @pytest.mark.parametrize("call", [
     lambda x: EmpiricalMeasure(x),
-    lambda x: zeta(const_diffusion_matrix(np.eye(2)), 0.0, x),
+    lambda x: zeta(np.ones(np.shape(x) + (1,))),      # a point's (d, m) sigma, a 4-D array
     lambda x: validate_ellipticity(const_diffusion_matrix(np.eye(2)), x),
 ], ids=["EmpiricalMeasure", "zeta", "validate_ellipticity"])
 def test_only_point_batches_are_accepted(call, x):
@@ -160,7 +160,7 @@ class TestZetaOneDimensional:
     def test_trig_matches_solve_bitwise(self, seed):
         diff = trig_diffusion(1.0, 0.25)
         x = gaussian_cloud(5000, std=1.0 + seed, seed=seed).points
-        z = zeta(diff, 0.0, x)
+        z = zeta(diff(0.0, x))
         assert z.shape == (5000, 1, 1)
         assert np.array_equal(z, solved_zeta(diff, x))
 
@@ -170,7 +170,7 @@ class TestZetaOneDimensional:
         # of dividing, so the two agree to the last bit, not bitwise
         diff = scalar_state_diffusion(lambda x: (1.0 + 0.25 * np.sin(x), 0.5 * np.cos(x)))
         x = gaussian_cloud(5000, std=3.0, seed=seed).points
-        z = zeta(diff, 0.0, x)
+        z = zeta(diff(0.0, x))
         assert z.shape == (5000, 2, 1)
         np.testing.assert_array_max_ulp(z, solved_zeta(diff, x), maxulp=1)
         sig = diff(0.0, x)
@@ -184,7 +184,7 @@ class TestZetaOneDimensional:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularDiffusion):
-                zeta(diff, 0.0, x)
+                zeta(diff(0.0, x))
 
 
 class TestLionsDerivative:

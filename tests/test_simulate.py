@@ -23,6 +23,9 @@ from mvgrad.scenarios import build_family, coord_observable, coordinate_field, g
 
 from conftest import brownian_model, gaussian_cloud, mfou_model, planar_trig_model
 
+NOISE_BLOCK = simulate._NOISE_BLOCK
+COEFFICIENTS = ("drift", "sigma", "drift_grad_x", "grad_sigma")
+
 
 def check_paths(paths, model, tol=1e-12):
     """Recompute the moment flow and finiteness invariants of stored paths."""
@@ -144,6 +147,21 @@ class TestBrownianIncrements:
             want = ndtri(np.maximum(u, 2.0 ** -60)) * np.sqrt(grid.dt)
             assert dw[:, i, :].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("N", [1, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1,
+                                   2 * NOISE_BLOCK + 1])
+    def test_every_column_matches_its_fresh_stream_across_blocks(self, N, m):
+        # the builder transforms its uniforms a block of particles at a time: a
+        # short last block, or a first block shorter than the constant, keeps
+        # every column's bits
+        grid = TimeGrid(t_end=0.5, n_steps=7)
+        dw = brownian_increments(grid, N, m, 31)
+        assert dw.shape == (7, N, m)
+        for i in range(N):
+            u = np.random.Generator(np.random.Philox(key=[31, i])).random((7, m))
+            want = ndtri(np.maximum(u, 2.0 ** -60)) * np.sqrt(grid.dt)
+            assert dw[:, i, :].tobytes() == want.tobytes()
+
     def test_seed_is_keyed_as_a_64_bit_word(self):
         # seed -1 is the word 2^64 - 1, not seed 0 after a round trip through float
         grid = TimeGrid(t_end=1.0, n_steps=8)
@@ -163,6 +181,43 @@ class TestBrownianIncrements:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * dw.nbytes
+
+
+class TestStepRecords:
+    """``ParticlePaths.at(s, model)``: one kept record of the coefficients per path set."""
+
+    def test_record_is_keyed_by_the_model_as_well_as_the_step(self):
+        a, b = build_family("trig", amp=0.25), build_family("trig", amp=0.5)
+        s = 5
+        with reusing_work():
+            paths = simulate_particles(a, gaussian_cloud(32, seed=1), TimeGrid(1.0, 8), 3)
+            t, X, z = s * paths.grid.dt, paths.states[s], paths.moment_flow[s]
+            for model in (a, b, a):
+                coef = paths.at(s, model)
+                assert paths.at(s, model) is coef
+                direct = (model.meanfield_drift.F(t, X, z), model.diffusion(t, X),
+                          model.meanfield_drift.grad_x_F(t, X, z),
+                          model.diffusion.grad_sigma(t, X))
+                for name, want in zip(COEFFICIENTS, direct):
+                    assert getattr(coef, name).tobytes() == want.tobytes()
+        assert not np.array_equal(paths.at(s, a).sigma, paths.at(s, b).sigma)
+
+    @pytest.mark.parametrize("name", ["trig", "planar"])
+    def test_stream_records_equal_the_stored_ones(self, name):
+        # record s of a stream is read once X_{s+1} is drawn, so the Euler step
+        # made it and evaluated its drift and sigma; X_s is still valid
+        model = planar_trig_model() if name == "planar" else get_scenario(name).build()
+        mu0, grid = gaussian_cloud(40, d=model.d, seed=2), TimeGrid(1.0, 12)
+        stored = simulate_particles(model, mu0, grid, 4)
+        stream = simulate_particles(model, mu0, grid, 4, stream=True)
+        for s, _ in enumerate(stream):
+            if s == 0:
+                continue
+            got, want = stream.at(s - 1, model), stored.at(s - 1, model)
+            for coefficient in COEFFICIENTS:
+                assert (getattr(got, coefficient).tobytes()
+                        == getattr(want, coefficient).tobytes())
+        assert s == grid.n_steps
 
 
 class TestHeldPaths:
