@@ -77,49 +77,46 @@ def _check_grid(grid: TimeGrid, t: float) -> None:
         raise GridMismatch(f"grid ends at {grid.t_end}, requested t={t}")
 
 
-def _check_schedule(paths: ParticlePaths, sched: BismutSchedule) -> None:
-    if abs(sched.t - paths.grid.t_end) > 1e-12:
-        raise ScheduleMismatch(
-            f"schedule ends at {sched.t}, paths at {paths.grid.t_end}"
-        )
+def _ito_sums(paths: ParticlePaths, model: ModelSpec, sched: Optional[BismutSchedule],
+              tangents: Callable[[], tuple[Iterable, Iterable]],
+              qv: bool = False) -> tuple[Array, Array, Optional[Array]]:
+    """The per-step Ito loop of every weight: per-particle (w1, w2, qv).
 
-
-def _ito_term(model: ModelSpec, coef: Coefficients, D: Array, dW: Array) -> tuple[Array, Array]:
-    """One step's zeta(t, X_i) D_i, (N, m), and its Ito increment <zeta D, dW>_i, (N,)."""
-    zv = _zeta_apply(model, coef, D)
-    return zv, _sum_over_m(zv, dW)
-
-
-def _ito_weight(paths: ParticlePaths, directions: Iterable[Array], model: ModelSpec,
-                sched: Optional[BismutSchedule]) -> tuple[Array, Optional[Array]]:
-    """Left-point Ito sum  w_i = sum_s beta'(t_s) <zeta(t_s, X_si) D_si, dW_si>.
-
-    ``directions`` yields D_s step by step, from a tangent stream or an array;
-    it is drawn before beta' each step, so a stream is drawn past its last
-    direction and its blow-up guard on V_n runs.  With a schedule the same
-    loop accumulates the quadratic variation
-    <w>_i = sum_s beta'(t_s)^2 |zeta(t_s, X_si) D_si|^2 dt; without one,
-    beta' = 1 (exact in floating point) and no quadratic variation is kept.
-    zeta needs elliptic noise, which is checked first on up to 64 of the
-    starting points.  Returns the per-particle (w, qv); raises NonFinite if
-    w is not finite.
+    ``tangents()`` hands over two streams, a frozen one of directions V_s and a
+    mean-field one of (V_s, psi_s); either may yield None for a weight not formed.
+    Each step reads X_s and its record once and adds w1 += beta'(t_s) <zeta V, dW>,
+    w2 += <zeta psi, dW> and, with ``qv``, the quadratic variation
+    qv += beta'(t_s)^2 |zeta V|^2 dt, with zeta applied to the record's sigma
+    (:func:`_zeta_apply`).  zeta needs elliptic noise, which is checked on at most
+    64 of the starting points before the streams are made.  Raises NonFinite if w1
+    or w2 is not finite.
     """
-    validate_ellipticity(model.diffusion, paths.states[0][:: max(1, paths.N // 64)])
-    n = paths.grid.n_steps
-    dt = paths.grid.dt
-    w = np.zeros(paths.N)
-    qv = None if sched is None else np.zeros(paths.N)
+    if sched is not None and abs(sched.t - paths.grid.t_end) > 1e-12:
+        raise ScheduleMismatch(f"schedule ends at {sched.t}, paths at {paths.grid.t_end}")
+    validate_ellipticity(model.diffusion, paths.states[0][:: math.ceil(paths.N / 64)])
+    frozen, coupled = tangents()
+    n, dt = paths.grid.n_steps, paths.grid.dt
     # beta' over the whole grid at once; each entry equals its one-point value
-    bps = [1.0] * n if sched is None else np.broadcast_to(
+    bps = [] if sched is None else np.broadcast_to(
         sched.beta_prime(np.arange(n) * dt), n).tolist()
-    for s, (D, bp) in enumerate(zip(directions, bps)):
-        zv, dw = _ito_term(model, paths.at(s, model), D, paths.noise[s])
-        w += bp * dw
-        if qv is not None:
-            qv += (bp * bp * dt) * _sum_over_m(zv, zv)
-    if not np.isfinite(w).all():
+    w1, w2 = np.zeros(paths.N), np.zeros(paths.N)
+    q = np.zeros(paths.N) if qv else None
+    # zip draws X_s before the tangents, which finish step s - 1 and read X_s, so
+    # the tangents' blow-up guards on V_n run before the loop ends at s = n
+    for s, (_, V, (_, psi)) in enumerate(zip(paths, frozen, coupled)):
+        if s == n:
+            break
+        coef, dW = paths.at(s, model), paths.noise[s]
+        if V is not None:
+            zv = _zeta_apply(model, coef, V)
+            w1 += bps[s] * _sum_over_m(zv, dW)
+            if q is not None:
+                q += (bps[s] * bps[s] * dt) * _sum_over_m(zv, zv)
+        if psi is not None:
+            w2 += _sum_over_m(_zeta_apply(model, coef, psi), dW)
+    if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
         raise NonFinite("weight vector contains non-finite entries")
-    return w, qv
+    return w1, w2, q
 
 
 def weight_frozen(paths: ParticlePaths, V: Iterable[Array], sched: BismutSchedule,
@@ -127,13 +124,14 @@ def weight_frozen(paths: ParticlePaths, V: Iterable[Array], sched: BismutSchedul
     """Left-point Ito sum  w_i = sum_s beta'(t_s) <zeta(t_s, X_si) V_si, dW_si>.
 
     ``V`` streams the frozen-tangent slices (:func:`frozen_tangent`), or is
-    their whole array.  Also returns the quadratic variation
+    their whole array; it is drawn past its last direction, so a stream's
+    blow-up guard on V_n runs.  Also returns the quadratic variation
     <w>_i = sum_s beta'(t_s)^2 |zeta(t_s, X_si) V_si|^2 dt, so that
     w^2 - <w> is a mean-zero martingale usable as a control variate (see
     :func:`estimate_classical`).
     """
-    _check_schedule(paths, sched)
-    return _ito_weight(paths, V, model, sched)
+    w, _, qv = _ito_sums(paths, model, sched, lambda: (V, repeat((None, None))), qv=True)
+    return w, qv
 
 
 def weight_meanfield(paths: ParticlePaths, tangent: Iterable[tuple], model: ModelSpec) -> Array:
@@ -144,7 +142,7 @@ def weight_meanfield(paths: ParticlePaths, tangent: Iterable[tuple], model: Mode
     so its blow-up guard on V_n runs.  No schedule derivative appears here:
     the measure-derivative term of the identity enters with unit weight.
     """
-    return _ito_weight(paths, (psi for _, psi in tangent), model, None)[0]
+    return _ito_sums(paths, model, None, lambda: (repeat(None), tangent))[1]
 
 
 def _mean_stderr(samples: Array) -> tuple[float, float]:
@@ -184,7 +182,7 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Callable,
 
     One forward loop draws each state X_s, advances the mean-field tangent and
     the frozen tangent from phi(X_0), and adds the step's Ito terms
-    (:func:`_ito_term`) to both weights: the point-derivative term pairs the
+    (:func:`_ito_sums`) to both weights: the point-derivative term pairs the
     payoff with the frozen tangent's weight w1, which carries beta', and the
     coupling term with the weight w2 of the mean-field psi, which carries none.
     It is linear in phi for fixed seed.  Outside ``reusing_work`` the paths are
@@ -194,25 +192,13 @@ def estimate_intrinsic(model: ModelSpec, mu0: EmpiricalMeasure, phi: Callable,
     """
     _check_grid(grid, t)
     paths = simulate_particles(model, mu0, grid, seed, stream=_held.chain is None)
-    _check_schedule(paths, sched)
-    validate_ellipticity(model.diffusion, paths.states[0][:: max(1, mu0.N // 64)])
     w2 = _reused(2, lambda k: k[0] is paths and k[1] is phi)
-    coupled = repeat((None, None)) if w2 is not None else meanfield_tangent(paths, model, phi)
-    frozen = frozen_tangent(paths, model, np.asarray(phi(paths.states[0]), dtype=float))
-    n, dt = grid.n_steps, grid.dt
-    bps = np.broadcast_to(sched.beta_prime(np.arange(n) * dt), n).tolist()
-    w1, w2_new = np.zeros(mu0.N), np.zeros(mu0.N)
-    # zip draws X_s before the tangents, which finish step s - 1 and read X_s, so
-    # the tangents' blow-up guards on V_n run before the loop ends at s = n
-    for s, (_, V, (_, psi)) in enumerate(zip(paths, frozen, coupled)):
-        if s == n:
-            break
-        coef = paths.at(s, model)
-        w1 += bps[s] * _ito_term(model, coef, V, paths.noise[s])[1]
-        if psi is not None:
-            w2_new += _ito_term(model, coef, psi, paths.noise[s])[1]
-    if not (np.isfinite(w1).all() and np.isfinite(w2_new).all()):
-        raise NonFinite("weight vector contains non-finite entries")
+
+    def tangents():
+        coupled = repeat((None, None)) if w2 is not None else meanfield_tangent(paths, model, phi)
+        return frozen_tangent(paths, model, np.asarray(phi(paths.states[0]), dtype=float)), coupled
+
+    w1, w2_new, _ = _ito_sums(paths, model, sched, tangents)
     if w2 is None:
         w2_new.flags.writeable = False
         w2 = _hold(2, (paths, phi), w2_new)
@@ -248,9 +234,10 @@ def estimate_classical(model: ModelSpec, x, v, f: Callable, t: float,
     if model.meanfield_drift.n:
         raise MeasureDependence("classical gradient requires a drift that declares no moments")
     mu0 = EmpiricalMeasure(np.tile(x, (n_particles, 1)))
-    paths = simulate_particles(model, mu0, grid, seed)
+    paths = simulate_particles(model, mu0, grid, seed, stream=_held.chain is None)
     v0 = np.tile(v, (n_particles, 1))
-    w, qv = weight_frozen(paths, frozen_tangent(paths, model, v0), sched, model)
+    w, _, qv = _ito_sums(paths, model, sched,
+                         lambda: (frozen_tangent(paths, model, v0), repeat((None, None))), qv=True)
     g = f(paths.terminal()) * w
     value, stderr = _controlled_mean_stderr(g, w * w - qv)
     return Estimate(value=value, stderr=stderr, term1=value, term2=0.0)

@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 import os
 import threading
-import weakref
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 import numpy as np
 from scipy.special import ndtri
 
@@ -183,16 +182,19 @@ class ParticlePaths:
     """Time-gridded trajectories with their driving noise retained.
 
     The read-only ``states`` are (n_steps+1, N, d), or a stream's two slices
-    (:func:`simulate_particles`), ``noise`` (n_steps, N, m), and ``moment_flow``
-    records the empirical moments mu_s(h_l) of each time slice, one row per grid
-    node.  Iterating reads X_0, ..., X_n; a stream draws each as it is read.
+    (:func:`simulate_particles`), so X_s is ``states[s % len(states)]``; ``noise``
+    is (n_steps, N, m), and ``moment_flow`` records the empirical moments mu_s(h_l)
+    of each time slice, one row per grid node.  Iterating reads X_0, ..., X_n; a
+    stream draws each as it is read.
     """
 
     states: Array
     noise: Array
     grid: TimeGrid
     moment_flow: Array
-    _entry = (None, None, None)     # (step, model, record) of the last at(); not a field
+    # (step, model, record) of the last at(), shared with a stream's Euler steps
+    _record: list = field(default_factory=lambda: [(None, None, None)], repr=False)
+    _steps: Optional[Iterator[Array]] = field(default=None, repr=False)
 
     @property
     def N(self) -> int:
@@ -203,32 +205,25 @@ class ParticlePaths:
         return self.states.shape[2]
 
     def __iter__(self) -> Iterator[Array]:
-        yield from self.states      # holds the paths, whose stream reads them by proxy
+        return iter(self.states) if self._steps is None else self._steps
 
     def terminal(self) -> Array:
-        return self.states[self.grid.n_steps]
+        return self.states[self.grid.n_steps % len(self.states)]
 
     def at(self, s: int, model: ModelSpec) -> Coefficients:
-        """``model``'s coefficients at step s, one record for all the step's readers, replaced
-        as one tuple; a stream's record holds until X_{s+2} is drawn, as X_s does."""
-        step, held, record = self._entry
-        if step != s or held is not model:
-            record = Coefficients(model, s * self.grid.dt, self.states[s], self.moment_flow[s])
-            object.__setattr__(self, "_entry", (s, model, record))
-        return record
+        """``model``'s coefficients at step s, one record for all the step's readers;
+        a stream's record holds until X_{s+2} is drawn, as X_s does."""
+        return _record(self._record, s, model, self.states, self.moment_flow, self.grid.dt)
 
 
-class _Slices:
-    """A stream's states: X_s is slice s % len(slices) until drawn over; iterating draws."""
-
-    def __init__(self, slices: Array):
-        self.slices, self.steps, self.shape, self.nbytes = slices, None, slices.shape, slices.nbytes
-
-    def __getitem__(self, s: int) -> Array:
-        return self.slices[s % len(self.slices)]
-
-    def __iter__(self) -> Iterator[Array]:
-        return self.steps
+def _record(slot: list, s: int, model: ModelSpec, states: Array, flow: Array,
+            dt: float) -> Coefficients:
+    """The record of step s kept in the one-entry ``slot``, replaced as one tuple on a miss."""
+    step, held, record = slot[0]
+    if step != s or held is not model:
+        record = Coefficients(model, s * dt, states[s % len(states)], flow[s])
+        slot[0] = (s, model, record)
+    return record
 
 
 def _step_guard(X: Array, step: int) -> None:
@@ -240,16 +235,17 @@ def _step_guard(X: Array, step: int) -> None:
         raise NonFinite(f"blow-up guard tripped at step {step}")
 
 
-def _euler(model: ModelSpec, paths: ParticlePaths, slices: Array) -> Iterator[Array]:
-    """X_0 = slices[0], ..., X_n into slices[s % len(slices)], moments into ``moment_flow``,
-    each step from ``paths.at(s, model)``; an overflow raises FloatingPointError (an error row)."""
-    drift, X, dW, dt = model.meanfield_drift, slices[0], paths.noise, paths.grid.dt
+def _euler(model: ModelSpec, slices: Array, dW: Array, dt: float, flow: Array,
+           slot: list) -> Iterator[Array]:
+    """X_0 = slices[0], ..., X_n into slices[s % len(slices)], moments into ``flow``, each
+    step from the record in ``slot``; an overflow raises FloatingPointError (an error row)."""
+    drift, X = model.meanfield_drift, slices[0]
     for s in range(len(dW)):
         with np.errstate(over="raise"):
-            paths.moment_flow[s] = drift.moment_vector(X)
+            flow[s] = drift.moment_vector(X)
         yield X
         with np.errstate(over="raise"):
-            coef = paths.at(s, model)
+            coef = _record(slot, s, model, slices, flow, dt)
             b, sig = coef.drift, coef.sigma
             if model.m == 1:
                 incr = _single_term(sig[:, :, 0], dW[s])
@@ -260,7 +256,7 @@ def _euler(model: ModelSpec, paths: ParticlePaths, slices: Array) -> Iterator[Ar
             X = np.add(X, b * dt, out=slices[(s + 1) % len(slices)])
             X += incr
             _step_guard(X, s + 1)
-    paths.moment_flow[-1] = drift.moment_vector(X)
+    flow[-1] = drift.moment_vector(X)
     yield X
 
 
@@ -274,10 +270,10 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     (model, mu0, grid, seed); inside :func:`reusing_work` the held paths of the
     same model, noise and starting points (bit for bit) are returned, and any
     other paths are built and held in their place.  With ``stream``, paths that
-    draw X_0, ..., X_n as they are iterated (the held paths on a hit) and read as
-    stored ones for the steps drawn: ``states[s]`` is valid until the next but one
-    is drawn, and ``moment_flow[s]`` is recorded when X_s is.  A stream leaves the
-    work chain as it found it.
+    draw X_0, ..., X_n as they are iterated (the held paths on a hit) into their two
+    ``states`` slices and read as stored ones for the steps drawn: X_s is valid until
+    the next but one is drawn, and ``moment_flow[s]`` is recorded when X_s is.  A
+    stream leaves the work chain as it found it.
     """
     if grid.t_end > model.horizon + 1e-12:
         raise GridMismatch(f"grid end {grid.t_end} exceeds model horizon {model.horizon}")
@@ -304,12 +300,11 @@ def simulate_particles(model: ModelSpec, mu0: EmpiricalMeasure, grid: TimeGrid,
     flow = np.empty((n + 1, model.meanfield_drift.n))
     states = np.empty((2 if stream else n + 1, N, d))
     states[0] = mu0.points
-    paths = ParticlePaths(_Slices(states) if stream else states, dW, grid, flow)
-    steps = _euler(model, weakref.proxy(paths), states)     # no cycle through the paths
+    slot = [(None, None, None)]
+    steps = _euler(model, states, dW, grid.dt, flow, slot)
     if stream:
-        paths.states.steps = steps
-        return paths
+        return ParticlePaths(states, dW, grid, flow, _record=slot, _steps=steps)
     deque(steps, maxlen=0)
     states.flags.writeable = flow.flags.writeable = False
-    object.__delattr__(paths, "_entry")     # its record's X was a view of writable states
-    return _hold(1, (model, start), paths)
+    # a fresh record slot: the last record's X is a view of the states while writable
+    return _hold(1, (model, start), ParticlePaths(states, dW, grid, flow))

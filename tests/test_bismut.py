@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvgrad import bismut, runner, tangent
+from mvgrad import bismut, runner, simulate, tangent
 from mvgrad.bismut import (Estimate, _sum_over_m, _zeta_apply, dual_norm_lower_bound,
                            estimate_classical, estimate_intrinsic, weight_frozen,
                            weight_meanfield)
@@ -635,3 +635,77 @@ def test_schedules_sharing_work_keep_the_peak_of_one_estimate(name):
             one(6)
 
     assert _traced_peak(shared) <= 1.05 * _traced_peak(alone)
+
+
+# float.hex of (value, stderr) of estimate_classical at x = 0, v = 1 with f = sin,
+# the quadratic schedule, N = 500 and n = 50, recorded when the classical
+# estimator still read stored paths through weight_frozen
+CLASSICAL_PINS = {
+    ("ou", 1): ("0x1.2baffa8172104p-2", "0x1.430f7d4f62d95p-8"),
+    ("ou", 2): ("0x1.2d64bca033efcp-2", "0x1.82662433970b4p-9"),
+    ("brownian", 1): ("0x1.2eb9f8b6fc6f8p-1", "0x1.61ddb0fead53bp-6"),
+    ("brownian", 2): ("0x1.2cc26adfadad1p-1", "0x1.017dbb195f5dcp-6"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(CLASSICAL_PINS))
+def test_classical_bits_are_pinned_inside_and_outside_a_block(name, seed):
+    args = (get_scenario(name).build(), [0.0], [1.0], default_observables(1)["sin"], 1.0,
+            TimeGrid(1.0, 50), quadratic_schedule(1.0), seed, 500)
+    streamed = estimate_classical(*args)
+    with reusing_work():
+        stored = estimate_classical(*args)
+    for est in (streamed, stored):
+        assert (est.value.hex(), est.stderr.hex()) == CLASSICAL_PINS[name, seed]
+
+
+class TestClassicalPaths:
+    ARGS = (sin_observable(0), 1.0, TimeGrid(1.0, 200), linear_schedule(1.0), 3, 2000)
+
+    def test_streams_outside_a_block(self, monkeypatch):
+        # the increments and two slices, 3.2 + 0.032 MB, not a stored build's 6.416 MB
+        requests, guard = [], simulate._guard_memory
+        monkeypatch.setattr(simulate, "_guard_memory",
+                            lambda need, reads: requests.append(need) or guard(need, reads))
+        estimate_classical(get_scenario("ou").build(), [0.0], [1.0], *self.ARGS)
+        assert requests == [8 * 2000 * (200 + 2)]
+
+    def test_stores_and_holds_its_paths_inside_a_block(self):
+        model = get_scenario("ou").build()
+        with reusing_work():
+            before = simulate.work_counts()
+            first = estimate_classical(model, [0.0], [1.0], *self.ARGS)
+            held = simulate._held.chain[1][1]
+            again = estimate_classical(model, [0.0], [1.0], *self.ARGS)
+            assert simulate.work_counts() == (before[0] + 1, before[1] + 1)
+            assert simulate._held.chain[1][1] is held and held.states.shape == (201, 2000, 1)
+        assert (again.value, again.stderr) == (first.value, first.stderr)
+
+
+@pytest.mark.parametrize("name", ["meanfield_ou", "trig", "planar"])
+def test_public_weights_equal_the_estimators_sums(name):
+    # weight_frozen and weight_meanfield run the estimator's own loop, so on the
+    # same stored paths their products with f(X_T) average to its terms bit for bit
+    model, mu0, phi, f, grid = _reuse_case(name, 300, 40)
+    sched = quadratic_schedule(1.0)
+    with reusing_work():
+        paths = simulate_particles(model, mu0, grid, 6)
+        est = estimate_intrinsic(model, mu0, phi, f, 1.0, grid, sched, 6)
+    fx = f(paths.terminal())
+    w1 = weight_frozen(paths, frozen_tangent(paths, model, phi(paths.states[0])), sched, model)[0]
+    w2 = weight_meanfield(paths, meanfield_tangent(paths, model, phi), model)
+    assert float(np.mean(fx * w1)).hex() == est.term1.hex()
+    assert float(np.mean(fx * w2)).hex() == est.term2.hex()
+
+
+@pytest.mark.parametrize("N", [1, 64, 65, 127, 5000])
+def test_ellipticity_probe_takes_at_most_64_points(N, monkeypatch):
+    probes = []
+    monkeypatch.setattr(bismut, "validate_ellipticity",
+                        lambda diffusion, pts: probes.append(pts.copy()))
+    model, mu0, grid = brownian_model(), gaussian_cloud(N, seed=1), TimeGrid(1.0, 2)
+    estimate_intrinsic(model, mu0, const_e1, sin_observable(0), 1.0, grid,
+                       linear_schedule(1.0), 2)
+    [pts] = probes
+    assert 1 <= len(pts) <= 64 and np.array_equal(pts[0], mu0.points[0])
+    assert len(pts) == N or N > 64

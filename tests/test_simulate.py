@@ -1,3 +1,4 @@
+import gc
 import math
 import threading
 import tracemalloc
@@ -455,6 +456,15 @@ class TestHeldPaths:
         with pytest.raises(ValueError):
             paths.states[0, 0, 0] = 1.0
 
+    def test_records_read_only_states(self):
+        # the Euler step made the last step's record while the states were
+        # writable, so that step is read first, before any other replaces it
+        model = get_scenario("trig").build()
+        paths = simulate_particles(model, gaussian_cloud(16, seed=1), self.GRID, 3)
+        for s in (self.GRID.n_steps - 1, 0, self.GRID.n_steps):
+            with pytest.raises(ValueError):
+                paths.at(s, model).X[0, 0] = 1.0
+
 
 class TestStream:
     GRID = TimeGrid(t_end=0.5, n_steps=20)
@@ -495,6 +505,24 @@ class TestStream:
             assert all(np.shares_memory(x, base.states) for x in served)
             assert simulate.work_counts() == (before[0], before[1] + 1)
             assert all(a is b for a, b in zip(simulate._held.chain, chain, strict=True))
+
+    def test_a_dropped_stream_is_freed_without_the_cyclic_collector(self):
+        # the Euler steps hold the stream's arrays, not the stream, so no cycle
+        # keeps the path set or its increments alive once it is dropped
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            stream = simulate_particles(get_scenario("trig").build(), gaussian_cloud(32, seed=1),
+                                        TimeGrid(1.0, 50), 3, stream=True)
+            for s, _ in enumerate(stream):
+                if s == 20:
+                    break
+            refs = weakref.ref(stream), weakref.ref(stream.noise)
+            del stream
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_guard_counts_the_noise_and_two_slices(self, monkeypatch):
         # at N = 2000, n = 200 a stream requests its increments and two slices,
